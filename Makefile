@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet doclint linkcheck fuzz-smoke bench-smoke bench-gate check bench bench-json bench-diff clean
+.PHONY: build test race vet doclint linkcheck fuzz-smoke perf-pins bench-smoke bench-gate check bench bench-json bench-diff bench-e2e bench-compare clean
 
 build:
 	$(GO) build ./...
@@ -42,12 +42,24 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 
+# The deterministic perf gate: testing.AllocsPerRun pins on the
+# in-process message path (compiled route lookup 0, publish → deliver →
+# ack on a warm queue <= 2, Core.Route <= 2). Allocation counts repeat
+# exactly on any machine, which timings on a shared CI runner do not, so
+# this is the perf regression CI can actually hold. Run without -race:
+# the detector's own bookkeeping allocates.
+perf-pins:
+	$(GO) test -count=1 -run 'Allocations$$' ./internal/broker ./internal/router
+
+# The root package's hot-path benches: the engine end to end and the
+# joiner core alone. The Figure 20/21 replays beside them take tens of
+# seconds even for a single iteration and stay out of the gates.
+BENCH_PATTERN ?= EngineIngest|JoinerCore
+
 # One-iteration benchmark smoke so the bench harnesses can't bit-rot:
-# compiles and runs every benchmark exactly once. The root package is
-# scoped to the ingest benches because the Figure 20/21 replays take
-# tens of seconds even for a single iteration.
+# compiles and runs every benchmark exactly once.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EngineIngest' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # Perf-regression gate against the checked-in baseline snapshot: short
@@ -56,35 +68,68 @@ bench-smoke:
 # and useless to diff, so this runs 0.3s per bench instead; that keeps
 # allocs/op exact (the gate that matters) while ns/op stays noisy on
 # shared CI runners, hence the deliberately loose 75% time limit.
-BENCH_BASELINE ?= BENCH_20260809.json
+BENCH_BASELINE ?= BENCH_20260926.json
 bench-gate:
-	$(GO) test -run '^$$' -bench 'EngineIngest' -benchmem -benchtime 0.3s . | $(GO) run ./tools/benchjson > BENCH_ci.json
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 0.3s . | $(GO) run ./tools/benchjson > BENCH_ci.json
 	$(GO) run ./tools/benchdiff -max-ns-regression 75 $(BENCH_BASELINE) BENCH_ci.json && rm -f BENCH_ci.json
 
 # The gate new changes must pass before merging.
-check: vet build race doclint linkcheck fuzz-smoke bench-smoke
+check: vet build race perf-pins doclint linkcheck fuzz-smoke bench-smoke
 
 # Quick throughput benches (the full experiment suite takes minutes;
 # see EXPERIMENTS.md for `bistream exp all`).
 bench:
-	$(GO) test -bench 'EngineIngest' -benchmem .
+	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem .
 
 # Machine-readable bench snapshot: raw `go test -bench` text converted
 # to a JSON array of {name, runs, ns_per_op, ...} records, written to
 # BENCH_<date>.json for diffing across commits.
 bench-json:
-	$(GO) test -bench 'EngineIngest' -benchmem . | $(GO) run ./tools/benchjson > BENCH_$$(date +%Y%m%d).json
+	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem . | $(GO) run ./tools/benchjson > BENCH_$$(date +%Y%m%d).json
 	@echo "wrote BENCH_$$(date +%Y%m%d).json"
 
 # Regression gate between two bench-json snapshots: fails on >15% ns/op
 # or >10 allocs/op growth on any benchmark present in both. Override
 # the files to diff arbitrary snapshots:
 #
-#	make bench-diff BENCH_OLD=BENCH_20260806.json BENCH_NEW=BENCH_20260809.json
+#	make bench-diff BENCH_OLD=BENCH_20260926.json BENCH_NEW=BENCH_ci.json
 BENCH_OLD ?= $(firstword $(shell ls -1 BENCH_*.json 2>/dev/null))
 BENCH_NEW ?= $(lastword $(shell ls -1 BENCH_*.json 2>/dev/null))
 bench-diff:
 	$(GO) run ./tools/benchdiff $(BENCH_OLD) $(BENCH_NEW)
 
+# The repository's benchmark (bench/README.md, BENCHMARK.json), run the
+# way the benchmark driver runs it: every workload once, end to end,
+# result multiset verified against the reference join. Fails when any
+# run reports "correct":false. Builds into .bench_build/.
+BENCH_WORKLOADS ?= equi_inproc band_inproc equi_zipf_adaptive equi_wire_quorum2
+bench-e2e:
+	@for w in $(BENCH_WORKLOADS); do \
+		line=$$(sh bench/run.sh --workload $$w --seed 1 --seconds 13 --trace 0 | tail -n 1) || exit 1; \
+		echo "$$w $$line"; \
+		case "$$line" in *'"correct":true'*) ;; *) echo "bench-e2e: $$w is not correct"; exit 1;; esac; \
+	done
+
+# Paired measurement of a performance claim against BASE (a commit-ish,
+# default the parent commit): builds BASE's benchmark in a git worktree
+# under .bench_build/ and the working tree's beside it, runs PAIRS
+# alternating base/change pairs per workload (tools/benchpairs prints
+# the wins and the base's quartile distance per metric), then the
+# benchmark's own verdicts per metric. Ten pairs of one workload take
+# about eight minutes.
+BASE ?= HEAD~1
+PAIRS ?= 10
+bench-compare:
+	rm -rf .bench_build/base && git worktree prune
+	git worktree add --detach .bench_build/base $(BASE)
+	cd .bench_build/base && $(GO) build -o ../bench-base ./bench
+	$(GO) build -o .bench_build/bench-change ./bench
+	$(GO) run ./tools/benchpairs -base .bench_build/bench-base -base-dir .bench_build/base \
+		-change .bench_build/bench-change -workloads $$(echo $(BENCH_WORKLOADS) | tr ' ' ,) \
+		-pairs $(PAIRS) -out .bench_build/pairs; \
+		status=$$?; git worktree remove --force .bench_build/base; exit $$status
+	$(GO) run ./bench compare .bench_build/pairs/base.json .bench_build/pairs/change.json
+
 clean:
 	$(GO) clean ./...
+	rm -rf .bench_build

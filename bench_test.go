@@ -175,14 +175,14 @@ func BenchmarkHeapPolicyAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineIngestEquiSharded measures the joiner's batched,
+// BenchmarkJoinerCoreEquiSharded measures the joiner's batched,
 // core-sharded steady-state path from encoded envelope to join result:
 // slab-decoder decode, release through the ordering protocol, and
 // store/probe fanned out across GOMAXPROCS shards — the per-process hot
 // path the service's consume loop runs between broker hops. ns/op is
 // per tuple aggregate across shards, so <1000ns sustains >1M tuples/s
 // per joiner process.
-func BenchmarkEngineIngestEquiSharded(b *testing.B) {
+func BenchmarkJoinerCoreEquiSharded(b *testing.B) {
 	core, err := joiner.NewCore(joiner.Config{
 		Rel:  tuple.R,
 		Pred: predicate.NewEqui(0, 0),
@@ -327,20 +327,7 @@ func BenchmarkEngineIngestEquiCheckpointed(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer eng.Stop()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rel := tuple.R
-		if i%2 == 1 {
-			rel = tuple.S
-		}
-		if err := eng.Ingest(bistream.NewTuple(rel, uint64(i+1), int64(i), bistream.Int(int64(i%100_000)))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := eng.Quiesce(2 * time.Minute); err != nil {
-		b.Fatal(err)
-	}
+	ingestAlternating(b, eng)
 }
 
 func benchEngineIngestTraced(b *testing.B, pred bistream.Predicate, traceSample int) {
@@ -361,6 +348,15 @@ func benchEngineIngestTraced(b *testing.B, pred bistream.Predicate, traceSample 
 		b.Fatal(err)
 	}
 	defer eng.Stop()
+	ingestAlternating(b, eng)
+}
+
+// ingestAlternating is the timed body of the engine ingest benchmarks:
+// R and S tuples alternate, each R and the S behind it drawn from one
+// key space (100 000 keys, revisited well after the window has moved
+// on) so the pair joins — about half a result per tuple — and the run
+// ends quiescent.
+func ingestAlternating(b *testing.B, eng *bistream.Engine) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -368,13 +364,15 @@ func benchEngineIngestTraced(b *testing.B, pred bistream.Predicate, traceSample 
 		if i%2 == 1 {
 			rel = tuple.S
 		}
-		if err := eng.Ingest(bistream.NewTuple(rel, uint64(i+1), int64(i), bistream.Int(int64(i%100_000)))); err != nil {
+		if err := eng.Ingest(bistream.NewTuple(rel, uint64(i+1), int64(i), bistream.Int(int64(i/2%100_000)))); err != nil {
 			b.Fatal(err)
 		}
 	}
 	if err := eng.Quiesce(2 * time.Minute); err != nil {
 		b.Fatal(err)
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(eng.Snapshot().Results)/float64(b.N), "results/op")
 }
 
 // assertPath checks the replica path matches the published shape,

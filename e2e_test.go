@@ -73,18 +73,15 @@ func TestDistributedProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	// Wait for the router to have declared the topology.
-	waitFor(t, 10*time.Second, func() bool {
-		err := client.Publish(topo.EntryExchange, topo.EntryKey, nil,
-			tuple.Marshal(tuple.New(tuple.R, 999_999, 0, tuple.Int(-1))))
-		return err == nil
-	})
 	if err := client.DeclareQueue("e2e-sink", broker.QueueOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Bind("e2e-sink", topo.ResultExchange, topo.ResultKey); err != nil {
-		t.Fatal(err)
-	}
+	// Wait for a service to have declared the topology: the result
+	// exchange comes after the entry exchange, its queue and its binding
+	// in topo.Declare, so once this bind succeeds publishing can start.
+	waitFor(t, 10*time.Second, func() bool {
+		return client.Bind("e2e-sink", topo.ResultExchange, topo.ResultKey) == nil
+	})
 	sink, err := client.Consume("e2e-sink", 64, true)
 	if err != nil {
 		t.Fatal(err)

@@ -280,8 +280,9 @@ func NewDurableWith(clock vclock.Clock, dir string, opts DurableOptions) (*Broke
 }
 
 type binding struct {
-	q   *queue
-	key string
+	q     *queue
+	key   string
+	words []string // key split into words, for topic exchanges
 }
 
 type exchange struct {
@@ -289,6 +290,9 @@ type exchange struct {
 	kind     ExchangeKind
 	mu       sync.RWMutex
 	bindings []binding
+	// routes is the compiled route table, routing key → target queues;
+	// see targets in topic.go. Emptied whenever bindings changes.
+	routes map[string][]*queue
 }
 
 // DeclareExchange creates the exchange if absent. Re-declaring with the
@@ -439,7 +443,11 @@ func (b *Broker) unbindAll(q *queue) {
 				kept = append(kept, bd)
 			}
 		}
-		ex.bindings = kept
+		if len(kept) != len(ex.bindings) {
+			clear(ex.bindings[len(kept):]) // drop the queue references
+			ex.bindings = kept
+			ex.routes = nil
+		}
 		ex.mu.Unlock()
 	}
 }
@@ -473,7 +481,12 @@ func (b *Broker) Bind(queueName, exchangeName, routingKey string) error {
 			return nil // idempotent
 		}
 	}
-	ex.bindings = append(ex.bindings, binding{q: q, key: routingKey})
+	bd := binding{q: q, key: routingKey}
+	if ex.kind == Topic {
+		bd.words = strings.Split(routingKey, ".")
+	}
+	ex.bindings = append(ex.bindings, bd)
+	ex.routes = nil
 	if b.log != nil && q.opts.Durable {
 		b.log.logBind(queueName, exchangeName, routingKey)
 	}
@@ -492,63 +505,100 @@ func (b *Broker) Publish(exchangeName, routingKey string, headers map[string]str
 // enqueued to some of the matching queues stays enqueued (publishing is
 // not transactional across queues, exactly as in AMQP).
 func (b *Broker) PublishContext(ctx context.Context, exchangeName, routingKey string, headers map[string]string, body []byte) error {
-	if err := ctx.Err(); err != nil {
-		return err // already cancelled: publish nothing
-	}
-	b.mu.RLock()
-	if b.closed {
-		b.mu.RUnlock()
-		return ErrClosed
-	}
-	ex, ok := b.exchanges[exchangeName]
-	b.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoExchange, exchangeName)
-	}
-	msg := Message{
-		Exchange:   exchangeName,
-		RoutingKey: routingKey,
-		Headers:    headers,
-		Body:       body,
-		Timestamp:  b.clock.Now(),
-	}
-	ex.mu.RLock()
-	var targets []*queue
-	for _, bd := range ex.bindings {
-		if ex.matches(bd.key, routingKey) {
-			targets = append(targets, bd.q)
-		}
-	}
-	ex.mu.RUnlock()
-	var maxLSN uint64
-	for _, q := range targets {
-		lsn, err := q.enqueueCtx(ctx, msg)
-		if err != nil && !errors.Is(err, ErrClosed) {
-			return err
-		}
-		if lsn > maxLSN {
-			maxLSN = lsn
-		}
-	}
-	// Quorum gate: on a replicated leader the publish is acknowledged
-	// only once its journal records are safe on a quorum of replicas.
-	if maxLSN > 0 {
-		if gate := b.commitGate(); gate != nil {
-			return gate(ctx, maxLSN)
-		}
-	}
-	return nil
+	pubs := [1]Publication{{Exchange: exchangeName, RoutingKey: routingKey, Headers: headers, Body: body}}
+	_, err := b.PublishBatch(ctx, pubs[:])
+	return err
 }
 
-func (ex *exchange) matches(bindKey, routingKey string) bool {
-	switch ex.kind {
-	case Fanout:
-		return true
-	case Direct:
-		return bindKey == routingKey
-	default:
-		return topicMatch(bindKey, routingKey)
+// PublishBatch routes pubs in order, each exactly as its own Publish
+// would be (one message per publication, MaxLen honoured per message),
+// while paying the per-call costs once: one clock read stamps the whole
+// batch and feeds the rate meters, and a target queue's lock is taken
+// once per run of consecutive messages it receives instead of once per
+// message. It returns how many leading publications were enqueued to
+// all their queues; a failure of the replication gate, which covers the
+// batch as a whole, reports zero (the messages stay enqueued locally and
+// the at-least-once contract tells the publisher to retry).
+func (b *Broker) PublishBatch(ctx context.Context, pubs []Publication) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err // already cancelled: publish nothing
 	}
+	now := b.clock.Now()
+	var (
+		ex     *exchange
+		cur    *queue // locked; run counts what this hold enqueued
+		run    int64
+		maxLSN uint64
+	)
+	release := func() {
+		if cur != nil {
+			cur.inMeter.Observe(now, run)
+			cur.mu.Unlock()
+			cur, run = nil, 0
+		}
+	}
+	published, err := len(pubs), error(nil)
+enqueue:
+	for i := range pubs {
+		p := &pubs[i]
+		if ex == nil || ex.name != p.Exchange {
+			release() // never look the broker up under a queue lock
+			if ex, err = b.exchange(p.Exchange); err != nil {
+				published = i
+				break
+			}
+		}
+		msg := Message{
+			Exchange:   p.Exchange,
+			RoutingKey: p.RoutingKey,
+			Headers:    p.Headers,
+			Body:       p.Body,
+			Timestamp:  now,
+		}
+		for _, q := range ex.targets(p.RoutingKey) {
+			if q != cur {
+				release()
+				q.mu.Lock()
+				cur = q
+			}
+			lsn, aerr := q.admitLocked(ctx, msg)
+			if errors.Is(aerr, ErrClosed) {
+				continue // deleted under us: as if never bound
+			}
+			if aerr != nil {
+				published, err = i, aerr
+				break enqueue
+			}
+			run++
+			maxLSN = max(maxLSN, lsn)
+		}
+	}
+	release()
+	// Quorum gate: on a replicated leader a publish is acknowledged only
+	// once its journal records are safe on a quorum of replicas — the
+	// prefix of a batch that stopped short included.
+	if maxLSN > 0 {
+		if gate := b.commitGate(); gate != nil {
+			if gerr := gate(ctx, maxLSN); gerr != nil {
+				return 0, gerr
+			}
+		}
+	}
+	return published, err
+}
+
+// exchange looks a declared exchange up.
+func (b *Broker) exchange(name string) (*exchange, error) {
+	b.mu.RLock()
+	closed, ex := b.closed, b.exchanges[name]
+	b.mu.RUnlock()
+	if closed {
+		return nil, ErrClosed
+	}
+	if ex == nil {
+		return nil, fmt.Errorf("%w: %q", ErrNoExchange, name)
+	}
+	return ex, nil
 }
 
 // Consume attaches a consumer to the queue. prefetch bounds the number

@@ -10,8 +10,11 @@ import (
 )
 
 // FuzzTopicMatch checks the pattern matcher never panics and respects
-// two invariants on arbitrary inputs: every valid pattern matches
-// itself when wildcard-free, and "#" matches every key.
+// two invariants on arbitrary inputs — every valid pattern matches
+// itself when wildcard-free, and "#" matches every key — and that an
+// exchange's compiled route table agrees with matchWords evaluated
+// afresh over the live bindings, before and after the bindings change
+// (further Binds, then the first queue's deletion).
 func FuzzTopicMatch(f *testing.F) {
 	f.Add("a.*.c", "a.b.c")
 	f.Add("#", "")
@@ -27,7 +30,61 @@ func FuzzTopicMatch(f *testing.F) {
 				t.Fatalf("literal key %q does not match itself", key)
 			}
 		}
+
+		b := New(nil)
+		defer b.Close()
+		mustNil(t, b.DeclareExchange("ex", Topic))
+		bound := map[string][]string{} // queue → patterns, in bind order
+		var order []string
+		bind := func(q, p string) {
+			if b.DeclareQueue(q, QueueOptions{}) != nil || b.Bind(q, "ex", p) != nil {
+				return // invalid pattern: rejected, not bound
+			}
+			for _, have := range bound[q] {
+				if have == p {
+					return // idempotent re-bind
+				}
+			}
+			bound[q] = append(bound[q], p)
+			order = append(order, q+"\x00"+p)
+		}
+		check := func(stage string) {
+			var want []string
+			for _, qp := range order {
+				q, p, _ := strings.Cut(qp, "\x00")
+				if _, live := bound[q]; live && matchWords(strings.Split(p, "."), keyWords(key)) {
+					want = append(want, q)
+				}
+			}
+			ex := b.exchanges["ex"]
+			for pass := 0; pass < 2; pass++ { // compile, then the table hit
+				var got []string
+				for _, q := range ex.targets(key) {
+					got = append(got, q.name)
+				}
+				if strings.Join(got, ",") != strings.Join(want, ",") {
+					t.Fatalf("%s pass %d: key %q routes to %v, matchWords says %v (bindings %v)",
+						stage, pass, key, got, want, order)
+				}
+			}
+		}
+		bind("q1", pattern)
+		bind("q2", "#")
+		check("bound")
+		bind("q3", key) // a literal binding, where the key is a valid pattern
+		bind("q1", "*.#")
+		check("re-bound")
+		mustNil(t, b.DeleteQueue("q1"))
+		delete(bound, "q1")
+		check("unbound")
 	})
+}
+
+func mustNil(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // fuzzFrame builds a well-formed segment frame for the fuzz corpus.

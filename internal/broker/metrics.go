@@ -1,10 +1,6 @@
 package broker
 
-import (
-	"context"
-
-	"bistream/internal/metrics"
-)
+import "bistream/internal/metrics"
 
 // RegisterMetrics attaches the broker to a metric registry via a
 // collector: every gather enumerates the live queues and emits
@@ -55,13 +51,4 @@ func RegisterMetrics(b *Broker, reg *metrics.Registry) {
 		emit(metrics.Sample{Name: "broker.dead_lettered", Kind: metrics.KindCounterMetric, Value: float64(deadLettered)})
 		emit(metrics.Sample{Name: "broker.queues", Kind: metrics.KindGaugeMetric, Value: float64(len(names))})
 	})
-}
-
-// ContextPublisher is the optional Client capability of publishing with
-// cancellation: a publish blocked on a full (MaxLen-bounded) queue
-// returns ctx.Err() when the context is done instead of waiting for
-// space. The in-process Broker implements it; clients that do not are
-// used via a best-effort pre-publish context check.
-type ContextPublisher interface {
-	PublishContext(ctx context.Context, exchange, routingKey string, headers map[string]string, body []byte) error
 }

@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"container/list"
 	"context"
 	"sync"
 
@@ -10,11 +9,12 @@ import (
 )
 
 // queue holds ready messages and dispatches them to consumers in FIFO
-// order. Each consumer runs a dispatcher goroutine that pops from the
-// shared ready list and performs a blocking send into the consumer's
+// order. Each consumer runs a dispatcher goroutine that pops runs of
+// messages from the shared ready ring and sends them into the consumer's
 // delivery channel: the channel's capacity (== prefetch) provides flow
-// control for auto-ack consumers, and the unacked map bounds manual-ack
-// consumers. A single popper per consumer preserves pairwise FIFO.
+// control for auto-ack consumers, and the unacked window bounds
+// manual-ack consumers. A single popper per consumer preserves pairwise
+// FIFO.
 type queue struct {
 	name string
 	opts QueueOptions
@@ -22,7 +22,8 @@ type queue struct {
 	mu        sync.Mutex
 	notFull   *sync.Cond
 	notEmpty  *sync.Cond
-	ready     *list.List // of Message
+	ready     msgRing
+	unacked   int // delivered, unsettled messages across all consumers
 	consumers []*consumer
 	closed    bool
 	everHad   bool // a consumer has attached at least once (for AutoDelete)
@@ -77,7 +78,6 @@ func newQueue(name string, opts QueueOptions, clock vclock.Clock, onEmpty func(*
 	q := &queue{
 		name:     name,
 		opts:     opts,
-		ready:    list.New(),
 		inMeter:  metrics.NewMeter(0),
 		outMeter: metrics.NewMeter(0),
 		clock:    clock,
@@ -88,18 +88,43 @@ func newQueue(name string, opts QueueOptions, clock vclock.Clock, onEmpty func(*
 	return q
 }
 
-// enqueue adds a message, blocking while the queue is at MaxLen.
+// enqueue adds a message the broker itself re-homes (journal replay,
+// dead-lettering), blocking while the queue is at MaxLen.
 func (q *queue) enqueue(msg Message) error {
-	_, err := q.enqueueCtx(context.Background(), msg)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	_, err := q.admitLocked(context.Background(), msg)
+	if err == nil {
+		q.inMeter.Observe(q.clock.Now(), 1)
+	}
 	return err
 }
 
-// enqueueCtx is enqueue honoring cancellation: when ctx is done while
-// the MaxLen bound blocks, it returns ctx.Err() without enqueueing. A
-// context with no Done channel adds no overhead beyond a nil check.
-// It returns the journal LSN of the enqueue record (zero when the
-// queue is not journaled) so the publish path can gate on replication.
-func (q *queue) enqueueCtx(ctx context.Context, msg Message) (uint64, error) {
+// admitLocked appends one message to the ready ring, first waiting
+// while the queue is at MaxLen: when ctx is done while the bound blocks,
+// it returns ctx.Err() without enqueueing. It returns the journal LSN of
+// the enqueue record (zero when the queue is not journaled) so the
+// publish path can gate on replication. Called with q.mu held (the wait
+// releases it); the caller feeds the rate meter.
+func (q *queue) admitLocked(ctx context.Context, msg Message) (uint64, error) {
+	if q.opts.MaxLen > 0 && q.backlogLocked() >= q.opts.MaxLen {
+		if err := q.waitRoomLocked(ctx); err != nil {
+			return 0, err
+		}
+	}
+	if q.closed {
+		return 0, ErrClosed
+	}
+	lsn := q.logNewEnqueue(&msg)
+	q.ready.pushBack(msg)
+	q.published.Inc()
+	q.notEmpty.Signal()
+	return lsn, nil
+}
+
+// waitRoomLocked parks the publisher until the backlog drops below
+// MaxLen, the queue closes, or ctx is done.
+func (q *queue) waitRoomLocked(ctx context.Context) error {
 	if ctx.Done() != nil {
 		// Wake the cond wait when the context fires; Broadcast because
 		// several publishers may be parked with different contexts.
@@ -110,37 +135,19 @@ func (q *queue) enqueueCtx(ctx context.Context, msg Message) (uint64, error) {
 		})
 		defer stop()
 	}
-	q.mu.Lock()
-	for q.opts.MaxLen > 0 && q.backlogLocked() >= q.opts.MaxLen && !q.closed && ctx.Err() == nil {
+	for q.backlogLocked() >= q.opts.MaxLen && !q.closed && ctx.Err() == nil {
 		q.notFull.Wait()
 	}
-	if err := ctx.Err(); err != nil && q.opts.MaxLen > 0 && q.backlogLocked() >= q.opts.MaxLen {
-		q.mu.Unlock()
-		return 0, err
+	if err := ctx.Err(); err != nil && q.backlogLocked() >= q.opts.MaxLen {
+		return err
 	}
-	if q.closed {
-		q.mu.Unlock()
-		return 0, ErrClosed
-	}
-	lsn := q.logNewEnqueue(&msg)
-	q.ready.PushBack(msg)
-	q.published.Inc()
-	q.inMeter.Observe(q.clock.Now(), 1)
-	q.notEmpty.Signal()
-	q.mu.Unlock()
-	return lsn, nil
+	return nil
 }
 
 // backlogLocked counts messages the queue is still responsible for:
 // ready plus unacknowledged. Using it for the MaxLen bound means slow
 // *processing*, not just slow delivery, backpressures publishers.
-func (q *queue) backlogLocked() int {
-	n := q.ready.Len()
-	for _, c := range q.consumers {
-		n += len(c.unacked)
-	}
-	return n
-}
+func (q *queue) backlogLocked() int { return q.ready.len() + q.unacked }
 
 func (q *queue) addConsumer(prefetch int, autoAck bool) (*consumer, error) {
 	if prefetch < 1 {
@@ -158,7 +165,6 @@ func (q *queue) addConsumer(prefetch int, autoAck bool) (*consumer, error) {
 		ch:       make(chan Delivery, prefetch),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
-		unacked:  make(map[uint64]Message),
 	}
 	q.consumers = append(q.consumers, c)
 	q.everHad = true
@@ -185,7 +191,7 @@ func (q *queue) shutdown() {
 	}
 	q.closed = true
 	consumers := append([]*consumer(nil), q.consumers...)
-	q.ready.Init()
+	q.ready = msgRing{}
 	q.notFull.Broadcast()
 	q.notEmpty.Broadcast()
 	q.mu.Unlock()
@@ -197,14 +203,10 @@ func (q *queue) shutdown() {
 func (q *queue) stats() QueueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	unacked := 0
-	for _, c := range q.consumers {
-		unacked += len(c.unacked)
-	}
 	return QueueStats{
 		Name:         q.name,
-		Ready:        q.ready.Len(),
-		Unacked:      unacked,
+		Ready:        q.ready.len(),
+		Unacked:      q.unacked,
 		Consumers:    len(q.consumers),
 		Published:    q.published.Value(),
 		Delivered:    q.delivered.Value(),
@@ -216,13 +218,11 @@ func (q *queue) stats() QueueStats {
 	}
 }
 
-func sortUint64(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j-1] > v[j]; j-- {
-			v[j-1], v[j] = v[j], v[j-1]
-		}
-	}
-}
+// maxDispatchRun caps how many messages a dispatcher moves per q.mu
+// acquisition (and sizes its scratch buffer): enough to amortize the
+// lock and the wakeup, small enough that competing consumers of one
+// queue still interleave.
+const maxDispatchRun = 64
 
 // consumer implements Consumer against the in-process queue.
 type consumer struct {
@@ -234,65 +234,102 @@ type consumer struct {
 	done     chan struct{}
 
 	// guarded by q.mu
-	unacked   map[uint64]Message
+	win       ackWindow // manual-ack deliveries not yet settled
 	cancelled bool
 }
 
-// dispatch is the per-consumer pump: pop a ready message (respecting the
-// manual-ack prefetch bound), then block-send it to the delivery
-// channel. It exits when the consumer is cancelled or the queue closes.
+// dispatch is the per-consumer pump: pop a run of ready messages — as
+// many as the prefetch bound (manual ack) or the delivery channel's free
+// room (auto ack) admits — under one q.mu acquisition, then send them to
+// the delivery channel. Only an auto-ack consumer's send can block: a
+// manual-ack consumer's channel holds a subset of its unacked window and
+// has the prefetch bound as its capacity. It exits when the consumer is
+// cancelled or the queue closes.
 func (c *consumer) dispatch() {
 	q := c.q
 	defer close(c.done)
+	run := make([]Delivery, 0, min(c.prefetch, maxDispatchRun))
 	for {
 		q.mu.Lock()
 		for !q.closed && !c.cancelled &&
-			(q.ready.Len() == 0 || (!c.autoAck && len(c.unacked) >= c.prefetch)) {
+			(q.ready.len() == 0 || (!c.autoAck && c.win.live >= c.prefetch)) {
 			q.notEmpty.Wait()
 		}
 		if q.closed || c.cancelled {
 			q.mu.Unlock()
 			return
 		}
-		front := q.ready.Front()
-		msg := front.Value.(Message)
-		q.ready.Remove(front)
-		q.nextTag++
-		d := Delivery{Message: msg, Queue: q.name, Tag: q.nextTag,
-			Redelivered: msg.redeliveries > 0}
+		room := c.prefetch - c.win.live
 		if c.autoAck {
-			q.acked.Inc()
-			q.logSettle(msg)
-			q.outMeter.Observe(q.clock.Now(), 1)
-			q.notFull.Signal()
-		} else {
-			c.unacked[d.Tag] = msg
+			// With a full channel, take one message and block on it.
+			room = max(1, cap(c.ch)-len(c.ch))
 		}
-		q.delivered.Inc()
-		q.mu.Unlock()
-		select {
-		case c.ch <- d:
-		case <-c.stop:
-			// Cancelled while blocked on a full delivery channel: the
-			// popped message must not be lost. Requeue it at the head
-			// (journaled as a fresh enqueue, balancing any settle the
-			// optimistic auto-ack already logged).
-			q.mu.Lock()
+		n := min(q.ready.len(), room, cap(run))
+		for i := 0; i < n; i++ {
+			msg := q.ready.popFront()
+			q.nextTag++
+			run = append(run, Delivery{Message: msg, Queue: q.name, Tag: q.nextTag,
+				Redelivered: msg.redeliveries > 0})
 			if c.autoAck {
-				q.acked.Add(-1) // undo the optimistic settle
-				q.logReEnqueue(msg)
+				q.logSettle(msg)
 			} else {
-				delete(c.unacked, d.Tag)
-				// Not re-journaled: the original enqueue record is
-				// still unsettled.
+				c.win.push(q.nextTag, msg)
 			}
-			q.delivered.Add(-1)
-			q.ready.PushFront(msg)
-			q.notEmpty.Signal()
-			q.mu.Unlock()
-			return
 		}
+		if c.autoAck {
+			q.acked.Add(int64(n))
+			q.outMeter.Observe(q.clock.Now(), int64(n))
+			q.notFull.Broadcast()
+		} else {
+			q.unacked += n
+		}
+		q.delivered.Add(int64(n))
+		q.mu.Unlock()
+		for i := range run {
+			select {
+			case c.ch <- run[i]: // room, the common case: no wait, no stop check
+				continue
+			default:
+			}
+			select {
+			case c.ch <- run[i]:
+			case <-c.stop:
+				c.undeliver(run[i:])
+				return
+			}
+		}
+		clear(run) // drop the body references
+		run = run[:0]
 	}
+}
+
+// undeliver puts back popped messages the dispatcher could not hand to
+// the delivery channel before the consumer was cancelled: they return
+// to the queue head in order, not counted as redeliveries (the consumer
+// never saw them).
+func (c *consumer) undeliver(rest []Delivery) {
+	q := c.q
+	q.mu.Lock()
+	n := len(rest)
+	if c.autoAck {
+		q.acked.Add(int64(-n)) // undo the optimistic settle
+	} else {
+		// The newest n entries of the window. Not re-journaled: the
+		// original enqueue records are still unsettled.
+		c.win.dropNewest(n)
+		q.unacked -= n
+	}
+	q.delivered.Add(int64(-n))
+	for i := n - 1; i >= 0; i-- {
+		if c.autoAck {
+			// Journaled as a fresh enqueue, balancing the settle the
+			// optimistic auto-ack already logged.
+			q.logReEnqueue(rest[i].Message)
+		}
+		q.ready.pushFront(rest[i].Message)
+	}
+	q.notEmpty.Signal()
+	q.mu.Unlock()
 }
 
 // Deliveries returns the delivery channel. It is closed after Cancel or
@@ -301,32 +338,15 @@ func (c *consumer) Deliveries() <-chan Delivery { return c.ch }
 
 // Ack confirms the delivery with the given tag.
 func (c *consumer) Ack(tag uint64) error {
-	q := c.q
-	q.mu.Lock()
-	if c.cancelled {
-		q.mu.Unlock()
-		return ErrConsumerClosed
-	}
-	msg, ok := c.unacked[tag]
-	if !ok {
-		q.mu.Unlock()
-		return ErrUnknownDelivery
-	}
-	delete(c.unacked, tag)
-	q.acked.Inc()
-	q.logSettle(msg)
-	q.outMeter.Observe(q.clock.Now(), 1)
-	q.notEmpty.Broadcast()
-	q.notFull.Signal()
-	q.mu.Unlock()
-	return nil
+	tags := [1]uint64{tag}
+	return c.AckBatch(tags[:])
 }
 
 // AckBatch confirms a batch of deliveries under one lock acquisition —
-// the settle path batched consumers (the joiner's consume loop) use so
-// per-delivery lock traffic does not erase what batching saved. Unknown
-// tags yield ErrUnknownDelivery but do not stop the rest of the batch
-// from settling.
+// the settle path batched consumers use so per-delivery lock traffic
+// does not erase what batching saved. Unknown tags yield
+// ErrUnknownDelivery but do not stop the rest of the batch from
+// settling.
 func (c *consumer) AckBatch(tags []uint64) error {
 	q := c.q
 	q.mu.Lock()
@@ -337,22 +357,30 @@ func (c *consumer) AckBatch(tags []uint64) error {
 	var firstErr error
 	settled := 0
 	for _, tag := range tags {
-		msg, ok := c.unacked[tag]
+		msg, ok := c.win.take(tag)
 		if !ok {
 			if firstErr == nil {
 				firstErr = ErrUnknownDelivery
 			}
 			continue
 		}
-		delete(c.unacked, tag)
-		q.acked.Inc()
 		q.logSettle(msg)
 		settled++
 	}
 	if settled > 0 {
+		q.unacked -= settled
+		q.acked.Add(int64(settled))
 		q.outMeter.Observe(q.clock.Now(), int64(settled))
-		q.notEmpty.Broadcast()
-		q.notFull.Broadcast()
+		if c.win.live+settled >= c.prefetch {
+			// The dispatcher was parked on a full prefetch window; an
+			// ack that leaves it waiting for messages wakes nobody.
+			q.notEmpty.Broadcast()
+		}
+		if settled == 1 {
+			q.notFull.Signal()
+		} else {
+			q.notFull.Broadcast()
+		}
 	}
 	q.mu.Unlock()
 	return firstErr
@@ -384,12 +412,12 @@ func (c *consumer) Nack(tag uint64, requeue bool) error {
 		q.mu.Unlock()
 		return ErrConsumerClosed
 	}
-	msg, ok := c.unacked[tag]
+	msg, ok := c.win.take(tag)
 	if !ok {
 		q.mu.Unlock()
 		return ErrUnknownDelivery
 	}
-	delete(c.unacked, tag)
+	q.unacked--
 	dead := false
 	if requeue {
 		msg.redeliveries++
@@ -397,7 +425,7 @@ func (c *consumer) Nack(tag uint64, requeue bool) error {
 			dead = true
 		} else {
 			q.redelivered.Inc()
-			q.ready.PushFront(msg) // journal untouched: still unsettled
+			q.ready.pushFront(msg) // journal untouched: still unsettled
 		}
 	} else {
 		dead = q.deadLetter != nil
@@ -442,49 +470,33 @@ func (c *consumer) Cancel() error {
 	q.mu.Lock()
 	q.detachLocked(c)
 	// Drain deliveries that were buffered but never received, then close.
+	// A manual-ack consumer's are in its window as well; an auto-ack
+	// consumer's exist only here.
 	var buffered []Delivery
 drainLoop:
 	for {
 		select {
 		case d := <-c.ch:
-			buffered = append(buffered, d)
+			if c.autoAck {
+				buffered = append(buffered, d)
+			}
 		default:
 			break drainLoop
 		}
 	}
 	close(c.ch)
-	// Requeue: first unacked (older tags first), then buffered (already
-	// tag-ordered), all pushed to the front preserving relative order.
-	tags := make([]uint64, 0, len(c.unacked))
-	for tag := range c.unacked {
-		tags = append(tags, tag)
-	}
-	sortUint64(tags)
+	// Requeue at the head, preserving delivery order: the window is
+	// tag-ordered (oldest first, the buffered ones last), so pushing it
+	// to the front newest-first restores exactly the order the messages
+	// left in.
 	for i := len(buffered) - 1; i >= 0; i-- {
-		d := buffered[i]
-		msg := d.Message
-		if c.autoAck {
-			q.acked.Add(-1)
-		} else {
-			delete(c.unacked, d.Tag)
-			msg.redeliveries++
-			q.redelivered.Inc()
-		}
-		q.delivered.Add(-1)
-		q.ready.PushFront(msg)
+		q.ready.pushFront(buffered[i].Message)
 	}
-	for i := len(tags) - 1; i >= 0; i-- {
-		if msg, ok := c.unacked[tags[i]]; ok {
-			// The consumer saw this message and may have partially
-			// processed it: the next delivery is a redelivery, and
-			// downstream idempotency (dedup) must treat it as such.
-			msg.redeliveries++
-			q.redelivered.Inc()
-			q.ready.PushFront(msg)
-			q.delivered.Add(-1)
-		}
-	}
-	c.unacked = map[uint64]Message{}
+	q.acked.Add(int64(-len(buffered))) // undo the optimistic settles
+	n := c.win.requeue(&q.ready)
+	q.redelivered.Add(int64(n))
+	q.delivered.Add(int64(-n - len(buffered)))
+	q.unacked -= n
 	autoDelete := q.opts.AutoDelete && q.everHad && len(q.consumers) == 0 && !q.closed
 	q.notEmpty.Broadcast()
 	q.notFull.Broadcast()

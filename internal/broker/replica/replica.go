@@ -130,9 +130,12 @@ type Node struct {
 	leaderID   string // last observed leader (self when leading)
 	b          *broker.Broker
 	flog       *broker.FollowerLog
-	followers  map[*followerState]struct{}
-	conns      map[net.Conn]struct{}
-	stopped    bool
+	// handoverLSN is the frontier of the log that was closed last, for
+	// the moments when neither b nor flog is open; see lastLSNLocked.
+	handoverLSN uint64
+	followers   map[*followerState]struct{}
+	conns       map[net.Conn]struct{}
+	stopped     bool
 
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
@@ -385,7 +388,11 @@ func (n *Node) adoptTerm(term uint64) {
 }
 
 // lastLSNLocked reads the replication frontier from whichever log the
-// node currently holds open.
+// node currently holds open. While the log changes hands — the follower
+// log closed and the journal not yet replayed into a leader's broker,
+// or the reverse on stepping down — neither is open and the frontier is
+// what the closing side held: answering 0 there would grant a vote to
+// any candidate, however far behind, and elect away committed records.
 func (n *Node) lastLSNLocked() uint64 {
 	if n.b != nil {
 		return n.b.LastLSN()
@@ -393,7 +400,7 @@ func (n *Node) lastLSNLocked() uint64 {
 	if n.flog != nil {
 		return n.flog.LastLSN()
 	}
-	return 0
+	return n.handoverLSN
 }
 
 // --- role state machine ---
@@ -711,6 +718,9 @@ func (n *Node) runLeader() {
 	}
 	term := n.term
 	fl := n.flog
+	if fl != nil {
+		n.handoverLSN = fl.LastLSN()
+	}
 	n.flog = nil
 	n.mu.Unlock()
 	if fl != nil {
@@ -743,6 +753,7 @@ func (n *Node) runLeader() {
 		n.ackCond.Wait()
 	}
 	stopped := n.stopped
+	n.handoverLSN = b.LastLSN()
 	n.b = nil
 	n.mu.Unlock()
 

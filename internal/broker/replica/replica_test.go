@@ -409,3 +409,25 @@ func TestVoteRefusedToLaggingCandidate(t *testing.T) {
 		t.Fatal("vote refused to a caught-up candidate")
 	}
 }
+
+// TestVoteRefusedWhileLogChangesHands: a node that won an election
+// closes its follower log and replays the journal into a broker, and
+// for that long holds neither. It must still answer a vote request
+// with the frontier it had: reporting 0 let a candidate seven records
+// behind collect the vote of the very node that had just won with the
+// longer log, and the group elected away records a quorum had
+// committed (TestEngineExactlyOnceAcrossLeaderFailover lost pairs).
+func TestVoteRefusedWhileLogChangesHands(t *testing.T) {
+	peers := map[string]string{"n1": freeAddr(t), "n3": freeAddr(t)}
+	n, err := NewNode(fastConfig(t, "n1", t.TempDir(), peers, 2, 1)) // never started: no log open
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.term, n.votedFor, n.handoverLSN = 2, "n1", 1112
+	if _, granted := n.onVoteRequest(frame{Op: rVoteReq, ID: "n3", Term: 3, LSN: 1105}); granted {
+		t.Fatal("vote granted to a lagging candidate while no log was open")
+	}
+	if _, granted := n.onVoteRequest(frame{Op: rVoteReq, ID: "n3", Term: 4, LSN: 1112}); !granted {
+		t.Fatal("vote refused to a caught-up candidate while no log was open")
+	}
+}

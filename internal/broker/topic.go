@@ -28,19 +28,19 @@ func validatePattern(pattern string) error {
 	return nil
 }
 
-// topicMatch reports whether the routing key matches the binding
-// pattern. It runs a two-pointer match with backtracking over "#",
-// equivalent to the classic glob algorithm, in O(len(pattern) *
-// len(key)) worst case and O(n) for patterns without "#".
-func topicMatch(pattern, key string) bool {
-	p := strings.Split(pattern, ".")
-	var k []string
-	if key != "" { // the empty key has zero words, not one empty word
-		k = strings.Split(key, ".")
+// keyWords splits a routing key into its words; the empty key has zero
+// words, not one empty word.
+func keyWords(key string) []string {
+	if key == "" {
+		return nil
 	}
-	return matchWords(p, k)
+	return strings.Split(key, ".")
 }
 
+// matchWords reports whether the key's words match the pattern's. It
+// runs a two-pointer match with backtracking over "#", equivalent to
+// the classic glob algorithm, in O(len(p) * len(k)) worst case and O(n)
+// for patterns without "#".
 func matchWords(p, k []string) bool {
 	pi, ki := 0, 0
 	starP, starK := -1, -1 // position of last '#' in p and the k index tried
@@ -68,4 +68,68 @@ func matchWords(p, k []string) bool {
 		pi++
 	}
 	return pi == len(p)
+}
+
+// maxCompiledRoutes bounds an exchange's compiled route table. The
+// engine publishes under a handful of keys per exchange; a publisher
+// that invents keys without end (per-attempt migration keys) makes the
+// table start over instead of growing with it.
+const maxCompiledRoutes = 1024
+
+// targets returns the queues a message published under key is enqueued
+// to, in binding order (a queue bound by two matching patterns appears
+// twice and receives two copies). The slice is shared and read-only.
+//
+// This is the exchange's compiled route table: the first publish under
+// a key matches it against every binding — topic patterns were split
+// into words once, at Bind — and files the result under the key; every
+// later publish is one map read that splits and allocates nothing. Any
+// change to the bindings (Bind, queue deletion) empties the table.
+func (ex *exchange) targets(key string) []*queue {
+	if ex.kind == Fanout {
+		key = "" // every key routes alike: one table entry
+	}
+	ex.mu.RLock()
+	ts, ok := ex.routes[key]
+	ex.mu.RUnlock()
+	if ok {
+		return ts
+	}
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	if ts, ok := ex.routes[key]; ok {
+		return ts
+	}
+	ts = ex.match(key)
+	if ex.routes == nil || len(ex.routes) >= maxCompiledRoutes {
+		ex.routes = make(map[string][]*queue)
+	}
+	// Cloned: the caller's key may alias a network buffer.
+	ex.routes[strings.Clone(key)] = ts
+	return ts
+}
+
+// match evaluates key against every binding, the uncompiled reference
+// the route table is filled from. Called with ex.mu held.
+func (ex *exchange) match(key string) []*queue {
+	var words []string
+	if ex.kind == Topic {
+		words = keyWords(key)
+	}
+	var ts []*queue
+	for _, bd := range ex.bindings {
+		var ok bool
+		switch ex.kind {
+		case Fanout:
+			ok = true
+		case Direct:
+			ok = bd.key == key
+		default:
+			ok = matchWords(bd.words, words)
+		}
+		if ok {
+			ts = append(ts, bd.q)
+		}
+	}
+	return ts
 }

@@ -6,6 +6,13 @@ import (
 	"testing/quick"
 )
 
+// topicMatch is the uncompiled reference: split both sides and match
+// word by word, what every publish did before exchanges compiled their
+// routes.
+func topicMatch(pattern, key string) bool {
+	return matchWords(strings.Split(pattern, "."), keyWords(key))
+}
+
 func TestTopicMatch(t *testing.T) {
 	cases := []struct {
 		pattern, key string

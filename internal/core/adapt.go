@@ -33,7 +33,7 @@ func (e *Engine) migrateKey(rel tuple.Relation, keyHash uint64) (int, error) {
 	e.migLock.Lock()
 	defer e.migLock.Unlock()
 	e.mu.Lock()
-	if !e.started || e.stopped {
+	if !e.running() {
 		e.mu.Unlock()
 		return 0, errors.New("core: engine not running")
 	}

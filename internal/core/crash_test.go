@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -247,4 +250,145 @@ func listenRetry(srv *wire.Server, addrStr string) (net.Addr, error) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	return nil, lastErr
+}
+
+// TestEngineExactlyOnceUnderMidBatchPublishFailures floods one router
+// with a backlog — so its route loop stamps and publishes full batches —
+// over a fabric that fails one fan-out or result publish in twenty. A
+// failure in the middle of a batch acknowledges the tuples before it,
+// requeues the failing tuple and everything after it for fresh stamps,
+// and leaves stamp gaps behind; none of that may lose, duplicate or
+// invent a join result.
+func TestEngineExactlyOnceUnderMidBatchPublishFailures(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		seed := seed
+		t.Run(time.Duration(seed).String(), func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			inner := broker.New(nil)
+			defer inner.Close()
+			flaky := faults.Rule{Drop: 0.05}
+			f := faults.Wrap(inner, faults.Config{
+				Seed: seed, Metrics: reg,
+				PerExchange: map[string]faults.Rule{
+					topo.StoreExchange(tuple.R): flaky, topo.StoreExchange(tuple.S): flaky,
+					topo.JoinExchange(tuple.R): flaky, topo.JoinExchange(tuple.S): flaky,
+					topo.ResultExchange: flaky,
+				},
+			})
+			pred := predicate.NewEqui(0, 0)
+			col := newCollector()
+			e := startEngine(t, Config{
+				Predicate: pred, Window: time.Minute,
+				RJoiners: 2, SJoiners: 2,
+				Broker: f, Metrics: reg,
+			}, col)
+			rs, ss, all := makeWorkload(1500, 40, 1, seed)
+			for _, tp := range all {
+				if err := e.Ingest(tp); err != nil {
+					t.Fatal(err) // the entry exchange is not faulted
+				}
+			}
+			// Keep failing publishes until the router has worked through
+			// the whole backlog, retries included.
+			for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+				st, err := inner.QueueStats(topo.EntryQueue)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Ready+st.Unacked == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("entry queue never drained: %+v", st)
+				}
+			}
+			f.Disable()
+			if err := e.Settle(300*time.Millisecond, 30*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			verifyExactlyOnce(t, col.snapshot(), refJoin(rs, ss, pred, 60_000), "mid-batch")
+			for _, name := range []string{"faults.drop", "router.0.publish_errors", "router.0.redelivered"} {
+				if v, _ := reg.Value(name); v == 0 {
+					t.Errorf("%s = 0: the run never failed a batch", name)
+				}
+			}
+		})
+	}
+}
+
+// TestEngineExactlyOnceUnderCommitGateFailures fails the broker's
+// commit gate — the replication quorum's vote on a publish — for one
+// publish call in ten while a backlog is routed. A gate failure is the
+// coarsest failure PublishBatch has: every message of the batch is
+// already enqueued, yet the call reports zero published, so the router
+// requeues and re-stamps up to a whole batch of tuples whose copies all
+// went out, and a joiner republishes a batch of results. Every one of
+// those duplicates has to die at the joiners' and the sink's dedup
+// filters, which hold an entry far longer than any retry takes.
+func TestEngineExactlyOnceUnderCommitGateFailures(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		seed := seed
+		t.Run(time.Duration(seed).String(), func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			b, err := broker.NewDurable(nil, t.TempDir()) // the gate guards journaled publishes
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			var (
+				gateMu  sync.Mutex
+				rng     = rand.New(rand.NewSource(seed))
+				failing = true
+				failed  int
+			)
+			b.SetCommitGate(func(context.Context, uint64) error {
+				gateMu.Lock()
+				defer gateMu.Unlock()
+				if failing && rng.Intn(10) == 0 {
+					failed++
+					return errors.New("injected: quorum lost")
+				}
+				return nil
+			})
+			pred := predicate.NewEqui(0, 0)
+			col := newCollector()
+			e := startEngine(t, Config{
+				Predicate: pred, Window: time.Minute,
+				RJoiners: 2, SJoiners: 2,
+				Broker: b, Metrics: reg,
+			}, col)
+			rs, ss, all := makeWorkload(1500, 40, 1, seed)
+			deadline := time.Now().Add(30 * time.Second)
+			for _, tp := range all {
+				ingestRetry(t, e, tp, deadline) // a failed ingest is enqueued too: a duplicate
+			}
+			for ; ; time.Sleep(time.Millisecond) {
+				st, err := b.QueueStats(topo.EntryQueue)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Ready+st.Unacked == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("entry queue never drained: %+v", st)
+				}
+			}
+			gateMu.Lock()
+			failing = false
+			gateMu.Unlock()
+			if err := e.Settle(300*time.Millisecond, 30*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			verifyExactlyOnce(t, col.snapshot(), refJoin(rs, ss, pred, 60_000), "commit-gate")
+			if failed == 0 {
+				t.Error("the gate never failed a publish")
+			}
+			for _, name := range []string{"router.0.publish_errors", "router.0.redelivered"} {
+				if v, _ := reg.Value(name); v == 0 {
+					t.Errorf("%s = 0: the router never retried a batch", name)
+				}
+			}
+		})
+	}
 }

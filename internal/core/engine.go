@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bistream/internal/broker"
@@ -263,13 +264,15 @@ type Engine struct {
 	migAttempt  uint64 // transfer attempt counter, see topo.MigrateKey
 	nextRtr     int32
 	nextJid     [2]int32
-	seq         uint64
 	obsSrv      *obs.Server
 	sinkCons    broker.Consumer
 	sinkDone    chan struct{}
 	sinkStop    chan struct{}
-	started     bool
-	stopped     bool
+
+	// state and seq are atomics so Ingest, the per-tuple entry point,
+	// takes no lock; state changes only under mu.
+	state atomic.Int32  // engineNew → engineRunning → engineStopped
+	seq   atomic.Uint64 // last sequence number Ingest assigned
 
 	// layoutHist records every layout change per relation so new
 	// routers can replay it (see layoutChange).
@@ -282,6 +285,16 @@ type Engine struct {
 	retiredReceived int64 // Received of retired joiners
 	retiredResults  int64 // Results of retired joiners
 }
+
+// The engine's run states.
+const (
+	engineNew int32 = iota
+	engineRunning
+	engineStopped
+)
+
+// running reports whether the engine is between Start and Stop.
+func (e *Engine) running() bool { return e.state.Load() == engineRunning }
 
 // New validates the configuration and assembles an engine. Call Start
 // to begin processing.
@@ -402,7 +415,7 @@ func (e *Engine) MetricsAddr() string {
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.started {
+	if e.state.Load() != engineNew {
 		return errors.New("core: engine already started")
 	}
 	// Bound the entry queue before topo.Declare's unbounded declare:
@@ -429,7 +442,7 @@ func (e *Engine) Start() error {
 	if err := e.client.Bind(sinkQ, topo.ResultExchange, topo.ResultKey); err != nil {
 		return err
 	}
-	cons, err := e.client.Consume(sinkQ, 512, false)
+	cons, err := e.client.Consume(sinkQ, 2*maxSinkBatch, false)
 	if err != nil {
 		return err
 	}
@@ -476,7 +489,7 @@ func (e *Engine) Start() error {
 	// Retirement must not depend on anyone polling Stats: sealed members
 	// and parked migration donors are reaped on a timer.
 	go e.reapLoop()
-	e.started = true
+	e.state.Store(engineRunning)
 	return nil
 }
 
@@ -728,16 +741,12 @@ func (e *Engine) Ingest(t *tuple.Tuple) error {
 // backpressure blocks the publish, it returns ctx.Err() without
 // ingesting the tuple.
 func (e *Engine) IngestContext(ctx context.Context, t *tuple.Tuple) error {
-	e.mu.Lock()
-	if !e.started || e.stopped {
-		e.mu.Unlock()
+	if !e.running() {
 		return errors.New("core: engine not running")
 	}
 	if t.Seq == 0 {
-		e.seq++
-		t.Seq = e.seq
+		t.Seq = e.seq.Add(1)
 	}
-	e.mu.Unlock()
 	if t.TraceNS == 0 {
 		t.TraceNS = e.tracer.Stamp() // nonzero for one in N tuples
 	}
@@ -759,53 +768,84 @@ func (e *Engine) IngestContext(ctx context.Context, t *tuple.Tuple) error {
 // Results returns the join result channel (nil when OnResult is set).
 func (e *Engine) Results() <-chan tuple.JoinResult { return e.results }
 
+// maxSinkBatch caps how many result deliveries one sinkLoop wakeup
+// hands over before settling them with a single AckBatch; the sink
+// queue's prefetch is twice that, so the broker refills the delivery
+// channel while a full batch is being handed over.
+const maxSinkBatch = 512
+
+// sinkLoop drains the result queue in batches: block for one delivery,
+// gather whatever else is already queued (up to maxSinkBatch), hand the
+// pairs to the application in arrival order, then settle the batch.
 func (e *Engine) sinkLoop(cons broker.Consumer) {
 	defer close(e.sinkDone)
-	for d := range cons.Deliveries() {
-		l, r, err := tuple.UnmarshalPair(d.Body)
-		if err != nil {
-			_ = cons.Nack(d.Tag, false) // poison: dead-letter for inspection
-			continue
-		}
-		if e.resultSeen != nil && e.resultSeen.SeenOrAdd(dedup.Key{l.Seq, r.Seq}) {
-			// The pair already reached the application: a redelivery
-			// after a lost ack, or a joiner retry whose first publish did
-			// land. Settle it without emitting a duplicate.
-			e.resultDedup.Inc()
-			_ = cons.Ack(d.Tag)
-			continue
-		}
-		jr := tuple.NewJoinResult(l, r)
-		e.resultsN.Inc()
-		// e2e latency runs from the later-ingested parent's stamp.
-		// With sampled tracing usually only one parent is stamped;
-		// a stamp on the older parent (event time as the tiebreak)
-		// would measure window dwell, not pipeline latency — skip it.
-		var stamp int64
-		switch {
-		case l.TraceNS != 0 && r.TraceNS != 0:
-			stamp = max(l.TraceNS, r.TraceNS)
-		case l.TraceNS != 0 && l.TS >= r.TS:
-			stamp = l.TraceNS
-		case r.TraceNS != 0 && r.TS >= l.TS:
-			stamp = r.TraceNS
-		}
-		e.tracer.Observe(metrics.StageE2E, stamp)
-		if e.cfg.OnResult != nil {
-			e.cfg.OnResult(jr)
-		} else {
-			select {
-			case e.results <- jr:
-			case <-e.sinkStop:
-				return // shutting down; unread results stay unacked
+	batch := make([]broker.Delivery, 0, maxSinkBatch)
+	tags := make([]uint64, 0, maxSinkBatch)
+	ch := cons.Deliveries()
+	for d := range ch {
+		var open bool
+		batch, open = broker.Drain(ch, d, batch)
+		tags = tags[:0]
+		stopping := false
+		for i := range batch {
+			l, r, err := tuple.UnmarshalPair(batch[i].Body)
+			if err != nil {
+				_ = cons.Nack(batch[i].Tag, false) // poison: dead-letter for inspection
+				continue
 			}
+			if stopping = !e.deliver(l, r); stopping {
+				break // unread results stay unacked
+			}
+			tags = append(tags, batch[i].Tag)
 		}
-		// Ack only after the result reached the application; a crash
-		// before this point redelivers the pair and the dedup above
-		// keeps the redelivery from duplicating it. A failed ack
-		// (connection lost mid-settle) leaves the delivery to be
+		// Ack only after the results reached the application; a crash
+		// before this point redelivers the pairs and the sink's dedup
+		// keeps the redelivery from duplicating them. A failed ack
+		// (connection lost mid-settle) leaves the deliveries to be
 		// redelivered and suppressed the same way.
-		_ = cons.Ack(d.Tag)
+		_ = broker.AckBatch(cons, tags)
+		clear(batch) // drop the body references
+		if stopping || !open {
+			return
+		}
+	}
+}
+
+// deliver hands one result pair to the application. It reports false
+// when the engine is shutting down and the result was not taken.
+func (e *Engine) deliver(l, r *tuple.Tuple) bool {
+	if e.resultSeen != nil && e.resultSeen.SeenOrAdd(dedup.Key{l.Seq, r.Seq}) {
+		// The pair already reached the application: a redelivery
+		// after a lost ack, or a joiner retry whose first publish did
+		// land. Settle it without emitting a duplicate.
+		e.resultDedup.Inc()
+		return true
+	}
+	jr := tuple.NewJoinResult(l, r)
+	e.resultsN.Inc()
+	// e2e latency runs from the later-ingested parent's stamp.
+	// With sampled tracing usually only one parent is stamped;
+	// a stamp on the older parent (event time as the tiebreak)
+	// would measure window dwell, not pipeline latency — skip it.
+	var stamp int64
+	switch {
+	case l.TraceNS != 0 && r.TraceNS != 0:
+		stamp = max(l.TraceNS, r.TraceNS)
+	case l.TraceNS != 0 && l.TS >= r.TS:
+		stamp = l.TraceNS
+	case r.TraceNS != 0 && r.TS >= l.TS:
+		stamp = r.TraceNS
+	}
+	e.tracer.Observe(metrics.StageE2E, stamp)
+	if e.cfg.OnResult != nil {
+		e.cfg.OnResult(jr)
+		return true
+	}
+	select {
+	case e.results <- jr:
+		return true
+	case <-e.sinkStop:
+		return false
 	}
 }
 
@@ -823,7 +863,7 @@ func (e *Engine) ScaleJoiners(rel tuple.Relation, n int) error {
 		return fmt.Errorf("core: joiner group must keep at least 1 member")
 	}
 	e.mu.Lock()
-	if !e.started || e.stopped {
+	if !e.running() {
 		e.mu.Unlock()
 		return errors.New("core: engine not running")
 	}
@@ -863,7 +903,7 @@ func (e *Engine) ScaleRouters(n int) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.started || e.stopped {
+	if !e.running() {
 		return errors.New("core: engine not running")
 	}
 	for len(e.routers) < n {
@@ -891,11 +931,8 @@ func (e *Engine) pushLayoutsLocked(nowTS int64) error {
 	e.ensureHistoryLocked(nowTS)
 	e.recordLayoutLocked(tuple.R, nowTS)
 	e.recordLayoutLocked(tuple.S, nowTS)
-	for _, r := range e.routers {
-		if err := r.SetLayout(tuple.R, e.memberIDsLocked(tuple.R), e.subgroupsLocked(tuple.R), nowTS); err != nil {
-			return err
-		}
-		if err := r.SetLayout(tuple.S, e.memberIDsLocked(tuple.S), e.subgroupsLocked(tuple.S), nowTS); err != nil {
+	for _, rel := range []tuple.Relation{tuple.R, tuple.S} {
+		if err := router.SetLayouts(e.routers, rel, e.memberIDsLocked(rel), e.subgroupsLocked(rel), nowTS); err != nil {
 			return err
 		}
 	}
@@ -1228,11 +1265,11 @@ func (e *Engine) Settle(idle, timeout time.Duration) error {
 // engine's own broker (if any) is closed.
 func (e *Engine) Stop() error {
 	e.mu.Lock()
-	if !e.started || e.stopped {
+	if !e.running() {
 		e.mu.Unlock()
 		return nil
 	}
-	e.stopped = true
+	e.state.Store(engineStopped)
 	routers := e.routers
 	joiners := e.allJoinersLocked()
 	sink := e.sinkCons

@@ -91,7 +91,7 @@ func (e *Engine) scaleInWithMigration(rel tuple.Relation, n int) error {
 // reports that the group already has at most n members.
 func (e *Engine) migrateOneDonor(rel tuple.Relation, n int) (bool, error) {
 	e.mu.Lock()
-	if !e.started || e.stopped {
+	if !e.running() {
 		e.mu.Unlock()
 		return true, errors.New("core: engine not running")
 	}

@@ -104,7 +104,7 @@ func (s *Supervisor) check(state map[string]supHealth) {
 	s.checks.Inc()
 	e := s.e
 	e.mu.Lock()
-	if e.stopped {
+	if e.state.Load() == engineStopped {
 		e.mu.Unlock()
 		return
 	}

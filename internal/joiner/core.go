@@ -104,11 +104,11 @@ type Core struct {
 
 	// Dedup watermark pruning: seen entries are only needed while the
 	// tuples they guard can still be redelivered, so once the reorderer's
-	// min frontier has advanced a full horizon (stamp micros) past the
+	// min frontier has advanced a full horizon (in stamp units) past the
 	// last rotation, the older dedup generation is discarded. This bounds
 	// the filter by stamp-time instead of relying solely on the count-cap
 	// rotation, which under slow unique-key ingest never fires.
-	pruneHorizon uint64 // stamp micros a dedup entry must survive
+	pruneHorizon uint64 // stamp span a dedup entry must survive
 	lastRotate   uint64 // min frontier at the previous rotation
 
 	received     *metrics.Counter
@@ -195,9 +195,9 @@ func NewCore(cfg Config) (*Core, error) {
 	// one window span plus a generous slack is ample. Full-history joins
 	// have no span; a fixed minute keeps them bounded too.
 	if cfg.FullHistory {
-		c.pruneHorizon = 60_000_000
+		c.pruneHorizon = protocol.StampSpan(time.Minute)
 	} else {
-		c.pruneHorizon = uint64(cfg.Window.Span.Microseconds()) + 2_000_000
+		c.pruneHorizon = protocol.StampSpan(cfg.Window.Span + 2*time.Second)
 	}
 	c.runs = make([]*shardRun, idx.NumShards())
 	for i := range c.runs {

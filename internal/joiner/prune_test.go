@@ -94,3 +94,48 @@ func TestDedupWatermarkStillSuppressesRecentRedelivery(t *testing.T) {
 		t.Errorf("stored = %d after redelivery, want 1", st.Stored)
 	}
 }
+
+// TestDedupHoldsDelayedRedeliveryUnderRealStamps drives the core with
+// stamps from a real protocol.Stamper: the synthetic counters of the
+// tests above cannot notice the stamper's unit and the prune horizon's
+// drifting apart, and a horizon a thousand times too short forgets a
+// redelivery within milliseconds. A store copy redelivered tens of
+// milliseconds later — a broker requeue, a router's nack-and-restamp
+// retry arrives no sooner — with punctuations ticking in between, must
+// still be suppressed, and no generation may rotate inside the window.
+func TestDedupHoldsDelayedRedeliveryUnderRealStamps(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c, err := NewCore(Config{
+		ID: 0, Rel: tuple.R, Pred: predicate.NewEqui(0, 0),
+		Window:  window.Sliding{Span: time.Second},
+		Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.AddRouter(1)
+	collect := func(tuple.JoinResult) {}
+	st := protocol.NewStamper(1)
+	env := protocol.Envelope{
+		Kind: protocol.KindTuple, RouterID: 1, Counter: st.Next(),
+		Stream: protocol.StreamStore, Tuple: tuple.New(tuple.R, 9, 1, tuple.Int(4)),
+	}
+	c.Handle(env, protocol.SourceStore, collect)
+	for i := 0; i < 12; i++ {
+		punctAll(c, st.Punctuation(), collect)
+		time.Sleep(5 * time.Millisecond)
+	}
+	c.Handle(env, protocol.SourceStore, collect) // redelivered ~60ms on
+	punctAll(c, st.Punctuation(), collect)
+	if s := c.Stats(); s.Stored != 1 {
+		t.Errorf("stored = %d after a redelivery 60ms later, want 1", s.Stored)
+	}
+	// The first punctuation rotates once (lastRotate starts at 0); a
+	// second rotation within 60ms of a 3s horizon is the unit bug.
+	if v, _ := reg.Value("joiner.R.0.dedup_rotations"); v > 1 {
+		t.Errorf("dedup rotated %v times in 60ms; horizon is %v", v, time.Duration(c.pruneHorizon)*protocol.StampUnit)
+	}
+	if got, want := time.Duration(c.pruneHorizon)*protocol.StampUnit, 3*time.Second; got != want {
+		t.Errorf("prune horizon = %v, want %v (window + 2s)", got, want)
+	}
+}

@@ -1,6 +1,7 @@
 package joiner
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -37,9 +38,13 @@ type Service struct {
 	stopCh    chan struct{}
 	wg        sync.WaitGroup
 	started   bool
+	// out holds the results emitted under the current hold of mu, in
+	// emit order; publishLocked moves them to the broker in one batch
+	// before mu is released, so it is empty whenever mu is free.
+	out []broker.Publication
 	// retry holds marshaled result bodies whose publish failed, in emit
-	// order; drained opportunistically after each handled envelope and
-	// by a background ticker while the stream is quiet.
+	// order; drained opportunistically after each handled batch and by a
+	// background ticker while the stream is quiet.
 	retry [][]byte
 
 	// Checkpointing (nil ckpt = disabled). With checkpointing on, acks
@@ -70,29 +75,10 @@ type pendingAck struct {
 	tags []uint64
 }
 
-// batchAcker is the optional fast path a consumer may offer for
-// settling a whole delivery batch under one lock acquisition; consumers
-// without it get per-tag acks.
-type batchAcker interface {
-	AckBatch(tags []uint64) error
-}
-
-// ackBatch settles a batch of delivery tags, using the consumer's batch
-// path when it has one.
+// ackBatch settles a batch of delivery tags.
 func (s *Service) ackBatch(cons broker.Consumer, tags []uint64) {
-	if len(tags) == 0 {
-		return
-	}
-	if ba, ok := cons.(batchAcker); ok {
-		if err := ba.AckBatch(tags); err != nil {
-			s.ackErrors.Inc()
-		}
-		return
-	}
-	for _, tag := range tags {
-		if err := cons.Ack(tag); err != nil {
-			s.ackErrors.Inc()
-		}
+	if err := broker.AckBatch(cons, tags); err != nil {
+		s.ackErrors.Inc()
 	}
 }
 
@@ -352,7 +338,7 @@ func (s *Service) Flush() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.core.Flush(s.emit)
-	s.drainRetryLocked()
+	s.publishLocked()
 }
 
 // AddRouter registers a router path with the ordering protocol.
@@ -368,6 +354,7 @@ func (s *Service) RemoveRouter(id int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.core.RemoveRouter(id, s.emit)
+	s.publishLocked()
 }
 
 // ErrNotDrained is returned by ExportIfDrained while the member's
@@ -450,26 +437,18 @@ const maxConsumeBatch = 512
 func (s *Service) consumeLoop(cons broker.Consumer, src protocol.Source) {
 	defer s.wg.Done()
 	var dec tuple.Decoder
+	batch := make([]broker.Delivery, 0, maxConsumeBatch)
 	envs := make([]protocol.Envelope, 0, maxConsumeBatch)
 	tags := make([]uint64, 0, maxConsumeBatch)
 	ch := cons.Deliveries()
 	for d := range ch {
+		var open bool
+		batch, open = broker.Drain(ch, d, batch)
 		envs, tags = envs[:0], tags[:0]
-		open := true
-		s.decodeDelivery(cons, d, &dec, &envs, &tags)
-	gather:
-		for len(envs) < maxConsumeBatch {
-			select {
-			case nd, ok := <-ch:
-				if !ok {
-					open = false
-					break gather
-				}
-				s.decodeDelivery(cons, nd, &dec, &envs, &tags)
-			default:
-				break gather
-			}
+		for i := range batch {
+			s.decodeDelivery(cons, &batch[i], &dec, &envs, &tags)
 		}
+		clear(batch) // drop the body references
 		s.handleBatch(cons, src, envs, tags)
 		clearEnvelopes(envs)
 		if !open {
@@ -481,7 +460,7 @@ func (s *Service) consumeLoop(cons broker.Consumer, src protocol.Source) {
 // decodeDelivery decodes one delivery into the batch buffers. Poison
 // messages are rejected without requeue, which routes them to the
 // dead-letter queue for inspection.
-func (s *Service) decodeDelivery(cons broker.Consumer, d broker.Delivery, dec *tuple.Decoder, envs *[]protocol.Envelope, tags *[]uint64) {
+func (s *Service) decodeDelivery(cons broker.Consumer, d *broker.Delivery, dec *tuple.Decoder, envs *[]protocol.Envelope, tags *[]uint64) {
 	if d.Redelivered {
 		s.redelivered.Inc()
 	}
@@ -506,7 +485,7 @@ func (s *Service) handleBatch(cons broker.Consumer, src protocol.Source, envs []
 	}
 	s.mu.Lock()
 	s.core.HandleBatch(envs, src, s.emit)
-	s.drainRetryLocked()
+	s.publishLocked()
 	deferAck := s.ckpt != nil
 	if deferAck && len(tags) > 0 {
 		s.pendingAcks = append(s.pendingAcks, pendingAck{cons, append([]uint64(nil), tags...)})
@@ -611,23 +590,50 @@ func (s *Service) retryLoop(stop <-chan struct{}) {
 	}
 }
 
-// emit publishes a join result. Called with s.mu held. On publish
-// failure the body joins the retry backlog instead of being dropped;
-// ordering across results is preserved by never publishing around a
-// non-empty backlog.
+// maxEmitBatch bounds how many emitted results wait for one
+// PublishBatch: a batch whose probes explode (a hot key against a full
+// window) publishes in slices instead of buffering every pair.
+const maxEmitBatch = 4096
+
+// emit queues a join result for publishLocked. Called with s.mu held.
 func (s *Service) emit(jr tuple.JoinResult) {
-	body := tuple.AppendBinary(tuple.Marshal(jr.Left), jr.Right)
+	s.out = append(s.out, broker.Publication{
+		Exchange: topo.ResultExchange, RoutingKey: topo.ResultKey,
+		Body: tuple.AppendBinary(tuple.Marshal(jr.Left), jr.Right),
+	})
+	if len(s.out) >= maxEmitBatch {
+		s.publishLocked()
+	}
+}
+
+// publishLocked publishes the results emitted under this hold of s.mu
+// with one PublishBatch. Results whose publish fails join the retry
+// backlog instead of being dropped, and ordering across results is
+// preserved by never publishing around a non-empty backlog: the backlog
+// goes first, and while any of it remains the fresh results queue up
+// behind it. Called with s.mu held, by everything that hands s.emit to
+// the core, before releasing it.
+func (s *Service) publishLocked() {
+	s.drainRetryLocked()
+	if len(s.out) == 0 {
+		return
+	}
+	published := 0
 	if len(s.retry) == 0 {
-		if err := s.client.Publish(topo.ResultExchange, topo.ResultKey, nil, body); err == nil {
-			return
+		var err error
+		if published, err = broker.PublishBatch(context.Background(), s.client, s.out); err != nil {
+			s.publishErrors.Inc()
 		}
-		s.publishErrors.Inc()
 	}
-	if len(s.retry) >= retryBacklogCap {
-		s.retry = s.retry[1:]
-		s.dropped.Inc()
+	for _, p := range s.out[published:] {
+		if len(s.retry) >= retryBacklogCap {
+			s.retry = s.retry[1:]
+			s.dropped.Inc()
+		}
+		s.retry = append(s.retry, p.Body)
 	}
-	s.retry = append(s.retry, body)
+	clear(s.out) // drop the body references
+	s.out = s.out[:0]
 }
 
 // drainRetryLocked republishes buffered results until the backlog is

@@ -1,6 +1,8 @@
 package joiner
 
 import (
+	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -204,4 +206,116 @@ func mustCore(t *testing.T, rel tuple.Relation, id int32) *Core {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// flakyResults is a client without the batch capability whose result
+// publishes fail while down is set, after letting `allow` more through.
+type flakyResults struct {
+	broker.Client
+	mu    sync.Mutex
+	down  bool
+	allow int
+}
+
+func (f *flakyResults) set(down bool, allow int) {
+	f.mu.Lock()
+	f.down, f.allow = down, allow
+	f.mu.Unlock()
+}
+
+func (f *flakyResults) Publish(exchange, key string, h map[string]string, body []byte) error {
+	if exchange == topo.ResultExchange {
+		f.mu.Lock()
+		fail := f.down && f.allow == 0
+		if f.down && f.allow > 0 {
+			f.allow--
+		}
+		f.mu.Unlock()
+		if fail {
+			return errors.New("injected result publish failure")
+		}
+	}
+	return f.Client.Publish(exchange, key, h, body)
+}
+
+// TestServiceResultBatchFailureKeepsOrder: a batch's results go out in
+// one PublishBatch; when it fails part-way the published prefix stays
+// published, the rest joins the retry backlog, later results queue up
+// behind the backlog instead of overtaking it, and once the broker is
+// back everything arrives exactly once in emit order.
+func TestServiceResultBatchFailureKeepsOrder(t *testing.T) {
+	b := broker.New(nil)
+	defer b.Close()
+	client := &flakyResults{Client: b}
+	if err := topo.Declare(client); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.DeclareQueue("sink", broker.QueueOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Bind("sink", topo.ResultExchange, topo.ResultKey); err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(mustCore(t, tuple.R, 0), client)
+	svc.AddRouter(1)
+	// Driven by hand, under the lock the consume loops would hold.
+	handle := func(src protocol.Source, envs ...protocol.Envelope) {
+		svc.mu.Lock()
+		svc.core.HandleBatch(envs, src, svc.emit)
+		svc.publishLocked()
+		svc.mu.Unlock()
+	}
+	punct := func(c uint64) protocol.Envelope {
+		return protocol.Envelope{Kind: protocol.KindPunctuation, RouterID: 1, Counter: c}
+	}
+	// One stored R tuple; every S probe of the key yields one result.
+	handle(protocol.SourceStore, storeEnv(1, tuple.New(tuple.R, 1, 0, tuple.Int(7))), punct(1))
+	handle(protocol.SourceJoin, punct(1))
+	probe := func(counter, seq uint64) protocol.Envelope {
+		return joinEnv(counter, tuple.New(tuple.S, seq, 0, tuple.Int(7)))
+	}
+
+	// Batch 1: five results, the broker dies after two of them.
+	client.set(true, 2)
+	handle(protocol.SourceStore, punct(10))
+	handle(protocol.SourceJoin, probe(2, 102), probe(3, 103), probe(4, 104), probe(5, 105), probe(6, 106), punct(10))
+	if got := svc.RetryBacklog(); got != 3 {
+		t.Fatalf("backlog after the failed batch = %d, want 3", got)
+	}
+	// Batch 2 while still down: must queue behind the backlog.
+	handle(protocol.SourceStore, punct(20))
+	handle(protocol.SourceJoin, probe(11, 111), probe(12, 112), punct(20))
+	if got := svc.RetryBacklog(); got != 5 {
+		t.Fatalf("backlog while down = %d, want 5", got)
+	}
+	// Batch 3 after recovery: backlog first, then the fresh result.
+	client.set(false, 0)
+	handle(protocol.SourceStore, punct(30))
+	handle(protocol.SourceJoin, probe(21, 121), punct(30))
+	if got := svc.RetryBacklog(); got != 0 {
+		t.Fatalf("backlog after recovery = %d, want 0", got)
+	}
+
+	sink, err := b.Consume("sink", 16, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []uint64{102, 103, 104, 105, 106, 111, 112, 121}
+	for i, w := range want {
+		select {
+		case d := <-sink.Deliveries():
+			_, s, err := tuple.UnmarshalPair(d.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Seq != w {
+				t.Fatalf("result %d pairs S seq %d, want %d (emit order)", i, s.Seq, w)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("result %d never arrived", i)
+		}
+	}
+	if st, _ := b.QueueStats("sink"); st.Published != int64(len(want)) {
+		t.Fatalf("sink saw %d results, want %d exactly once each", st.Published, len(want))
+	}
 }

@@ -55,6 +55,7 @@ type Meter struct {
 	alphaNs float64 // decay horizon in nanoseconds
 	rate    float64 // events per second
 	last    time.Time
+	pending int64 // events observed at or before last, not yet in rate
 	total   int64
 }
 
@@ -78,12 +79,13 @@ func (m *Meter) Observe(now time.Time, n int64) {
 	}
 	dt := float64(now.Sub(m.last).Nanoseconds())
 	if dt <= 0 {
-		// Same-instant burst: fold it into the current estimate on the
-		// next time step by treating it as instantaneous backlog.
-		m.rate += float64(n) // provisional; decays on next Observe
+		// Same-instant burst (a batch observed under one clock read):
+		// its events belong to the interval the next time step closes.
+		m.pending += n
 		return
 	}
-	instant := float64(n) / (dt / 1e9)
+	instant := float64(n+m.pending) / (dt / 1e9)
+	m.pending = 0
 	w := 1 - math.Exp(-dt/m.alphaNs)
 	m.rate += w * (instant - m.rate)
 	m.last = now

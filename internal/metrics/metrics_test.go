@@ -85,7 +85,17 @@ func TestMeterSameInstantBurst(t *testing.T) {
 	if m.Total() != 6 {
 		t.Errorf("Total = %d", m.Total())
 	}
-	_ = m.Rate()
+	// A batch observed under one clock read belongs to the interval the
+	// next time step closes: 100 batches of 5+5 events, one per 100ms,
+	// is 100 events/s however the batch was split into calls.
+	for i := 0; i < 100; i++ {
+		now = now.Add(100 * time.Millisecond)
+		m.Observe(now, 5)
+		m.Observe(now, 5)
+	}
+	if r := m.Rate(); math.Abs(r-100) > 1 {
+		t.Errorf("Rate = %v after same-instant batches at 100 events/s", r)
+	}
 }
 
 func TestHistogramBasics(t *testing.T) {

@@ -136,6 +136,15 @@ func DecodeEnvelope(data []byte, dec *tuple.Decoder) (Envelope, error) {
 	}
 }
 
+// StampUnit is the wall-clock duration one stamp count stands for. The
+// ordering protocol only compares stamps, but the joiner's dedup horizon
+// reads a stamp difference as elapsed time, so the unit is part of what
+// an envelope means: routers of one deployment must agree on it.
+const StampUnit = time.Microsecond
+
+// StampSpan converts a duration into a stamp difference.
+func StampSpan(d time.Duration) uint64 { return uint64(d / StampUnit) }
+
 // Stamper assigns the per-router monotone counter as a hybrid logical
 // clock: each stamp is max(previous+1, wall-clock microseconds). The
 // wall-clock component keeps the counters of independent routers
@@ -146,6 +155,14 @@ func DecodeEnvelope(data []byte, dec *tuple.Decoder) (Envelope, error) {
 // depend on clock accuracy: any monotone per-router sequence yields a
 // valid global (counter, routerID) order; the clock only provides
 // liveness and an arrival-time-like order.
+//
+// A router that stamps a batch of tuples back to back issues several
+// stamps per microsecond, so previous+1 carries its counter up to a
+// batch ahead of the clock until the batch is published. Nothing may
+// therefore assume that a stamp issued later by another router is
+// larger; where two routers' stamps must be ordered around an event
+// (a hot key's promotion, a layout change) NextAfter and Advance make
+// them so.
 //
 // Stamper is safe for concurrent use.
 type Stamper struct {
@@ -158,7 +175,7 @@ type Stamper struct {
 // NewStamper creates a stamper for the given router id using the wall
 // clock as the hybrid component.
 func NewStamper(routerID int32) *Stamper {
-	return NewStamperFunc(routerID, func() uint64 { return uint64(time.Now().UnixMicro()) })
+	return NewStamperFunc(routerID, func() uint64 { return uint64(time.Now().UnixNano() / int64(StampUnit)) })
 }
 
 // NewStamperFunc creates a stamper with a custom clock source; now may
@@ -168,10 +185,15 @@ func NewStamperFunc(routerID int32, now func() uint64) *Stamper {
 }
 
 // Next returns the next stamp (strictly increasing, starting at 1).
-func (s *Stamper) Next() uint64 {
+func (s *Stamper) Next() uint64 { return s.NextAfter(0) }
+
+// NextAfter returns the next stamp, which also exceeds floor: the
+// floor is a stamp another router issued that this one must be ordered
+// after (see router.HotTracker.ObserveStamp).
+func (s *Stamper) NextAfter(floor uint64) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := s.counter + 1
+	c := max(s.counter, floor) + 1
 	if t := s.now(); t > c {
 		c = t
 	}
@@ -197,6 +219,17 @@ func (s *Stamper) Current() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.counter
+}
+
+// Advance moves the counter up to at least c, so every later stamp is
+// strictly greater than c. Routers use it to order their stamps across
+// a layout change: see router.SetLayouts.
+func (s *Stamper) Advance(c uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c > s.counter {
+		s.counter = c
+	}
 }
 
 // RouterID returns the stamper's router id.

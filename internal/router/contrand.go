@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"bistream/internal/protocol"
 	"bistream/internal/sketch"
 	"bistream/internal/window"
 )
@@ -40,6 +41,12 @@ type HotTracker struct {
 	hot     map[uint64]struct{} // promoted keys
 	demoted map[uint64]int64    // key -> demotion event-time (drain until +W)
 	pinned  map[uint64]bool     // operator-pinned placement, exempt from review
+
+	// The stamp order of promotions: high is the largest stamp a router
+	// has drawn through ObserveStamp, floor is high as of the latest
+	// promotion. Every stamp drawn after a promotion exceeds floor, and
+	// so exceeds every stamp drawn before it, on whichever router.
+	high, floor uint64
 
 	promotions int64
 	demotions  int64
@@ -156,6 +163,9 @@ func (h *HotTracker) Pin(keyHash uint64, hot bool) {
 	h.pinned[keyHash] = hot
 	delete(h.hot, keyHash)
 	delete(h.demoted, keyHash)
+	if hot {
+		h.floor = h.high
+	}
 }
 
 // Unpin removes a manual pin. A previously pinned-hot key re-enters
@@ -192,6 +202,31 @@ func (h *HotTracker) PinnedKeys() map[uint64]bool {
 func (h *HotTracker) Observe(keyHash uint64, nowTS int64) (storeHot, joinHot bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.observeLocked(keyHash, nowTS)
+}
+
+// ObserveStamp is Observe for a router about to stamp the tuple: the
+// stamp is drawn from st inside the tracker's critical section, so the
+// routers sharing the tracker decide and stamp in one order. A
+// promotion needs that order. The promoted key's probes broadcast and
+// find partners wherever they were stored, but a partner routed before
+// the promotion probed one member only; it meets a scattered store copy
+// only by being probed by it, that is, only if the scattered tuple is
+// ordered after it. The wall clock in the stamps does not promise this
+// across routers (a router stamping a batch runs its counter ahead of
+// the clock), so a stamp drawn here is also made to exceed every stamp
+// drawn before the latest promotion.
+func (h *HotTracker) ObserveStamp(keyHash uint64, nowTS int64, st *protocol.Stamper) (storeHot, joinHot bool, stamp uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	storeHot, joinHot = h.observeLocked(keyHash, nowTS)
+	stamp = st.NextAfter(h.floor)
+	h.high = max(h.high, stamp)
+	return storeHot, joinHot, stamp
+}
+
+// observeLocked is Observe's body. Called with h.mu held.
+func (h *HotTracker) observeLocked(keyHash uint64, nowTS int64) (storeHot, joinHot bool) {
 	est := h.cm.Add(keyHash, 1)
 	h.sinceDecay++
 	if h.sinceDecay >= h.decayEvery {
@@ -211,6 +246,7 @@ func (h *HotTracker) Observe(keyHash uint64, nowTS int64) (storeHot, joinHot boo
 			h.hot[keyHash] = struct{}{}
 			delete(h.demoted, keyHash) // re-promoted while draining
 			isHot = true
+			h.floor = h.high
 			h.notifyLocked(keyHash, true, nowTS)
 		case isHot && share < h.coldFrac:
 			delete(h.hot, keyHash)

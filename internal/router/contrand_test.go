@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bistream/internal/predicate"
+	"bistream/internal/protocol"
 	"bistream/internal/tuple"
 	"bistream/internal/window"
 )
@@ -52,6 +53,49 @@ func TestHotTrackerPromotesSkewedKey(t *testing.T) {
 	}
 	if keys := h.HotKeys(); len(keys) != 1 || keys[0] != 42 {
 		t.Errorf("HotKeys = %v", keys)
+	}
+}
+
+// TestHotTrackerPromotionOrdersStampsAcrossRouters: a router that
+// stamps a batch runs its counter ahead of the clock, so another
+// router's clock-valued stamps are lower for a while. Across a
+// promotion that must not happen: a tuple routed cold before it probes
+// one member only, and a tuple scattered after it is met only by
+// probing — it has to be ordered after every tuple routed before the
+// promotion, whichever router stamped them.
+func TestHotTrackerPromotionOrdersStampsAcrossRouters(t *testing.T) {
+	h := newTracker(t, 0.05)
+	clock := uint64(1000)
+	ahead := protocol.NewStamperFunc(0, func() uint64 { return clock })
+	behind := protocol.NewStamperFunc(1, func() uint64 { return clock })
+	rng := rand.New(rand.NewSource(3))
+	var before uint64 // highest stamp drawn while key 42 was cold
+	for i := 0; i < 10000; i++ {
+		key := uint64(1000 + rng.Intn(100000))
+		if rng.Float64() < 0.3 {
+			key = 42
+		}
+		// Router 0 never sees the clock move: previous+1 carries it ahead.
+		storeHot, _, stamp := h.ObserveStamp(key, int64(i), ahead)
+		if key == 42 && storeHot {
+			break
+		}
+		before = stamp
+	}
+	if before <= clock+100 {
+		t.Fatalf("router 0 is not ahead of the clock: stamp %d, clock %d", before, clock)
+	}
+	if storeHot, _ := h.Status(42, 0); !storeHot {
+		t.Fatal("key 42 never promoted")
+	}
+	if _, _, stamp := h.ObserveStamp(42, 0, behind); stamp <= before {
+		t.Errorf("router 1 stamped %d after the promotion, router 0 stamped %d before it", stamp, before)
+	}
+	// A pin to hot is a promotion too.
+	_, _, before = h.ObserveStamp(7, 0, ahead)
+	h.Pin(7, true)
+	if _, _, stamp := h.ObserveStamp(7, 0, behind); stamp <= before {
+		t.Errorf("router 1 stamped %d after the pin, router 0 stamped %d before it", stamp, before)
 	}
 }
 

@@ -68,6 +68,12 @@ type Core struct {
 	stamper *protocol.Stamper
 	groups  [2]*Group // indexed by tuple.Relation
 
+	// Broker names a routed tuple's destinations carry, built once: the
+	// exchanges per relation at NewCore, a member's routing key when a
+	// layout first names it.
+	storeEx, joinEx [2]string
+	memberKeys      map[int32]string
+
 	tuplesRouted *metrics.Counter
 	msgsOut      *metrics.Counter
 	joinFanout   *metrics.Counter
@@ -94,6 +100,9 @@ func NewCore(cfg Config) (*Core, error) {
 		prefix:       prefix,
 		stamper:      protocol.NewStamper(cfg.ID),
 		groups:       [2]*Group{NewGroup(cfg.Window), NewGroup(cfg.Window)},
+		storeEx:      [2]string{tuple.R: topo.StoreExchange(tuple.R), tuple.S: topo.StoreExchange(tuple.S)},
+		joinEx:       [2]string{tuple.R: topo.JoinExchange(tuple.R), tuple.S: topo.JoinExchange(tuple.S)},
+		memberKeys:   make(map[int32]string),
 		tuplesRouted: cfg.Metrics.Counter(prefix + "routed"),
 		msgsOut:      cfg.Metrics.Counter(prefix + "msgs_out"),
 		joinFanout:   cfg.Metrics.Counter(prefix + "join_fanout"),
@@ -113,7 +122,15 @@ func (c *Core) SetLayout(rel tuple.Relation, members []int32, subgroups int, now
 	if subgroups != 1 && !c.cfg.Pred.Partitionable() {
 		return fmt.Errorf("router: predicate %v is not partitionable; use subgroups=1", c.cfg.Pred)
 	}
-	return c.groups[rel].SetLayout(members, subgroups, nowTS)
+	if err := c.groups[rel].SetLayout(members, subgroups, nowTS); err != nil {
+		return err
+	}
+	for _, m := range members {
+		if _, ok := c.memberKeys[m]; !ok {
+			c.memberKeys[m] = topo.MemberKey(m)
+		}
+	}
+	return nil
 }
 
 // Members returns the current layout of one relation's group.
@@ -138,16 +155,20 @@ func (c *Core) StampCursor() uint64 { return c.stamper.Current() }
 func (c *Core) Route(t *tuple.Tuple, now time.Time) ([]Destination, error) {
 	part := c.cfg.Pred.Partitionable()
 	nowTS := now.UnixMilli()
-	var hash uint64
+	var hash, stamp uint64
 	storePart, joinPart := part, part
 	if part {
 		attr := c.cfg.Pred.IndexAttr(t.Rel)
 		hash = t.Value(attr).Hash()
-		if c.cfg.Hot != nil {
-			storeHot, joinHot := c.cfg.Hot.Observe(hash, nowTS)
-			storePart = !storeHot
-			joinPart = !joinHot
-		}
+	}
+	tracked := part && c.cfg.Hot != nil
+	if tracked {
+		// The tracker draws the stamp with its decision, so a key's
+		// promotion falls at one point of every router's stamp order.
+		var storeHot, joinHot bool
+		storeHot, joinHot, stamp = c.cfg.Hot.ObserveStamp(hash, nowTS, c.stamper)
+		storePart = !storeHot
+		joinPart = !joinHot
 	}
 	storeMember, err := c.groups[t.Rel].StoreTarget(hash, storePart, nowTS)
 	if err != nil {
@@ -157,25 +178,18 @@ func (c *Core) Route(t *tuple.Tuple, now time.Time) ([]Destination, error) {
 	if err != nil {
 		return nil, err
 	}
-	counter := c.stamper.Next()
-	dests := make([]Destination, 0, 1+len(joinMembers))
-	dests = append(dests, Destination{
-		Exchange: topo.StoreExchange(t.Rel),
-		Key:      topo.MemberKey(storeMember),
-		Env: protocol.Envelope{
-			Kind: protocol.KindTuple, RouterID: c.cfg.ID, Counter: counter,
-			Stream: protocol.StreamStore, Tuple: t,
-		},
-	})
-	for _, m := range joinMembers {
-		dests = append(dests, Destination{
-			Exchange: topo.JoinExchange(t.Rel),
-			Key:      topo.MemberKey(m),
-			Env: protocol.Envelope{
-				Kind: protocol.KindTuple, RouterID: c.cfg.ID, Counter: counter,
-				Stream: protocol.StreamJoin, Tuple: t,
-			},
-		})
+	if !tracked {
+		stamp = c.stamper.Next()
+	}
+	env := protocol.Envelope{
+		Kind: protocol.KindTuple, RouterID: c.cfg.ID, Counter: stamp,
+		Stream: protocol.StreamStore, Tuple: t,
+	}
+	dests := make([]Destination, 1+len(joinMembers))
+	dests[0] = Destination{Exchange: c.storeEx[t.Rel], Key: c.memberKeys[storeMember], Env: env}
+	env.Stream = protocol.StreamJoin
+	for i, m := range joinMembers {
+		dests[1+i] = Destination{Exchange: c.joinEx[t.Rel], Key: c.memberKeys[m], Env: env}
 	}
 	c.tuplesRouted.Inc()
 	c.msgsOut.Add(int64(len(dests)))
@@ -194,14 +208,7 @@ func (c *Core) Punctuate() []Destination {
 		RouterID: c.cfg.ID,
 		Counter:  c.stamper.Punctuation(),
 	}
-	dests := []Destination{
-		{Exchange: topo.StoreExchange(tuple.R), Key: topo.PunctKey, Env: env},
-		{Exchange: topo.StoreExchange(tuple.S), Key: topo.PunctKey, Env: env},
-		{Exchange: topo.JoinExchange(tuple.R), Key: topo.PunctKey, Env: env},
-		{Exchange: topo.JoinExchange(tuple.S), Key: topo.PunctKey, Env: env},
-	}
-	c.msgsOut.Add(int64(len(dests)))
-	return dests
+	return c.broadcast(env)
 }
 
 // Retire emits the router's tombstone to every joiner queue: it acts as
@@ -213,11 +220,17 @@ func (c *Core) Retire() []Destination {
 		RouterID: c.cfg.ID,
 		Counter:  c.stamper.Punctuation(),
 	}
+	return c.broadcast(env)
+}
+
+// broadcast addresses a signal to every joiner queue: one publish per
+// relation per exchange under the shared punct binding key.
+func (c *Core) broadcast(env protocol.Envelope) []Destination {
 	dests := []Destination{
-		{Exchange: topo.StoreExchange(tuple.R), Key: topo.PunctKey, Env: env},
-		{Exchange: topo.StoreExchange(tuple.S), Key: topo.PunctKey, Env: env},
-		{Exchange: topo.JoinExchange(tuple.R), Key: topo.PunctKey, Env: env},
-		{Exchange: topo.JoinExchange(tuple.S), Key: topo.PunctKey, Env: env},
+		{Exchange: c.storeEx[tuple.R], Key: topo.PunctKey, Env: env},
+		{Exchange: c.storeEx[tuple.S], Key: topo.PunctKey, Env: env},
+		{Exchange: c.joinEx[tuple.R], Key: topo.PunctKey, Env: env},
+		{Exchange: c.joinEx[tuple.S], Key: topo.PunctKey, Env: env},
 	}
 	c.msgsOut.Add(int64(len(dests)))
 	return dests

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -46,8 +47,6 @@ type ServiceConfig struct {
 	// PunctuationInterval is how often the router broadcasts punctuation
 	// signals; the text suggests every 20ms.
 	PunctuationInterval time.Duration
-	// Prefetch bounds in-flight deliveries from the entry queue.
-	Prefetch int
 }
 
 // DefaultPunctuationInterval mirrors the 20ms suggestion of §3.3.
@@ -59,6 +58,15 @@ const DefaultPunctuationInterval = 20 * time.Millisecond
 // redelivery bound during a broker outage.
 const publishRetryDelay = 5 * time.Millisecond
 
+// maxRouteBatch caps how many entry deliveries one routeLoop wakeup
+// stamps and publishes under a single coreMu hold. The batch is whatever
+// already queued up, so it adds no waiting; the cap bounds how long a
+// punctuation (or a layout change) can wait behind it — a hundred-odd
+// tuples route in well under the punctuation interval. The entry
+// prefetch is twice the cap, so the broker refills the delivery channel
+// while a full batch is being routed.
+const maxRouteBatch = 128
+
 // NewService wraps core with a broker-backed service. clock defaults to
 // the wall clock.
 func NewService(core *Core, client broker.Client, clock vclock.Clock, cfg ServiceConfig) *Service {
@@ -67,9 +75,6 @@ func NewService(core *Core, client broker.Client, clock vclock.Clock, cfg Servic
 	}
 	if cfg.PunctuationInterval <= 0 {
 		cfg.PunctuationInterval = DefaultPunctuationInterval
-	}
-	if cfg.Prefetch <= 0 {
-		cfg.Prefetch = 64
 	}
 	reg, prefix := core.cfg.Metrics, core.prefix
 	return &Service{
@@ -96,7 +101,7 @@ func (s *Service) Start() error {
 	if err := topo.Declare(s.client); err != nil {
 		return err
 	}
-	cons, err := s.client.Consume(topo.EntryQueue, 64, false)
+	cons, err := s.client.Consume(topo.EntryQueue, 2*maxRouteBatch, false)
 	if err != nil {
 		return err
 	}
@@ -129,19 +134,17 @@ func (s *Service) stop(retire bool) {
 	cons := s.cons
 	doneCh, puncDone := s.doneCh, s.puncDone
 	s.mu.Unlock()
-	cons.Cancel()
+	// The route loop first: it settles the batch it is on, so cancelling
+	// the consumer requeues only deliveries that were never routed and an
+	// orderly stop routes no tuple twice.
 	<-doneCh
+	cons.Cancel()
 	<-puncDone
 	if retire {
 		s.coreMu.Lock()
 		dests := s.core.Retire()
 		s.coreMu.Unlock()
-		for _, dst := range dests {
-			if err := s.client.Publish(dst.Exchange, dst.Key, nil, dst.Env.Marshal()); err != nil {
-				s.publishErrors.Inc()
-				break
-			}
-		}
+		s.publishSignal(dests)
 		// A retired router's series would otherwise linger frozen in
 		// every future scrape; drop its registry subtree.
 		s.core.cfg.Metrics.UnregisterPrefix(s.core.prefix)
@@ -159,6 +162,33 @@ func (s *Service) SetLayout(rel tuple.Relation, members []int32, subgroups int, 
 	s.coreMu.Lock()
 	defer s.coreMu.Unlock()
 	return s.core.SetLayout(rel, members, subgroups, nowTS)
+}
+
+// SetLayouts installs one relation's layout on every router of an
+// engine as a single step of the stamp order: with every router's core
+// held, the stampers are first advanced to the highest stamp any of
+// them has issued, so each tuple stamped after the change carries a
+// higher stamp than each tuple stamped before it, whichever routers
+// stamped them. Join-cover depends on it: a tuple stored under the new
+// layout is then only ever probed for by higher-stamped tuples, and
+// those fan out under the new layout too. Installed router by router,
+// a store under the new layout on one router could be followed by a
+// higher-stamped probe still fanned out under the old layout on
+// another, which misses the member that stored it — the pair is lost.
+func SetLayouts(svcs []*Service, rel tuple.Relation, members []int32, subgroups int, nowTS int64) error {
+	var high uint64
+	for _, s := range svcs {
+		s.coreMu.Lock()
+		defer s.coreMu.Unlock()
+		high = max(high, s.core.StampCursor())
+	}
+	for _, s := range svcs {
+		s.core.stamper.Advance(high)
+		if err := s.core.SetLayout(rel, members, subgroups, nowTS); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RetireMember forwards a dead-member mark to the core, serialized
@@ -187,24 +217,77 @@ func (s *Service) Stats() Stats {
 	return s.core.Stats()
 }
 
-// routeLoop stamps and publishes under coreMu as one atomic step: a
-// punctuation carrying value P promises that every tuple stamped <= P
-// has already been published (pairwise FIFO then delivers it first), so
-// the stamp and its publish must not interleave with a punctuation
-// publish.
-//
-// Failure handling: a tuple whose fan-out cannot complete (no layout
-// yet, or a publish error) is nack-requeued and retried — by this
-// router, a sibling, or a restart — rather than dropped or allowed to
-// kill the loop. The broker dead-letters it if it exhausts the entry
-// queue's redelivery bound.
+// routeLoop drains the entry queue in batches: block for one delivery,
+// gather whatever else is already queued (up to maxRouteBatch), and
+// route the lot. It returns between batches once stop closes, or when
+// the consumer is cancelled under it.
 func (s *Service) routeLoop(cons broker.Consumer, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	for d := range cons.Deliveries() {
+	var (
+		rb    routeBatch
+		batch = make([]broker.Delivery, 0, maxRouteBatch)
+		ch    = cons.Deliveries()
+	)
+	for open := true; open; {
+		select {
+		case <-stop:
+			return
+		case d, ok := <-ch:
+			if !ok {
+				return
+			}
+			batch, open = broker.Drain(ch, d, batch)
+			if !s.route(cons, batch, &rb) {
+				s.pause(stop)
+			}
+			clear(batch) // drop the body references
+		}
+	}
+}
+
+// routeBatch is routeLoop's scratch, reused across batches.
+type routeBatch struct {
+	dec    tuple.Decoder
+	tuples []*tuple.Tuple
+	tags   []uint64 // tags[i] is tuples[i]'s delivery
+	pubs   []broker.Publication
+	ends   []int // ends[i]: len(pubs) once tuples[i]'s copies were added
+}
+
+// route stamps and publishes one batch of entry deliveries, in arrival
+// order, and settles them. It reports whether the whole batch went out.
+//
+// Stamping and publishing are one atomic step under coreMu: a
+// punctuation carrying value P promises that every tuple stamped <= P
+// has already been published (pairwise FIFO then delivers it first), so
+// neither a stamp nor its publish may interleave with a punctuation
+// publish. The batch's envelopes are marshaled and handed to the broker
+// in stamp order, so every destination queue receives them in stamp
+// order.
+//
+// Failure handling: a delivery is acknowledged only after every copy of
+// its fan-out was published. When a publish fails mid-batch (or no
+// layout is installed yet), the tuples whose copies all landed are
+// acknowledged; the failing tuple and every later one are nack-requeued
+// in arrival order and retried — by this router, a sibling, or a
+// restart. Their envelopes are dropped, never sent later: the retry
+// stamps them afresh, the burned stamps stay gaps (the joiners' reorder
+// buffers release by frontier, not by contiguity), and copies of the
+// failing tuple that did land repeat under the new stamp for joiner
+// dedup to suppress. The coarsest case is a replicated broker's commit
+// gate failing: the whole batch was enqueued but none of it is
+// confirmed, PublishBatch reports zero, and up to maxRouteBatch tuples
+// repeat in full — at-least-once at batch granularity, where routing
+// tuple by tuple repeated one. The broker dead-letters a tuple that
+// exhausts the entry queue's redelivery bound.
+func (s *Service) route(cons broker.Consumer, batch []broker.Delivery, rb *routeBatch) bool {
+	rb.tuples, rb.tags = rb.tuples[:0], rb.tags[:0]
+	for i := range batch {
+		d := &batch[i]
 		if d.Redelivered {
 			s.redelivered.Inc()
 		}
-		t, err := tuple.Unmarshal(d.Body)
+		t, err := rb.dec.Unmarshal(d.Body)
 		if err != nil {
 			s.poison.Inc()
 			if err := cons.Nack(d.Tag, false); err != nil { // dead-letter
@@ -215,39 +298,59 @@ func (s *Service) routeLoop(cons broker.Consumer, stop <-chan struct{}, done cha
 		if s.core.cfg.StampIngest && t.TraceNS == 0 {
 			t.TraceNS = s.core.cfg.Trace.Stamp()
 		}
-		s.coreMu.Lock()
-		dests, err := s.core.Route(t, s.clock.Now())
+		rb.tuples = append(rb.tuples, t)
+		rb.tags = append(rb.tags, d.Tag)
+	}
+
+	rb.pubs, rb.ends = rb.pubs[:0], rb.ends[:0]
+	s.coreMu.Lock()
+	now := s.clock.Now()
+	for _, t := range rb.tuples {
+		dests, err := s.core.Route(t, now)
 		if err != nil {
-			// No layout installed yet: requeue and pause so the tuple
-			// waits for SetLayout instead of spinning at the queue head.
-			s.coreMu.Unlock()
-			if err := cons.Nack(d.Tag, true); err != nil {
-				s.ackErrors.Inc()
-			}
-			s.pause(stop)
-			continue
+			break // no layout installed yet: this tuple and the rest wait
 		}
-		failed := false
-		for _, dst := range dests {
-			if err := s.client.Publish(dst.Exchange, dst.Key, nil, dst.Env.Marshal()); err != nil {
-				s.publishErrors.Inc()
-				failed = true
-				break
-			}
+		for i := range dests {
+			dst := &dests[i]
+			rb.pubs = append(rb.pubs, broker.Publication{
+				Exchange: dst.Exchange, RoutingKey: dst.Key, Body: dst.Env.Marshal()})
 		}
-		s.coreMu.Unlock()
-		if failed {
-			// Partial fan-out: requeue the whole tuple. Copies already
-			// published repeat on retry; joiner dedup suppresses them.
-			if err := cons.Nack(d.Tag, true); err != nil {
-				s.ackErrors.Inc()
-			}
-			s.pause(stop)
-			continue
-		}
-		if err := cons.Ack(d.Tag); err != nil {
+		rb.ends = append(rb.ends, len(rb.pubs))
+	}
+	published, err := broker.PublishBatch(context.Background(), s.client, rb.pubs)
+	s.coreMu.Unlock()
+	if err != nil {
+		s.publishErrors.Inc()
+	}
+	clear(rb.tuples)
+	clear(rb.pubs)
+
+	done := 0 // tuples whose every copy was published
+	for done < len(rb.ends) && rb.ends[done] <= published {
+		done++
+	}
+	if err := broker.AckBatch(cons, rb.tags[:done]); err != nil {
+		s.ackErrors.Inc()
+	}
+	// Newest first: each requeue goes to the queue head, so the oldest
+	// ends up in front and the redelivery order is the arrival order.
+	for i := len(rb.tags) - 1; i >= done; i-- {
+		if err := cons.Nack(rb.tags[i], true); err != nil {
 			s.ackErrors.Inc()
 		}
+	}
+	return done == len(rb.tags)
+}
+
+// publishSignal publishes a punctuation's or tombstone's destinations.
+func (s *Service) publishSignal(dests []Destination) {
+	pubs := make([]broker.Publication, len(dests))
+	for i := range dests {
+		pubs[i] = broker.Publication{
+			Exchange: dests[i].Exchange, RoutingKey: dests[i].Key, Body: dests[i].Env.Marshal()}
+	}
+	if _, err := broker.PublishBatch(context.Background(), s.client, pubs); err != nil {
+		s.publishErrors.Inc()
 	}
 }
 
@@ -277,16 +380,11 @@ func (s *Service) punctuationLoop(stop <-chan struct{}, done chan<- struct{}) {
 }
 
 // publishPunctuation holds coreMu across the signal's computation and
-// publish; see routeLoop for why. A failed punctuation publish is
+// publish; see route for why. A failed punctuation publish is
 // counted but not retried: punctuation is periodic and idempotent
 // (frontiers are max-merged), so the next tick repairs the gap.
 func (s *Service) publishPunctuation() {
 	s.coreMu.Lock()
 	defer s.coreMu.Unlock()
-	for _, dst := range s.core.Punctuate() {
-		if err := s.client.Publish(dst.Exchange, dst.Key, nil, dst.Env.Marshal()); err != nil {
-			s.publishErrors.Inc()
-			return
-		}
-	}
+	s.publishSignal(s.core.Punctuate())
 }

@@ -8,7 +8,7 @@ package router
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"bistream/internal/window"
 )
@@ -29,13 +29,32 @@ type Group struct {
 	// undisturbed) but are filtered out of join fan-out — their tuples
 	// now live on the members the shrunk current layout hashes to.
 	dead map[int32]bool
+
+	// The compiled join fan-out, recompiled whenever gens or dead change
+	// (SetLayout, MarkDead, a prune that drops a generation), so routing
+	// a tuple sorts, deduplicates and allocates nothing.
+	//
+	// all is the fan-out of a tuple that cannot be partitioned: every
+	// live member of every generation. period is the least common
+	// multiple of the partitioned generations' subgroup counts: the
+	// fan-out of a partitioned tuple depends only on hash % period, and
+	// joins files it under that residue the first time one is routed
+	// (period 1: no generation partitions, every tuple gets all; period
+	// 0: the multiple outgrew maxJoinRoutes, hashes key joins directly).
+	all    []int32
+	period uint64
+	joins  map[uint64][]int32
 }
+
+// maxJoinRoutes bounds the compiled fan-out table; full, it starts over.
+const maxJoinRoutes = 1 << 12
 
 type generation struct {
 	members   []int32
-	subgroups int      // d; 1 = random/broadcast routing, len(members) = pure hash
-	rr        []uint64 // round-robin cursor per subgroup (store stream)
-	retiredTS int64    // event-time when superseded; 0 while current
+	subgroups int       // d; 1 = random/broadcast routing, len(members) = pure hash
+	subs      [][]int32 // subs[s]: the members whose index i satisfies i % d == s
+	rr        []uint64  // round-robin cursor per subgroup (store stream)
+	retiredTS int64     // event-time when superseded; 0 while current
 }
 
 // NewGroup creates a group with no layout; SetLayout must be called
@@ -69,13 +88,50 @@ func (g *Group) SetLayout(members []int32, subgroups int, nowTS int64) error {
 		}
 		cur.retiredTS = nowTS
 	}
-	g.gens = append(g.gens, &generation{
+	gen := &generation{
 		members:   append([]int32(nil), members...),
 		subgroups: subgroups,
+		subs:      make([][]int32, subgroups),
 		rr:        make([]uint64, subgroups),
-	})
+	}
+	for i, m := range gen.members {
+		gen.subs[i%subgroups] = append(gen.subs[i%subgroups], m)
+	}
+	g.gens = append(g.gens, gen)
 	g.prune(nowTS)
+	g.compile()
 	return nil
+}
+
+// compile rebuilds the join fan-out table from the live generations
+// and the dead set.
+func (g *Group) compile() {
+	g.joins = make(map[uint64][]int32)
+	g.period = 1
+	g.all = nil // not truncated: earlier results may still be in a caller's hands
+	for _, gen := range g.gens {
+		g.all = append(g.all, gen.members...)
+		if d := uint64(gen.subgroups); d > 1 && g.period != 0 {
+			if g.period = g.period / gcd(g.period, d) * d; g.period > maxJoinRoutes {
+				g.period = 0
+			}
+		}
+	}
+	g.all = g.live(g.all)
+}
+
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// live sorts ms and strips duplicates and dead members, in place.
+func (g *Group) live(ms []int32) []int32 {
+	slices.Sort(ms)
+	ms = slices.Compact(ms)
+	return slices.DeleteFunc(ms, func(m int32) bool { return g.dead[m] })
 }
 
 func sameLayout(a, b []int32) bool {
@@ -104,7 +160,7 @@ func (g *Group) Members() []int32 {
 		return nil
 	}
 	out := append([]int32(nil), cur.members...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -122,6 +178,7 @@ func (g *Group) MarkDead(id int32) {
 		g.dead = make(map[int32]bool)
 	}
 	g.dead[id] = true
+	g.compile()
 }
 
 // prune drops retired generations whose stored tuples are all expired:
@@ -131,27 +188,21 @@ func (g *Group) MarkDead(id int32) {
 // generations are kept forever — the price of migration-free scaling
 // without a window bound.
 func (g *Group) prune(nowTS int64) {
-	if g.win.IsUnbounded() {
+	if len(g.gens) < 2 || g.win.IsUnbounded() {
 		return
 	}
+	horizon := g.win.SpanMillis() + g.retireSlackMS
 	keep := g.gens[:0]
 	for i, gen := range g.gens {
-		if i == len(g.gens)-1 || gen.retiredTS == 0 ||
-			nowTS-gen.retiredTS <= g.win.SpanMillis()+g.retireSlackMS {
+		if i == len(g.gens)-1 || gen.retiredTS == 0 || nowTS-gen.retiredTS <= horizon {
 			keep = append(keep, gen)
 		}
 	}
-	g.gens = keep
-}
-
-// subgroupMembers returns the members of subgroup sub (those whose index
-// i satisfies i % d == sub).
-func (gen *generation) subgroupMembers(sub int) []int32 {
-	var out []int32
-	for i := sub; i < len(gen.members); i += gen.subgroups {
-		out = append(out, gen.members[i])
+	if len(keep) < len(g.gens) {
+		clear(g.gens[len(keep):])
+		g.gens = keep
+		g.compile()
 	}
-	return out
 }
 
 // StoreTarget picks the joiner that stores a tuple with the given join
@@ -176,7 +227,7 @@ func (g *Group) StoreTarget(hash uint64, partitionable bool, nowTS int64) (int32
 	if cur.subgroups > 1 {
 		sub = int(hash % uint64(cur.subgroups))
 	}
-	members := cur.subgroupMembers(sub)
+	members := cur.subs[sub]
 	m := members[cur.rr[sub]%uint64(len(members))]
 	cur.rr[sub]++
 	return m, nil
@@ -186,28 +237,31 @@ func (g *Group) StoreTarget(hash uint64, partitionable bool, nowTS int64) (int32
 // of a tuple with the given hash: for every live generation, the whole
 // subgroup the hash maps to (all members when not partitionable or
 // d == 1). The union across generations guarantees no match is missed
-// while a retired layout drains.
+// while a retired layout drains. The result is sorted, free of
+// duplicates and dead members, and shared: callers must not modify it.
 func (g *Group) JoinTargets(hash uint64, partitionable bool, nowTS int64) ([]int32, error) {
 	g.prune(nowTS)
 	if len(g.gens) == 0 {
 		return nil, fmt.Errorf("router: no layout installed")
 	}
-	seen := make(map[int32]bool)
+	if !partitionable || g.period == 1 {
+		return g.all, nil
+	}
+	key := hash
+	if g.period != 0 {
+		key = hash % g.period
+	}
+	if out, ok := g.joins[key]; ok {
+		return out, nil
+	}
 	var out []int32
 	for _, gen := range g.gens {
-		var members []int32
-		if partitionable && gen.subgroups > 1 {
-			members = gen.subgroupMembers(int(hash % uint64(gen.subgroups)))
-		} else {
-			members = gen.members
-		}
-		for _, m := range members {
-			if !seen[m] && !g.dead[m] {
-				seen[m] = true
-				out = append(out, m)
-			}
-		}
+		out = append(out, gen.subs[hash%uint64(gen.subgroups)]...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out = g.live(out)
+	if len(g.joins) >= maxJoinRoutes {
+		clear(g.joins)
+	}
+	g.joins[key] = out
 	return out, nil
 }

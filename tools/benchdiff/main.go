@@ -2,7 +2,7 @@
 // when the newer one regresses: more than 15% slower ns/op or more than
 // 10 extra allocs/op on any benchmark present in both files.
 //
-//	go run ./tools/benchdiff BENCH_20260806.json BENCH_20260809.json
+//	go run ./tools/benchdiff BENCH_20260926.json BENCH_ci.json
 //
 // Benchmarks that appear in only one snapshot are reported but never
 // fail the diff — adding or retiring a benchmark is not a regression.
