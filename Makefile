@@ -28,14 +28,16 @@ linkcheck:
 	$(GO) run ./tools/linkcheck
 
 # Short fuzz passes over the parsers that face untrusted bytes: broker
-# topic patterns, journal segment records, replication frames, tuple
-# codecs, protocol envelopes. Ten seconds each is enough to catch
+# topic patterns, journal segment records, replication frames, client
+# wire requests and replies, tuple codecs, protocol envelopes. Ten seconds each is enough to catch
 # decoder regressions without stalling the gate; run
 # `go test -fuzz <target> -fuzztime 10m <pkg>` for a real campaign.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTopicMatch$$' -fuzztime $(FUZZTIME) ./internal/broker
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentRecord$$' -fuzztime $(FUZZTIME) ./internal/broker
 	$(GO) test -run '^$$' -fuzz '^FuzzReplFrame$$' -fuzztime $(FUZZTIME) ./internal/broker/replica
+	$(GO) test -run '^$$' -fuzz '^FuzzWireRequest$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzWireReply$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/tuple
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalPair$$' -fuzztime $(FUZZTIME) ./internal/tuple
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalEnvelope$$' -fuzztime $(FUZZTIME) ./internal/protocol
@@ -44,12 +46,16 @@ fuzz-smoke:
 
 # The deterministic perf gate: testing.AllocsPerRun pins on the
 # in-process message path (compiled route lookup 0, publish → deliver →
-# ack on a warm queue <= 2, Core.Route <= 2). Allocation counts repeat
-# exactly on any machine, which timings on a shared CI runner do not, so
-# this is the perf regression CI can actually hold. Run without -race:
-# the detector's own bookkeeping allocates.
+# ack on a warm queue <= 2, Core.Route <= 2), and socket-write counts on
+# the wire path through a write-counting net.Conn (a 128-publication
+# PublishBatch and a 512-tag AckBatch are one client write and one reply
+# write each, 512 queued deliveries reach the client in <= 8 writes).
+# Both kinds of count repeat on any machine, which timings on a shared
+# CI runner do not, so this is the perf regression CI can actually hold.
+# Run without -race: the detector's own bookkeeping allocates.
 perf-pins:
 	$(GO) test -count=1 -run 'Allocations$$' ./internal/broker ./internal/router
+	$(GO) test -count=1 -run 'SocketWrites$$' ./internal/wire
 
 # The root package's hot-path benches: the engine end to end and the
 # joiner core alone. The Figure 20/21 replays beside them take tens of

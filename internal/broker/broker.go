@@ -513,22 +513,55 @@ func (b *Broker) PublishContext(ctx context.Context, exchangeName, routingKey st
 // PublishBatch routes pubs in order, each exactly as its own Publish
 // would be (one message per publication, MaxLen honoured per message),
 // while paying the per-call costs once: one clock read stamps the whole
-// batch and feeds the rate meters, and a target queue's lock is taken
-// once per run of consecutive messages it receives instead of once per
-// message. It returns how many leading publications were enqueued to
-// all their queues; a failure of the replication gate, which covers the
-// batch as a whole, reports zero (the messages stay enqueued locally and
-// the at-least-once contract tells the publisher to retry).
+// batch and feeds the rate meters, a target queue's lock is taken once
+// per run of consecutive messages it receives instead of once per
+// message, and the journal is flushed once. It returns how many leading
+// publications were enqueued to all their queues; a failure of the
+// replication gate, which covers the batch as a whole, reports zero (the
+// messages stay enqueued locally and the at-least-once contract tells
+// the publisher to retry).
+//
+// It is EnqueueBatch followed by AwaitCommit. A caller publishing for
+// many clients over one ordered stream (wire.Server) calls the halves
+// itself, so that the stream is held only for the ordered one.
 func (b *Broker) PublishBatch(ctx context.Context, pubs []Publication) (int, error) {
+	published, lsn, err := b.EnqueueBatch(ctx, pubs)
+	// Quorum gate: on a replicated leader a publish is acknowledged only
+	// once its journal records are safe on a quorum of replicas — the
+	// prefix of a batch that stopped short included.
+	if gerr := b.AwaitCommit(ctx, lsn); gerr != nil {
+		return 0, gerr
+	}
+	return published, err
+}
+
+// AwaitCommit blocks until every journal record up to lsn is replicated
+// to a quorum, as the commit gate defines it. Without a gate, or with
+// the zero LSN of a publish that journaled nothing, it returns at once.
+func (b *Broker) AwaitCommit(ctx context.Context, lsn uint64) error {
+	if lsn > 0 {
+		if gate := b.commitGate(); gate != nil {
+			return gate(ctx, lsn)
+		}
+	}
+	return nil
+}
+
+// EnqueueBatch is the ordered half of PublishBatch: route, admit and
+// journal pubs in order, and flush the journal. Calls made one after
+// another enqueue — and draw their LSNs — in call order. It returns the
+// published prefix, the error that stopped it, and the highest journal
+// LSN the batch produced (zero when it journaled nothing); the batch is
+// not acknowledged to anyone until AwaitCommit on that LSN succeeded.
+func (b *Broker) EnqueueBatch(ctx context.Context, pubs []Publication) (published int, maxLSN uint64, err error) {
 	if err := ctx.Err(); err != nil {
-		return 0, err // already cancelled: publish nothing
+		return 0, 0, err // already cancelled: publish nothing
 	}
 	now := b.clock.Now()
 	var (
-		ex     *exchange
-		cur    *queue // locked; run counts what this hold enqueued
-		run    int64
-		maxLSN uint64
+		ex  *exchange
+		cur *queue // locked; run counts what this hold enqueued
+		run int64
 	)
 	release := func() {
 		if cur != nil {
@@ -537,7 +570,7 @@ func (b *Broker) PublishBatch(ctx context.Context, pubs []Publication) (int, err
 			cur, run = nil, 0
 		}
 	}
-	published, err := len(pubs), error(nil)
+	published = len(pubs)
 enqueue:
 	for i := range pubs {
 		p := &pubs[i]
@@ -574,17 +607,10 @@ enqueue:
 		}
 	}
 	release()
-	// Quorum gate: on a replicated leader a publish is acknowledged only
-	// once its journal records are safe on a quorum of replicas — the
-	// prefix of a batch that stopped short included.
 	if maxLSN > 0 {
-		if gate := b.commitGate(); gate != nil {
-			if gerr := gate(ctx, maxLSN); gerr != nil {
-				return 0, gerr
-			}
-		}
+		b.log.flush()
 	}
-	return published, err
+	return published, maxLSN, err
 }
 
 // exchange looks a declared exchange up.

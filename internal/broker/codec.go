@@ -68,15 +68,18 @@ func (r *reader) byte() byte {
 
 func (r *reader) bool() bool { return r.byte() != 0 }
 
-func (r *reader) string() string {
+func (r *reader) string() string { return string(r.field()) }
+
+// field returns the next length-prefixed field without copying it.
+func (r *reader) field() []byte {
 	n := r.uvarint()
 	if r.err != nil || n > uint64(len(r.buf)) {
 		r.fail()
-		return ""
+		return nil
 	}
-	s := string(r.buf[:n])
+	b := r.buf[:n]
 	r.buf = r.buf[n:]
-	return s
+	return b
 }
 
 func (r *reader) bytes() []byte {

@@ -31,9 +31,11 @@ import (
 //
 // Semantics: at-least-once. A message that was requeued (Nack) and
 // later settled may, across a crash, be redelivered once more —
-// matching real AMQP brokers. Records are flushed per append; fsync is
-// left to the OS, as RabbitMQ's default publish path does without
-// publisher confirms.
+// matching real AMQP brokers. Records are flushed to the OS once per
+// broker operation (a PublishBatch, an AckBatch, a dispatcher run — see
+// flush), never per record, and only flushed records are offered to
+// replication taps; fsync is left to the OS, as RabbitMQ's default
+// publish path does without publisher confirms.
 
 // journal record types.
 const (
@@ -66,6 +68,12 @@ type journal struct {
 
 	taps   map[uint64]chan ReplRecord // live replication taps
 	tapSeq uint64
+
+	// Group commit: appends only buffer. dirty lists the logs holding
+	// buffered records and unsent the records no tap has seen yet, in
+	// LSN order; flushLocked empties both.
+	dirty  dirtyLogs
+	unsent []ReplRecord
 }
 
 // journalState is the replayed content of a journal.
@@ -379,18 +387,21 @@ func readRecord(r *bufio.Reader) ([]byte, error) {
 
 const maxJournalRecord = 16 << 20
 
-// appendMeta writes one topology record, assigning its LSN.
+// appendMeta writes one topology record, assigning its LSN, and flushes:
+// topology changes are rare and their callers have no batch to end.
 func (j *journal) appendMeta(rec []byte) uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.lsn++
 	j.meta.append(j.lsn, rec) // best-effort, like the pre-segment journal
-	j.emitLocked(ReplRecord{LSN: j.lsn, Payload: rec})
+	j.bufferedLocked(j.meta, ReplRecord{LSN: j.lsn, Payload: rec})
+	j.flushLocked()
 	return j.lsn
 }
 
-// appendTopic writes one enqueue/settle record into the queue's topic
-// log, assigning its LSN and advancing the truncation frontier.
+// appendTopic buffers one enqueue/settle record into the queue's topic
+// log, assigning its LSN and advancing the truncation frontier. The
+// caller flushes once its operation has appended everything it will.
 func (j *journal) appendTopic(queue string, rec []byte) uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -407,7 +418,7 @@ func (j *journal) appendTopic(queue string, rec []byte) uint64 {
 	if segID, err := tl.log.append(j.lsn, rec); err == nil {
 		tl.track(rec, segID)
 	}
-	j.emitLocked(ReplRecord{LSN: j.lsn, Topic: queue, Payload: rec})
+	j.bufferedLocked(tl.log, ReplRecord{LSN: j.lsn, Topic: queue, Payload: rec})
 	return j.lsn
 }
 
@@ -415,7 +426,35 @@ func (j *journal) topicDir(queue string) string {
 	return filepath.Join(j.dir, topicsDirName, topicDirName(queue))
 }
 
-// emitLocked fans a committed record out to the live replication taps.
+// bufferedLocked notes a record appended to l but not yet flushed.
+func (j *journal) bufferedLocked(l *segLog, rec ReplRecord) {
+	j.dirty.add(l)
+	if len(j.taps) > 0 {
+		j.unsent = append(j.unsent, rec)
+	}
+}
+
+// flush ends a batch of appends: every record buffered so far — by this
+// caller or any other — reaches the OS with one write per touched
+// segment and is then offered to the replication taps in LSN order. A
+// record is thus never replicated, and so never counted towards a
+// quorum, before the leader's own copy is as safe as a follower's.
+func (j *journal) flush() {
+	j.mu.Lock()
+	j.flushLocked()
+	j.mu.Unlock()
+}
+
+func (j *journal) flushLocked() {
+	j.dirty.flush() // best-effort, like the appends
+	for _, rec := range j.unsent {
+		j.emitLocked(rec)
+	}
+	clear(j.unsent) // drop the payload references
+	j.unsent = j.unsent[:0]
+}
+
+// emitLocked fans a flushed record out to the live replication taps.
 // A tap too slow to keep up is closed and dropped — the follower
 // detects the closed channel and resynchronizes from a fresh snapshot,
 // which is always safe and never blocks the publish path.
@@ -439,6 +478,9 @@ func (j *journal) subscribe(buf int) ([]ReplRecord, <-chan ReplRecord, func(), e
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	// The snapshot is read back from the segment files, and the new tap
+	// must start exactly where it ends.
+	j.flushLocked()
 	var snap []ReplRecord
 	collect := func(l *segLog, topic string) error {
 		return l.replay(func(lsn uint64, rec []byte, _ uint64) error {
@@ -492,12 +534,13 @@ func (j *journal) logDeleteQueue(name string) {
 	j.mu.Lock()
 	j.lsn++
 	j.meta.append(j.lsn, rec)
+	j.bufferedLocked(j.meta, ReplRecord{LSN: j.lsn, Payload: rec})
+	j.flushLocked() // before the topic's files go: taps see its records first
 	if tl := j.topics[name]; tl != nil {
 		tl.log.close()
 		os.RemoveAll(tl.log.dir)
 		delete(j.topics, name)
 	}
-	j.emitLocked(ReplRecord{LSN: j.lsn, Payload: rec})
 	j.mu.Unlock()
 }
 
@@ -519,7 +562,11 @@ func (j *journal) logBind(queue, exchange, key string) {
 }
 
 func (j *journal) logEnqueue(queue string, id uint64, msg Message) uint64 {
-	rec := []byte{recEnqueue}
+	size := 24 + len(queue) + len(msg.Exchange) + len(msg.RoutingKey) + len(msg.Body)
+	for k, v := range msg.Headers {
+		size += 4 + len(k) + len(v)
+	}
+	rec := append(make([]byte, 0, size), recEnqueue)
 	rec = appendString(rec, queue)
 	rec = binary.AppendUvarint(rec, id)
 	rec = appendString(rec, msg.Exchange)
@@ -530,7 +577,7 @@ func (j *journal) logEnqueue(queue string, id uint64, msg Message) uint64 {
 }
 
 func (j *journal) logSettle(queue string, id uint64) {
-	rec := []byte{recSettle}
+	rec := append(make([]byte, 0, 16+len(queue)), recSettle)
 	rec = appendString(rec, queue)
 	rec = binary.AppendUvarint(rec, id)
 	j.appendTopic(queue, rec)
@@ -539,6 +586,7 @@ func (j *journal) logSettle(queue string, id uint64) {
 func (j *journal) close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.flushLocked()
 	for id, ch := range j.taps {
 		close(ch)
 		delete(j.taps, id)

@@ -3,15 +3,17 @@ package broker
 import "context"
 
 // Optional capabilities of a Client or Consumer, each with one shared
-// fallback so services stay transport-agnostic: the in-process Broker
-// and its consumers implement all of them; wire.Client, faults.Client
-// and their consumers are driven one operation at a time.
+// fallback so services stay transport-agnostic: the in-process Broker,
+// wire.Client and their consumers implement all of them (over the wire
+// a batch is one frame and one round trip); the fault-injecting
+// faults.Client and its consumers are driven one operation at a time.
 
 // ContextPublisher is the optional Client capability of publishing with
 // cancellation: a publish blocked on a full (MaxLen-bounded) queue
 // returns ctx.Err() when the context is done instead of waiting for
-// space. The in-process Broker implements it; clients that do not are
-// used via a best-effort pre-publish context check.
+// space. The in-process Broker implements it in full; wire.Client
+// honours ctx until the request is on its way (the server cannot be told
+// to stop); clients without it are used via the same pre-publish check.
 type ContextPublisher interface {
 	PublishContext(ctx context.Context, exchange, routingKey string, headers map[string]string, body []byte) error
 }

@@ -74,6 +74,15 @@ func (q *queue) logSettle(msg Message) {
 	}
 }
 
+// flushLog ends an operation's run of journal records (see
+// journal.flush): every path that journaled calls it once, before it
+// reports the operation done.
+func (q *queue) flushLog() {
+	if q.log != nil {
+		q.log.flush()
+	}
+}
+
 func newQueue(name string, opts QueueOptions, clock vclock.Clock, onEmpty func(*queue)) *queue {
 	q := &queue{
 		name:     name,
@@ -96,6 +105,7 @@ func (q *queue) enqueue(msg Message) error {
 	_, err := q.admitLocked(context.Background(), msg)
 	if err == nil {
 		q.inMeter.Observe(q.clock.Now(), 1)
+		q.flushLog()
 	}
 	return err
 }
@@ -108,6 +118,7 @@ func (q *queue) enqueue(msg Message) error {
 // releases it); the caller feeds the rate meter.
 func (q *queue) admitLocked(ctx context.Context, msg Message) (uint64, error) {
 	if q.opts.MaxLen > 0 && q.backlogLocked() >= q.opts.MaxLen {
+		q.flushLog() // the batch so far must not sit in a buffer while parked
 		if err := q.waitRoomLocked(ctx); err != nil {
 			return 0, err
 		}
@@ -280,6 +291,7 @@ func (c *consumer) dispatch() {
 			q.acked.Add(int64(n))
 			q.outMeter.Observe(q.clock.Now(), int64(n))
 			q.notFull.Broadcast()
+			q.flushLog()
 		} else {
 			q.unacked += n
 		}
@@ -328,6 +340,7 @@ func (c *consumer) undeliver(rest []Delivery) {
 		}
 		q.ready.pushFront(rest[i].Message)
 	}
+	q.flushLog()
 	q.notEmpty.Signal()
 	q.mu.Unlock()
 }
@@ -368,6 +381,7 @@ func (c *consumer) AckBatch(tags []uint64) error {
 		settled++
 	}
 	if settled > 0 {
+		q.flushLog()
 		q.unacked -= settled
 		q.acked.Add(int64(settled))
 		q.outMeter.Observe(q.clock.Now(), int64(settled))
@@ -435,6 +449,7 @@ func (c *consumer) Nack(tag uint64, requeue bool) error {
 		// or (no sink) dropped.
 		q.acked.Inc()
 		q.logSettle(msg)
+		q.flushLog()
 		q.notFull.Signal()
 	}
 	if dead {

@@ -78,6 +78,10 @@ func (b *Broker) commitGate() func(ctx context.Context, lsn uint64) error {
 	return b.gate
 }
 
+// Gated reports whether a commit gate is installed, i.e. whether
+// AwaitCommit can block at all.
+func (b *Broker) Gated() bool { return b.commitGate() != nil }
+
 // FollowerLog writes a replicated record stream into a broker data
 // directory using the leader's LSNs. It maintains the same per-topic
 // truncation frontier as the live journal, so a long-lived follower
@@ -88,7 +92,9 @@ type FollowerLog struct {
 	maxSeg  int64
 	meta    *segLog
 	topics  map[string]*topicLog
-	lastLSN uint64
+	dirty   dirtyLogs
+	lastLSN uint64 // highest appended LSN
+	flushed uint64 // highest LSN known flushed to the OS; what may be acked
 	closed  bool
 }
 
@@ -151,6 +157,7 @@ func (f *FollowerLog) load() error {
 		}
 		f.topics[e.Name()] = tl
 	}
+	f.flushed = f.lastLSN // read back from the files
 	return nil
 }
 
@@ -170,7 +177,8 @@ func (f *FollowerLog) Reset() error {
 	// the node's entire state.
 	os.Remove(filepath.Join(f.dir, legacyFileName))
 	f.topics = make(map[string]*topicLog)
-	f.lastLSN = 0
+	f.dirty = nil
+	f.lastLSN, f.flushed = 0, 0
 	meta, err := openSegLog(filepath.Join(f.dir, metaDirName), f.maxSeg)
 	if err != nil {
 		return err
@@ -179,16 +187,39 @@ func (f *FollowerLog) Reset() error {
 	return nil
 }
 
-// Append applies one replicated record. Records at or below the last
-// applied LSN are ignored (duplicates from stream handoff); a
-// delete-queue record reclaims the topic's segments just as on the
-// leader.
+// Append applies one replicated record: AppendBatch of one.
 func (f *FollowerLog) Append(rec ReplRecord) error {
+	recs := [1]ReplRecord{rec}
+	_, err := f.AppendBatch(recs[:])
+	return err
+}
+
+// AppendBatch applies a run of replicated records in order and then
+// flushes once per touched segment. It returns the LSN up to which the
+// log is flushed to the OS — the only LSN a follower may acknowledge —
+// which on error is where the previous successful call left it.
+// Records at or below the last applied LSN are ignored (duplicates from
+// stream handoff); a delete-queue record reclaims the topic's segments
+// just as on the leader.
+func (f *FollowerLog) AppendBatch(recs []ReplRecord) (uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return ErrClosed
+		return f.flushed, ErrClosed
 	}
+	for i := range recs {
+		if err := f.appendLocked(&recs[i]); err != nil {
+			return f.flushed, err
+		}
+	}
+	if err := f.dirty.flush(); err != nil {
+		return f.flushed, err
+	}
+	f.flushed = f.lastLSN
+	return f.flushed, nil
+}
+
+func (f *FollowerLog) appendLocked(rec *ReplRecord) error {
 	if rec.LSN <= f.lastLSN {
 		return nil
 	}
@@ -197,6 +228,7 @@ func (f *FollowerLog) Append(rec ReplRecord) error {
 		if _, err := f.meta.append(rec.LSN, rec.Payload); err != nil {
 			return err
 		}
+		f.dirty.add(f.meta)
 		if len(rec.Payload) > 0 && rec.Payload[0] == recDeleteQueue {
 			rd := &reader{buf: rec.Payload[1:]}
 			name := rd.string()
@@ -224,6 +256,7 @@ func (f *FollowerLog) Append(rec ReplRecord) error {
 	if err != nil {
 		return err
 	}
+	f.dirty.add(tl.log)
 	tl.track(rec.Payload, segID)
 	return nil
 }
@@ -233,6 +266,13 @@ func (f *FollowerLog) LastLSN() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.lastLSN
+}
+
+// FlushedLSN reports the LSN up to which the log is flushed to the OS.
+func (f *FollowerLog) FlushedLSN() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.flushed
 }
 
 // Close releases the file handles. The directory remains valid for a
@@ -249,6 +289,7 @@ func (f *FollowerLog) Close() error {
 }
 
 func (f *FollowerLog) closeLogsLocked() {
+	f.dirty = nil // close flushes
 	if f.meta != nil {
 		f.meta.close()
 		f.meta = nil

@@ -3,6 +3,8 @@ package replica
 import (
 	"encoding/binary"
 	"fmt"
+
+	"bistream/internal/wire"
 )
 
 // The replication protocol rides on the same length-prefixed framing as
@@ -16,8 +18,9 @@ import (
 //	leader   → follower: rWelcome(term, leaderID)          — wipe and resync
 //	                     rRecord(lsn, topic, payload) ...  — snapshot, then live
 //	                     rSnapEnd(lsn)                     — snapshot boundary
-//	                     rHeart(term, commitLSN)           — lease refresh
-//	follower → leader:  rAck(lsn)                          — per applied record
+//	                     rHeart(term, lastLSN)             — lease refresh
+//	follower → leader:  rAck(lsn)                          — high-water mark: everything up to
+//	                                                         lsn is flushed; one per drained read
 //	anyone   → anyone:  rNotLeader(term)                   — refusal, try elsewhere
 //	candidate → peer:   rVoteReq(term, candidateID, lastLSN)
 //	peer → candidate:   rVoteResp(term, granted)
@@ -38,7 +41,7 @@ const (
 type frame struct {
 	Op      byte
 	Term    uint64
-	LSN     uint64 // lastLSN in rJoin/rVoteReq, record LSN in rRecord/rAck/rSnapEnd, commit LSN in rHeart
+	LSN     uint64 // lastLSN in rJoin/rVoteReq/rHeart, record LSN in rRecord/rSnapEnd, flushed high-water in rAck
 	ID      string // node id: sender in rJoin, leader in rWelcome, candidate in rVoteReq
 	Topic   string // rRecord only; "" = topology record
 	Payload []byte // rRecord only
@@ -55,10 +58,13 @@ func appendBlob(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// encodeFrame serializes f into a wire payload (without the length
-// prefix; the caller hands it to wire.WriteFrame).
-func encodeFrame(f frame) []byte {
-	out := []byte{f.Op}
+// encodeFrame serializes f into a fresh wire payload (without the
+// length prefix, which the wire package's frame writers add).
+func encodeFrame(f frame) []byte { return appendFrame(nil, f) }
+
+// appendFrame appends f's wire payload to out.
+func appendFrame(out []byte, f frame) []byte {
+	out = append(out, f.Op)
 	switch f.Op {
 	case rJoin, rVoteReq:
 		out = appendStr(out, f.ID)
@@ -91,8 +97,9 @@ func encodeFrame(f frame) []byte {
 
 // fieldReader decodes sequentially, remembering the first error.
 type fieldReader struct {
-	buf []byte
-	err error
+	buf   []byte
+	err   error
+	names map[string]string // optional intern table for str
 }
 
 func (r *fieldReader) fail(what string) {
@@ -123,9 +130,9 @@ func (r *fieldReader) str() string {
 		r.fail("string")
 		return ""
 	}
-	s := string(r.buf[:n])
+	b := r.buf[:n]
 	r.buf = r.buf[n:]
-	return s
+	return wire.Intern(r.names, b)
 }
 
 func (r *fieldReader) blob() []byte {
@@ -158,12 +165,16 @@ func (r *fieldReader) boolean() bool {
 // decodeFrame parses a replication payload. It is total: any input
 // either yields a well-formed frame or an error, never a panic — the
 // fuzz target FuzzReplFrame holds it to that.
-func decodeFrame(buf []byte) (frame, error) {
+func decodeFrame(buf []byte) (frame, error) { return decodeInterned(buf, nil) }
+
+// decodeInterned is decodeFrame for a stream of frames: the few topic
+// names a record stream repeats are decoded through names, once each.
+func decodeInterned(buf []byte, names map[string]string) (frame, error) {
 	if len(buf) == 0 {
 		return frame{}, fmt.Errorf("replica: empty frame")
 	}
 	f := frame{Op: buf[0]}
-	r := &fieldReader{buf: buf[1:]}
+	r := &fieldReader{buf: buf[1:], names: names}
 	switch f.Op {
 	case rJoin, rVoteReq:
 		f.ID = r.str()

@@ -2,9 +2,14 @@
 // broker group with leader failover, removing the single-broker SPOF
 // from the BiStream deployment. One node at a time is the leader: it
 // opens the durable journal as a live broker (broker.NewDurable),
-// serves clients through its wire.Server, and streams every committed
+// serves clients through its wire.Server, and streams every flushed
 // journal record to the followers, acknowledging publishes only once a
-// configurable quorum of replicas holds them. Followers mirror the
+// configurable quorum of replicas holds them. The stream is group
+// committed end to end: the leader writes whatever its journal tap
+// holds in one socket write, a follower appends the whole run it has
+// read with one flush per touched segment and acknowledges its flushed
+// high-water LSN once, and the leader folds those acks into a monotone
+// commit LSN that publishers wait on. Followers mirror the
 // leader's segmented log byte-for-byte (broker.FollowerLog), so
 // promotion is nothing more than reopening the local data directory as
 // a broker. Failover uses term-numbered elections in the Raft style:
@@ -16,7 +21,7 @@
 package replica
 
 import (
-	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -25,6 +30,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -104,8 +110,20 @@ type Config struct {
 // followerState is the leader's view of one attached follower session.
 type followerState struct {
 	id    string
-	acked uint64
+	term  uint64 // the reign the session belongs to
+	acked uint64 // the follower's flushed high-water LSN
 }
+
+// idAck is one distinct follower's highest ack, for the commit rule.
+type idAck struct {
+	id  string
+	lsn uint64
+}
+
+// maxApplyRun bounds how many records a follower gathers before it
+// applies and acknowledges them even though more are already buffered:
+// a snapshot of any size is applied in runs of this many.
+const maxApplyRun = 1024
 
 // Node is one member of a replica group. Create with NewNode, bring up
 // with Start, and tear down with Kill; the node elects itself into the
@@ -122,7 +140,8 @@ type Node struct {
 	replAddr   net.Addr
 
 	mu         sync.Mutex
-	ackCond    *sync.Cond
+	ackCond    *sync.Cond // term or stop changed: wakes the leader loop
+	commitCond *sync.Cond // commitLSN advanced (or term/stop): wakes commit waiters
 	roleVal    Role
 	term       uint64
 	votedFor   string
@@ -134,8 +153,24 @@ type Node struct {
 	// the moments when neither b nor flog is open; see lastLSNLocked.
 	handoverLSN uint64
 	followers   map[*followerState]struct{}
-	conns       map[net.Conn]struct{}
-	stopped     bool
+	// commitLSN is the (quorum-1)-th highest ack over the distinct
+	// followers of this reign: every record up to it is flushed on the
+	// leader and on quorum-1 followers. It only moves forward within a
+	// reign and restarts from zero at each promotion.
+	commitLSN  uint64
+	ackScratch []idAck
+	conns      map[net.Conn]struct{}
+	stopped    bool
+
+	// ackHook, when set (tests only, before Start), sees every ack a
+	// follower is about to send next to the LSN its log is flushed to;
+	// returning false suppresses the ack, as a crash at that point would.
+	ackHook func(acked, flushed uint64) bool
+
+	recordsApplied  *metrics.Counter
+	recordsStreamed *metrics.Counter
+	recordsPerAck   *metrics.Histogram
+	commitGauge     *metrics.Gauge
 
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
@@ -196,6 +231,15 @@ func NewNode(cfg Config) (*Node, error) {
 		rng:         rand.New(rand.NewSource(seed)),
 	}
 	n.ackCond = sync.NewCond(&n.mu)
+	n.commitCond = sync.NewCond(&n.mu)
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry() // private: the hot-path handles stay non-nil
+	}
+	n.recordsApplied = reg.Counter("replica.records_applied")
+	n.recordsStreamed = reg.Counter("replica.records_streamed")
+	n.recordsPerAck = reg.Histogram("replica.records_per_ack")
+	n.commitGauge = reg.Gauge("replica.commit_lsn")
 	if cfg.Quorum <= 0 {
 		n.cfg.Quorum = n.clusterSize/2 + 1
 	}
@@ -220,6 +264,7 @@ func (n *Node) Start() error {
 	}
 	n.flog = fl
 	n.srv = wire.NewServer(nil, n.cfg.Logf)
+	n.srv.SetMetrics(n.cfg.Metrics)
 	ca, err := n.srv.Listen(n.cfg.ClientAddr)
 	if err != nil {
 		fl.Close()
@@ -257,8 +302,9 @@ func (n *Node) Kill() {
 	for c := range n.conns {
 		conns = append(conns, c)
 	}
-	n.mu.Unlock()
 	n.ackCond.Broadcast()
+	n.commitCond.Broadcast()
+	n.mu.Unlock()
 	if n.replLn != nil {
 		n.replLn.Close()
 	}
@@ -371,12 +417,13 @@ func (n *Node) persistTermLocked() {
 }
 
 // bumpTermLocked adopts a higher term, clearing the vote and waking the
-// leader loop so it steps down.
+// leader loop so it steps down, and the commit waiters so they fail.
 func (n *Node) bumpTermLocked(term uint64) {
 	n.term = term
 	n.votedFor = ""
 	n.persistTermLocked()
 	n.ackCond.Broadcast()
+	n.commitCond.Broadcast()
 }
 
 func (n *Node) adoptTerm(term uint64) {
@@ -522,9 +569,9 @@ func (n *Node) joinAndStream(conn net.Conn) bool {
 	if err := n.writeConnFrame(conn, frame{Op: rJoin, ID: n.cfg.ID, Term: term, LSN: last}); err != nil {
 		return false
 	}
-	br := bufio.NewReader(conn)
+	in := wire.NewFrameReader(conn)
 	conn.SetReadDeadline(time.Now().Add(2 * n.cfg.LeaseTimeout))
-	payload, err := wire.ReadFrame(br)
+	payload, err := in.Next()
 	if err != nil {
 		return false
 	}
@@ -547,17 +594,26 @@ func (n *Node) joinAndStream(conn net.Conn) bool {
 		}
 		n.leaderID = f.ID
 		n.mu.Unlock()
-		return n.streamFrom(conn, br, f.ID)
+		return n.streamFrom(conn, in, f.ID)
 	default:
 		return false
 	}
 }
 
 // streamFrom wipes the local log and mirrors the leader: snapshot
-// records, the snapshot boundary, then live records, acking each. A
-// lease-length silence, a stale-term heartbeat, or any error ends the
+// records, the snapshot boundary, then live records. Records are not
+// applied one by one: the follower gathers every record its read buffer
+// holds, appends the run with one flush per touched segment
+// (FollowerLog.AppendBatch), and then acknowledges the LSN its log is
+// now flushed to — one ack per drained read buffer, whatever kind of
+// frame came last in it, so that a record followed by a heartbeat in the
+// same read is acknowledged as promptly as one that came alone. The ack
+// is thus never above what is flushed, nor above what arrived: the log
+// only holds what this session received, in stream order.
+//
+// A lease-length silence, a stale-term heartbeat, or any error ends the
 // session. Reports whether at least one frame arrived.
-func (n *Node) streamFrom(conn net.Conn, br *bufio.Reader, leaderID string) bool {
+func (n *Node) streamFrom(conn net.Conn, in *wire.FrameReader, leaderID string) bool {
 	n.mu.Lock()
 	fl := n.flog
 	n.mu.Unlock()
@@ -570,36 +626,40 @@ func (n *Node) streamFrom(conn net.Conn, br *bufio.Reader, leaderID string) bool
 	}
 	n.count("replica.resyncs")
 	n.logf("replica %s: syncing from leader %s", n.cfg.ID, leaderID)
-	received := false
+	out := wire.NewFrameWriter(conn, 2*n.cfg.LeaseTimeout, n.cfg.Metrics)
+	var (
+		topics   = make(map[string]string)
+		run      []broker.ReplRecord // read, not yet applied
+		acked    uint64
+		ackDue   bool      // the snapshot boundary is acknowledged even when empty
+		armed    time.Time // when the lease deadline was last pushed out
+		received bool
+	)
 	for {
 		if n.isStopped() {
 			return received
 		}
-		conn.SetReadDeadline(time.Now().Add(n.cfg.LeaseTimeout))
-		payload, err := wire.ReadFrame(br)
+		// The lease runs from the last frame; pushing the deadline out
+		// once per eighth of it, not per frame, keeps any read at least
+		// seven eighths of a lease.
+		if now := time.Now(); now.Sub(armed) > n.cfg.LeaseTimeout/8 {
+			armed = now
+			conn.SetReadDeadline(now.Add(n.cfg.LeaseTimeout))
+		}
+		payload, err := in.Next()
 		if err != nil {
 			return received
 		}
-		f, err := decodeFrame(payload)
+		f, err := decodeInterned(payload, topics)
 		if err != nil {
 			return received
 		}
 		received = true
 		switch f.Op {
 		case rRecord:
-			if err := fl.Append(broker.ReplRecord{LSN: f.LSN, Topic: f.Topic, Payload: f.Payload}); err != nil {
-				n.logf("replica %s: applying lsn %d: %v", n.cfg.ID, f.LSN, err)
-				return received
-			}
-			n.count("replica.records_applied")
-			if err := n.writeConnFrame(conn, frame{Op: rAck, LSN: f.LSN}); err != nil {
-				return received
-			}
+			run = append(run, broker.ReplRecord{LSN: f.LSN, Topic: f.Topic, Payload: f.Payload})
 		case rSnapEnd:
-			// Ack the boundary so an empty snapshot still counts us in.
-			if err := n.writeConnFrame(conn, frame{Op: rAck, LSN: f.LSN}); err != nil {
-				return received
-			}
+			ackDue = true
 		case rHeart:
 			n.mu.Lock()
 			stale := f.Term < n.term
@@ -610,11 +670,30 @@ func (n *Node) streamFrom(conn net.Conn, br *bufio.Reader, leaderID string) bool
 			if stale {
 				return received // a higher term exists; abandon this leader
 			}
-		case rNotLeader:
-			return received
-		default:
+		default: // rNotLeader included
 			return received
 		}
+		if !in.Drained() && len(run) < maxApplyRun {
+			continue
+		}
+		flushed, err := fl.AppendBatch(run)
+		if err != nil {
+			n.logf("replica %s: applying %d records: %v", n.cfg.ID, len(run), err)
+			return received
+		}
+		n.recordsApplied.Add(int64(len(run)))
+		if flushed > acked || ackDue {
+			if n.ackHook != nil && !n.ackHook(flushed, fl.FlushedLSN()) {
+				return received
+			}
+			if err := out.Send(encodeFrame(frame{Op: rAck, LSN: flushed})); err != nil {
+				return received
+			}
+			n.recordsPerAck.Observe(int64(len(run)))
+			acked, ackDue = flushed, false
+		}
+		clear(run) // drop the payload references
+		run = run[:0]
 	}
 }
 
@@ -742,6 +821,7 @@ func (n *Node) runLeader() {
 	b.SetCommitGate(n.commitGate)
 	n.mu.Lock()
 	n.b = b
+	n.commitLSN = 0 // acks of an earlier reign say nothing about this log
 	n.mu.Unlock()
 	n.srv.SetBroker(b)
 	n.count("replica.promotions")
@@ -776,48 +856,91 @@ func (n *Node) runLeader() {
 	n.mu.Unlock()
 }
 
-// commitGate is installed on the leader's publish path: wait until
-// quorum-1 distinct followers ack the LSN (the leader itself is the
-// quorum's first member).
+// commitGate is installed on the leader's publish path: wait until the
+// commit LSN covers lsn, i.e. until quorum-1 distinct followers have
+// flushed it (the leader itself, which flushed before streaming, is the
+// quorum's first member). Waiters are woken when the commit LSN
+// advances, when leadership or the node ends, and by their own deadline
+// or context — not by every ack.
 func (n *Node) commitGate(ctx context.Context, lsn uint64) error {
-	need := n.cfg.Quorum - 1
-	if need <= 0 {
+	if n.cfg.Quorum <= 1 {
 		return nil
 	}
-	deadline := time.Now().Add(n.cfg.AckTimeout)
-	timer := time.AfterFunc(n.cfg.AckTimeout, n.ackCond.Broadcast)
-	defer timer.Stop()
-	stop := context.AfterFunc(ctx, n.ackCond.Broadcast)
-	defer stop()
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if done, err := n.committedLocked(lsn); done {
+		return err
+	}
+	wake := func() {
+		n.mu.Lock() // a waiter between its check and its Wait holds mu
+		n.commitCond.Broadcast()
+		n.mu.Unlock()
+	}
+	deadline := time.Now().Add(n.cfg.AckTimeout)
+	timer := time.AfterFunc(n.cfg.AckTimeout, wake)
+	defer timer.Stop()
+	stop := context.AfterFunc(ctx, wake)
+	defer stop()
 	for {
-		if n.stopped || n.roleVal != Leader {
-			return broker.ErrNotLeader
-		}
-		if n.ackedLocked(lsn) >= need {
-			return nil
+		n.commitCond.Wait()
+		if done, err := n.committedLocked(lsn); done {
+			return err
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if time.Now().After(deadline) {
+		if !time.Now().Before(deadline) {
 			n.count("replica.quorum_timeouts")
 			return fmt.Errorf("replica: no quorum for lsn %d within %v", lsn, n.cfg.AckTimeout)
 		}
-		n.ackCond.Wait()
 	}
 }
 
-// ackedLocked counts distinct follower IDs whose ack covers lsn.
-func (n *Node) ackedLocked(lsn uint64) int {
-	seen := make(map[string]struct{})
-	for fs := range n.followers {
-		if fs.acked >= lsn {
-			seen[fs.id] = struct{}{}
-		}
+// committedLocked reports whether a wait for lsn is over: committed, or
+// failed because this node no longer leads.
+func (n *Node) committedLocked(lsn uint64) (bool, error) {
+	if n.stopped || n.roleVal != Leader {
+		return true, broker.ErrNotLeader
 	}
-	return len(seen)
+	return n.commitLSN >= lsn, nil
+}
+
+// ackLocked folds one follower ack into the session's high-water mark
+// and recomputes the commit LSN: the (quorum-1)-th highest ack over the
+// distinct follower ids of this reign, a follower with several sessions
+// (it reconnected before the old one was reaped) counting once, at its
+// best. The result never decreases: a follower that leaves takes
+// nothing back, its flushed records stay flushed.
+func (n *Node) ackLocked(fs *followerState, lsn uint64) {
+	if lsn <= fs.acked {
+		return
+	}
+	fs.acked = lsn
+	acks := n.ackScratch[:0]
+next:
+	for s := range n.followers {
+		if s.term != n.leaderTerm {
+			continue
+		}
+		for i := range acks {
+			if acks[i].id == s.id {
+				acks[i].lsn = max(acks[i].lsn, s.acked)
+				continue next
+			}
+		}
+		acks = append(acks, idAck{s.id, s.acked})
+	}
+	n.ackScratch = acks
+	need := n.cfg.Quorum - 1
+	if need < 1 || len(acks) < need {
+		return
+	}
+	slices.SortFunc(acks, func(a, b idAck) int { return cmp.Compare(b.lsn, a.lsn) }) // descending
+	if c := acks[need-1].lsn; c > n.commitLSN {
+		n.commitLSN = c
+		n.commitGauge.Set(int64(c))
+		n.commitCond.Broadcast()
+	}
 }
 
 // --- replication listener ---
@@ -841,8 +964,9 @@ func (n *Node) acceptLoop() {
 }
 
 func (n *Node) handleRepl(conn net.Conn) {
+	in := wire.NewFrameReader(conn)
 	conn.SetReadDeadline(time.Now().Add(2 * n.cfg.LeaseTimeout))
-	payload, err := wire.ReadFrame(conn)
+	payload, err := in.Next()
 	if err != nil {
 		n.dropConn(conn)
 		return
@@ -859,7 +983,7 @@ func (n *Node) handleRepl(conn net.Conn) {
 		_ = n.writeConnFrame(conn, frame{Op: rVoteResp, Term: term, Granted: granted})
 		n.dropConn(conn)
 	case rJoin:
-		n.serveFollower(conn, f)
+		n.serveFollower(conn, in, f)
 	default:
 		n.dropConn(conn)
 	}
@@ -885,8 +1009,11 @@ func (n *Node) onVoteRequest(f frame) (uint64, bool) {
 
 // serveFollower runs one leader-side replication session: welcome,
 // snapshot, then live stream with heartbeats, while a reader goroutine
-// folds the follower's acks into the quorum count.
-func (n *Node) serveFollower(conn net.Conn, join frame) {
+// folds the follower's acks into the commit LSN. Whatever the journal
+// tap holds when the session wakes goes out in one socket write (the
+// frame writer cuts in at 64 KiB), so a PublishBatch's records reach the
+// follower in one read.
+func (n *Node) serveFollower(conn net.Conn, in *wire.FrameReader, join frame) {
 	n.mu.Lock()
 	if join.Term > n.term {
 		n.bumpTermLocked(join.Term)
@@ -906,7 +1033,7 @@ func (n *Node) serveFollower(conn net.Conn, join frame) {
 		return
 	}
 	defer cancel()
-	fs := &followerState{id: join.ID}
+	fs := &followerState{id: join.ID, term: term}
 	n.mu.Lock()
 	n.followers[fs] = struct{}{}
 	n.mu.Unlock()
@@ -914,10 +1041,10 @@ func (n *Node) serveFollower(conn net.Conn, join frame) {
 		n.mu.Lock()
 		delete(n.followers, fs)
 		n.mu.Unlock()
-		n.ackCond.Broadcast()
 		n.dropConn(conn)
 	}()
-	if err := n.writeConnFrame(conn, frame{Op: rWelcome, Term: term, ID: n.cfg.ID}); err != nil {
+	out := wire.NewFrameWriter(conn, 2*n.cfg.LeaseTimeout, n.cfg.Metrics)
+	if err := out.Send(encodeFrame(frame{Op: rWelcome, Term: term, ID: n.cfg.ID})); err != nil {
 		return
 	}
 	n.logf("replica %s: follower %s joined term %d; snapshotting %d records",
@@ -926,9 +1053,8 @@ func (n *Node) serveFollower(conn net.Conn, join frame) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		br := bufio.NewReader(conn)
 		for {
-			payload, err := wire.ReadFrame(br)
+			payload, err := in.Next()
 			if err != nil {
 				conn.Close()
 				return
@@ -939,25 +1065,27 @@ func (n *Node) serveFollower(conn net.Conn, join frame) {
 				return
 			}
 			n.mu.Lock()
-			if f.LSN > fs.acked {
-				fs.acked = f.LSN
-			}
+			n.ackLocked(fs, f.LSN)
 			n.mu.Unlock()
-			n.ackCond.Broadcast()
 		}
 	}()
 
-	var snapMax uint64
-	for _, rec := range snap {
-		if rec.LSN > snapMax {
-			snapMax = rec.LSN
-		}
-		if err := n.writeConnFrame(conn, frame{Op: rRecord, LSN: rec.LSN, Topic: rec.Topic, Payload: rec.Payload}); err != nil {
+	var (
+		scratch []byte // reused: Append copies
+		snapMax uint64
+	)
+	record := func(rec *broker.ReplRecord) error {
+		scratch = appendFrame(scratch[:0], frame{Op: rRecord, LSN: rec.LSN, Topic: rec.Topic, Payload: rec.Payload})
+		n.recordsStreamed.Inc()
+		return out.Append(scratch)
+	}
+	for i := range snap {
+		snapMax = max(snapMax, snap[i].LSN)
+		if err := record(&snap[i]); err != nil {
 			return
 		}
-		n.count("replica.records_streamed")
 	}
-	if err := n.writeConnFrame(conn, frame{Op: rSnapEnd, LSN: snapMax}); err != nil {
+	if err := out.Send(encodeFrame(frame{Op: rSnapEnd, LSN: snapMax})); err != nil {
 		return
 	}
 	ticker := time.NewTicker(n.cfg.HeartbeatInterval)
@@ -965,16 +1093,26 @@ func (n *Node) serveFollower(conn net.Conn, join frame) {
 	for {
 		select {
 		case rec, open := <-tap:
-			if !open {
-				// The follower fell too far behind the tap; drop the
-				// session so it reconnects and takes a fresh snapshot.
-				n.logf("replica %s: follower %s overran the stream buffer", n.cfg.ID, join.ID)
+		drain:
+			for {
+				if !open {
+					// The follower fell too far behind the tap; drop the
+					// session so it reconnects and takes a fresh snapshot.
+					n.logf("replica %s: follower %s overran the stream buffer", n.cfg.ID, join.ID)
+					return
+				}
+				if err := record(&rec); err != nil {
+					return
+				}
+				select {
+				case rec, open = <-tap:
+				default:
+					break drain // nothing more queued: one write for the lot
+				}
+			}
+			if err := out.Flush(); err != nil {
 				return
 			}
-			if err := n.writeConnFrame(conn, frame{Op: rRecord, LSN: rec.LSN, Topic: rec.Topic, Payload: rec.Payload}); err != nil {
-				return
-			}
-			n.count("replica.records_streamed")
 		case <-ticker.C:
 			n.mu.Lock()
 			still := !n.stopped && n.roleVal == Leader && n.term == term
@@ -982,7 +1120,7 @@ func (n *Node) serveFollower(conn net.Conn, join frame) {
 			if !still {
 				return
 			}
-			if err := n.writeConnFrame(conn, frame{Op: rHeart, Term: term, LSN: b.LastLSN()}); err != nil {
+			if err := out.Send(encodeFrame(frame{Op: rHeart, Term: term, LSN: b.LastLSN()})); err != nil {
 				return
 			}
 		case <-n.stopCh:

@@ -45,7 +45,23 @@ func fastConfig(t *testing.T, id, dir string, peers map[string]string, quorum in
 }
 
 // startCluster brings up size nodes with pre-agreed replication addrs.
+// Every node checks, at every ack it sends as a follower, that the ack
+// does not run ahead of what its log has flushed.
 func startCluster(t *testing.T, size, quorum int) []*Node {
+	t.Helper()
+	return startClusterWith(t, size, quorum, func(n *Node) {
+		n.ackHook = func(acked, flushed uint64) bool {
+			if acked > flushed {
+				t.Errorf("follower %s acks lsn %d with only %d flushed", n.ID(), acked, flushed)
+			}
+			return true
+		}
+	})
+}
+
+// startClusterWith is startCluster with prepare applied to each node
+// before it starts (the place to install test hooks).
+func startClusterWith(t *testing.T, size, quorum int, prepare func(*Node)) []*Node {
 	t.Helper()
 	peers := make(map[string]string, size)
 	ids := make([]string, 0, size)
@@ -60,6 +76,7 @@ func startCluster(t *testing.T, size, quorum int) []*Node {
 		if err != nil {
 			t.Fatal(err)
 		}
+		prepare(n)
 		if err := n.Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -53,12 +53,41 @@ var segCRC = crc32.MakeTable(crc32.Castagnoli)
 // segLog is one topic's segmented log. Not safe for concurrent use;
 // the owning journal serializes access.
 type segLog struct {
-	dir  string
-	max  int64
-	ids  []uint64 // sorted first-LSN segment ids, including the active one
-	f    *os.File // active segment, nil until the first append
-	w    *bufio.Writer
-	size int64
+	dir   string
+	max   int64
+	ids   []uint64 // sorted first-LSN segment ids, including the active one
+	f     *os.File // active segment, nil until the first append
+	w     *bufio.Writer
+	size  int64
+	dirty bool                            // listed in the owner's dirtyLogs
+	hdr   [8 + binary.MaxVarintLen64]byte // append's scratch: a local would escape through w
+}
+
+// dirtyLogs lists the logs holding appended but unflushed records, so
+// that the owner of many logs ends a batch of appends with one write
+// per touched segment.
+type dirtyLogs []*segLog
+
+func (d *dirtyLogs) add(l *segLog) {
+	if !l.dirty {
+		l.dirty = true
+		*d = append(*d, l)
+	}
+}
+
+// flush hands every listed log's buffered records to the OS and empties
+// the list, returning the first error.
+func (d *dirtyLogs) flush() error {
+	var first error
+	for i, l := range *d {
+		if err := l.flush(); err != nil && first == nil {
+			first = err
+		}
+		l.dirty = false
+		(*d)[i] = nil
+	}
+	*d = (*d)[:0]
+	return first
 }
 
 // openSegLog scans dir (creating it) for existing segment files. It
@@ -94,16 +123,18 @@ func (l *segLog) segPath(id uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("%020d%s", id, segSuffix))
 }
 
-// append frames one record into the active segment, rolling over to a
-// new segment (named by this record's LSN) when the active one has
-// reached the size bound. It returns the id of the segment the record
-// landed in. The write is flushed to the OS before returning, matching
-// the old journal's flush-per-record durability.
+// append frames one record into the active segment's write buffer,
+// rolling over to a new segment (named by this record's LSN) when the
+// active one has reached the size bound. It returns the id of the
+// segment the record landed in. The record reaches the OS only at the
+// next flush: the owner appends a whole batch, flushes once, and
+// treats nothing as durable (acknowledged, offered to replicas) before
+// that flush returned.
 func (l *segLog) append(lsn uint64, rec []byte) (uint64, error) {
 	if l.f != nil && l.size >= l.max {
-		l.w.Flush()
-		l.f.Close()
-		l.f, l.w = nil, nil
+		if err := l.close(); err != nil {
+			return 0, err
+		}
 	}
 	if l.f == nil {
 		f, err := os.OpenFile(l.segPath(lsn), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
@@ -115,18 +146,25 @@ func (l *segLog) append(lsn uint64, rec []byte) (uint64, error) {
 		l.size = 0
 		l.ids = append(l.ids, lsn)
 	}
-	payload := binary.AppendUvarint(nil, lsn)
-	payload = append(payload, rec...)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, segCRC))
-	l.w.Write(hdr[:])
-	l.w.Write(payload)
-	if err := l.w.Flush(); err != nil {
-		return 0, err
+	hdr := &l.hdr
+	k := binary.PutUvarint(hdr[8:], lsn)
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(k+len(rec)))
+	crc := crc32.Update(crc32.Update(0, segCRC, hdr[8:8+k]), segCRC, rec)
+	binary.LittleEndian.PutUint32(hdr[4:8], crc)
+	l.w.Write(hdr[:8+k])
+	if _, err := l.w.Write(rec); err != nil {
+		return 0, err // bufio errors are sticky: this covers the header too
 	}
-	l.size += int64(len(hdr) + len(payload))
+	l.size += int64(8 + k + len(rec))
 	return l.activeID(), nil
+}
+
+// flush hands the buffered records to the OS.
+func (l *segLog) flush() error {
+	if l.w == nil {
+		return nil // closed (and flushed) since it was appended to
+	}
+	return l.w.Flush()
 }
 
 // activeID is the id of the segment currently being appended to; zero
@@ -217,8 +255,10 @@ func (l *segLog) close() error {
 	if l.f == nil {
 		return nil
 	}
-	l.w.Flush()
-	err := l.f.Close()
+	err := l.flush()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
 	l.f, l.w = nil, nil
 	return err
 }
@@ -227,18 +267,23 @@ func (l *segLog) close() error {
 // names are dot-separated identifiers in practice; the escape keeps
 // pathological names from escaping the topics directory.
 func topicDirName(queue string) string {
+	safe := func(r rune) bool {
+		return r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' ||
+			r == '.' || r == '-' || r == '_'
+	}
+	if queue == "" {
+		return "%empty"
+	}
+	if strings.IndexFunc(queue, func(r rune) bool { return !safe(r) }) < 0 {
+		return queue // the usual case, on the path of every replicated record
+	}
 	var sb strings.Builder
 	for _, r := range queue {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '-', r == '_':
+		if safe(r) {
 			sb.WriteRune(r)
-		default:
+		} else {
 			fmt.Fprintf(&sb, "%%%04x", r)
 		}
-	}
-	if sb.Len() == 0 {
-		return "%empty"
 	}
 	return sb.String()
 }
@@ -321,7 +366,7 @@ func recMessageID(rec []byte) (typ byte, id uint64, ok bool) {
 		return typ, 0, false
 	}
 	rd := &reader{buf: rec[1:]}
-	rd.string() // queue name
+	rd.field() // queue name
 	id = rd.uvarint()
 	return typ, id, rd.err == nil
 }

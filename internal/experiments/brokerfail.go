@@ -10,6 +10,7 @@ import (
 
 	"bistream/internal/broker"
 	"bistream/internal/broker/replica"
+	"bistream/internal/metrics"
 	"bistream/internal/wire"
 )
 
@@ -73,11 +74,16 @@ type BrokerFailResult struct {
 	// PostFailoverReady is the queue depth on the promoted leader after
 	// the run — evidence the replicated log carried the traffic across.
 	PostFailoverReady int
+	// FramesPerWrite and RecordsPerAck are the replicated phase's
+	// group-commit factors, over the client, the group's servers and
+	// the replication streams together: frames carried per socket
+	// write, and journal records covered per follower ack.
+	FramesPerWrite, RecordsPerAck float64
 }
 
 // startReplicaGroup brings up size nodes with distinct on-disk dirs and
 // returns them with their client addresses. Callers own Kill.
-func startReplicaGroup(cfg BrokerFailConfig, size, quorum int) ([]*replica.Node, []string, error) {
+func startReplicaGroup(cfg BrokerFailConfig, size, quorum int, reg *metrics.Registry) ([]*replica.Node, []string, error) {
 	peers := make(map[string]string, size)
 	ids := make([]string, 0, size)
 	for i := 0; i < size; i++ {
@@ -108,6 +114,7 @@ func startReplicaGroup(cfg BrokerFailConfig, size, quorum int) ([]*replica.Node,
 			HeartbeatInterval: cfg.HeartbeatInterval,
 			LeaseTimeout:      cfg.LeaseTimeout,
 			Seed:              cfg.Seed*100 + int64(i+1),
+			Metrics:           reg,
 		})
 		if err != nil {
 			return nil, nil, err
@@ -170,7 +177,7 @@ func RunBrokerFail(cfg BrokerFailConfig) (*BrokerFailResult, error) {
 	res := &BrokerFailResult{}
 
 	// Phase 1: solo baseline — one node, quorum 1, no replication.
-	solo, soloAddrs, err := startReplicaGroup(cfg, 1, 1)
+	solo, soloAddrs, err := startReplicaGroup(cfg, 1, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +198,8 @@ func RunBrokerFail(cfg BrokerFailConfig) (*BrokerFailResult, error) {
 	}
 
 	// Phase 2: replicated throughput — every publish gated on quorum.
-	nodes, addrs, err := startReplicaGroup(cfg, cfg.Nodes, cfg.Quorum)
+	reg := metrics.NewRegistry() // shared by the group and its client
+	nodes, addrs, err := startReplicaGroup(cfg, cfg.Nodes, cfg.Quorum, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -205,6 +213,7 @@ func RunBrokerFail(cfg BrokerFailConfig) (*BrokerFailResult, error) {
 		InitialBackoff: 5 * time.Millisecond,
 		MaxBackoff:     50 * time.Millisecond,
 		Seed:           cfg.Seed,
+		Metrics:        reg,
 	})
 	if err != nil {
 		return nil, err
@@ -219,6 +228,10 @@ func RunBrokerFail(cfg BrokerFailConfig) (*BrokerFailResult, error) {
 	if res.ReplMsgsPerSec > 0 {
 		res.ReplicationCost = res.SoloMsgsPerSec / res.ReplMsgsPerSec
 	}
+	if writes := reg.Counter("wire.writes_out").Value(); writes > 0 {
+		res.FramesPerWrite = float64(reg.Counter("wire.frames_out").Value()) / float64(writes)
+	}
+	res.RecordsPerAck = reg.Histogram("replica.records_per_ack").Mean()
 
 	// Phase 3: cold-kill the leader mid-traffic and time the outage as
 	// the client sees it — detection, election, re-probe, first ack.
@@ -279,6 +292,8 @@ func FormatBrokerFail(res *BrokerFailResult, cfg BrokerFailConfig) string {
 	fmt.Fprintf(&b, "publish throughput, %d-node group at quorum %d:    %.0f msgs/s\n",
 		cfg.Nodes, cfg.Quorum, res.ReplMsgsPerSec)
 	fmt.Fprintf(&b, "replication cost factor:                          %.2fx\n", res.ReplicationCost)
+	fmt.Fprintf(&b, "group commit: frames per socket write %.2f, journal records per follower ack %.2f\n",
+		res.FramesPerWrite, res.RecordsPerAck)
 	fmt.Fprintf(&b, "leader %s cold-killed; %s promoted (term %d)\n",
 		res.KilledID, res.PromotedID, res.PromotedTerm)
 	fmt.Fprintf(&b, "client-observed failover pause:                   %.1f ms\n", res.FailoverPauseMS)

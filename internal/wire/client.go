@@ -1,11 +1,14 @@
 package wire
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,8 +81,9 @@ type Config struct {
 //
 // With Config.Reconnect the client owns the connection lifecycle: see
 // Config. Deliveries received over a connection that subsequently died
-// are dropped from consumer buffers (the server requeued them), and
-// settling one that was already handed out fails with ErrStaleDelivery.
+// are dropped from the consumers' backlogs (the server requeued them),
+// and settling one that had already been handed to the delivery channel
+// fails with ErrStaleDelivery without reaching the server.
 type Client struct {
 	cfg Config
 	gen atomic.Uint64 // connection generation, bumped per (re)connect
@@ -88,13 +92,14 @@ type Client struct {
 	disconnects       *metrics.Counter
 	heartbeatTimeouts *metrics.Counter
 
-	writeMu sync.Mutex // serializes frames onto the socket
+	lastRead atomic.Int64      // UnixNano of the last frame; kept for the heartbeat
+	names    map[string]string // read loop only: interned queue, exchange and key names
 
 	mu        sync.Mutex
-	conn      net.Conn // nil while disconnected
-	addrIdx   int      // index into cfg.Addrs of the live/last address
+	conn      net.Conn     // nil while disconnected
+	out       *FrameWriter // conn's writer: concurrent requests share socket writes
+	addrIdx   int          // index into cfg.Addrs of the live/last address
 	rng       *rand.Rand
-	lastRead  time.Time
 	nextReq   uint64
 	nextCons  uint64
 	pending   map[uint64]chan response
@@ -116,9 +121,10 @@ type topoRecord struct {
 }
 
 type response struct {
-	err   error
-	stats broker.QueueStats
-	kind  byte
+	err       error
+	stats     broker.QueueStats
+	published int // opPublishReply: the published prefix
+	kind      byte
 }
 
 // Dial connects to a brokerd at addr with the legacy single-connection
@@ -132,41 +138,8 @@ func Dial(addr string) (*Client, error) {
 // daemon supervised by Connect simply waits for its broker to come up;
 // without Reconnect it makes exactly one attempt.
 func Connect(cfg Config) (*Client, error) {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.InitialBackoff <= 0 {
-		cfg.InitialBackoff = 50 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 5 * time.Second
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	if len(cfg.Addrs) == 0 {
-		cfg.Addrs = []string{cfg.Addr}
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	c := &Client{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(seed)),
-		pending:   make(map[uint64]chan response),
-		consumers: make(map[uint64]*remoteConsumer),
-		closeCh:   make(chan struct{}),
-	}
-	if cfg.Metrics != nil {
-		c.connects = cfg.Metrics.Counter("wire.connects")
-		c.disconnects = cfg.Metrics.Counter("wire.disconnects")
-		c.heartbeatTimeouts = cfg.Metrics.Counter("wire.heartbeat_timeouts")
-	} else {
-		c.connects = &metrics.Counter{}
-		c.disconnects = &metrics.Counter{}
-		c.heartbeatTimeouts = &metrics.Counter{}
-	}
+	c := newClient(cfg)
+	cfg = c.cfg
 	backoff := cfg.InitialBackoff
 	for {
 		conn, err := c.dialAny()
@@ -189,6 +162,48 @@ func Connect(cfg Config) (*Client, error) {
 		go c.heartbeatLoop()
 	}
 	return c, nil
+}
+
+// newClient fills cfg's defaults and returns a client with no
+// connection yet; Connect dials and installs one.
+func newClient(cfg Config) *Client {
+	if cfg.DialTimeout <= 0 {
+		cfg.DialTimeout = 2 * time.Second
+	}
+	if cfg.InitialBackoff <= 0 {
+		cfg.InitialBackoff = 50 * time.Millisecond
+	}
+	if cfg.MaxBackoff <= 0 {
+		cfg.MaxBackoff = 5 * time.Second
+	}
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
+	if len(cfg.Addrs) == 0 {
+		cfg.Addrs = []string{cfg.Addr}
+	}
+	seed := cfg.Seed
+	if seed == 0 {
+		seed = time.Now().UnixNano()
+	}
+	c := &Client{
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(seed)),
+		names:     make(map[string]string),
+		pending:   make(map[uint64]chan response),
+		consumers: make(map[uint64]*remoteConsumer),
+		closeCh:   make(chan struct{}),
+	}
+	if cfg.Metrics != nil {
+		c.connects = cfg.Metrics.Counter("wire.connects")
+		c.disconnects = cfg.Metrics.Counter("wire.disconnects")
+		c.heartbeatTimeouts = cfg.Metrics.Counter("wire.heartbeat_timeouts")
+	} else {
+		c.connects = &metrics.Counter{}
+		c.disconnects = &metrics.Counter{}
+		c.heartbeatTimeouts = &metrics.Counter{}
+	}
+	return c
 }
 
 // addrsLabel names the broker set for log lines.
@@ -251,14 +266,14 @@ func probeLeader(conn net.Conn, timeout time.Duration) error {
 	payload = binary.LittleEndian.AppendUint64(payload, 0)
 	conn.SetDeadline(time.Now().Add(timeout))
 	defer conn.SetDeadline(time.Time{})
-	if err := writeFrame(conn, payload); err != nil {
+	if err := WriteFrame(conn, payload); err != nil {
 		return err
 	}
-	frame, err := readFrame(conn)
+	frame, err := ReadFrame(conn)
 	if err != nil {
 		return err
 	}
-	if frame[0] != opReply { // readFrame never returns an empty frame
+	if frame[0] != opReply { // ReadFrame never returns an empty frame
 		return fmt.Errorf("wire: unexpected probe reply opcode %d", frame[0])
 	}
 	r := &reader{buf: frame[1:]}
@@ -289,9 +304,10 @@ func minDuration(a, b time.Duration) time.Duration {
 // install makes conn the live connection and starts its read loop.
 func (c *Client) install(conn net.Conn) {
 	gen := c.gen.Add(1)
+	c.lastRead.Store(time.Now().UnixNano())
 	c.mu.Lock()
 	c.conn = conn
-	c.lastRead = time.Now()
+	c.out = NewFrameWriter(conn, 0, c.cfg.Metrics)
 	cons := make([]*remoteConsumer, 0, len(c.consumers))
 	for _, rc := range c.consumers {
 		cons = append(cons, rc)
@@ -337,16 +353,17 @@ func (c *Client) Connected() bool {
 }
 
 func (c *Client) readLoop(conn net.Conn, gen uint64) {
+	in := NewFrameReader(conn)
 	var err error
 	for {
 		var frame []byte
-		frame, err = readFrame(conn)
+		frame, err = in.Next()
 		if err != nil {
 			break
 		}
-		c.mu.Lock()
-		c.lastRead = time.Now()
-		c.mu.Unlock()
+		if c.cfg.Heartbeat > 0 {
+			c.lastRead.Store(time.Now().UnixNano())
+		}
 		if err = c.dispatch(frame); err != nil {
 			break
 		}
@@ -366,7 +383,7 @@ func (c *Client) connLost(conn net.Conn, gen uint64, cause error) {
 		c.mu.Unlock()
 		return
 	}
-	c.conn = nil
+	c.conn, c.out = nil, nil
 	closed := c.closed
 	reconnect := c.cfg.Reconnect && !closed
 	pend := c.pending
@@ -475,8 +492,8 @@ func (c *Client) heartbeatLoop() {
 		}
 		c.mu.Lock()
 		conn := c.conn
-		idle := time.Since(c.lastRead)
 		c.mu.Unlock()
+		idle := time.Since(time.Unix(0, c.lastRead.Load()))
 		if conn == nil {
 			continue
 		}
@@ -503,7 +520,7 @@ func (c *Client) dispatch(frame []byte) error {
 		return fmt.Errorf("wire: empty frame")
 	}
 	op := frame[0]
-	r := &reader{buf: frame[1:]}
+	r := &reader{buf: frame[1:], names: c.names}
 	switch op {
 	case opReply:
 		reqID := r.uint64()
@@ -512,6 +529,17 @@ func (c *Client) dispatch(frame []byte) error {
 			return r.err
 		}
 		c.complete(reqID, response{kind: opReply, err: remoteError(msg)})
+	case opPublishReply:
+		reqID := r.uint64()
+		published := r.uvarint()
+		msg := r.string()
+		if r.err != nil {
+			return r.err
+		}
+		if published > math.MaxInt32 {
+			return fmt.Errorf("wire: published count %d out of range", published)
+		}
+		c.complete(reqID, response{kind: opPublishReply, err: remoteError(msg), published: int(published)})
 	case opConsumeOK:
 		reqID := r.uint64()
 		if r.err != nil {
@@ -530,9 +558,9 @@ func (c *Client) dispatch(frame []byte) error {
 		id := r.uint64()
 		tag := r.uint64()
 		redelivered := r.bool()
-		queue := r.string()
-		exchange := r.string()
-		key := r.string()
+		queue := r.name()
+		exchange := r.name()
+		key := r.name()
 		headers := r.headers()
 		body := r.bytes()
 		if r.err != nil {
@@ -609,6 +637,9 @@ func remoteError(msg string) error {
 // With no live connection it fails fast with ErrConnLost instead of
 // hanging; the pending entry is registered while holding the lock that
 // connLost drains under, so the response channel is always completed.
+// Requests of concurrent callers leave in whatever socket write is next
+// (see FrameWriter); a failed write closes the connection, which fails
+// every pending call through connLost.
 func (c *Client) call(payload []byte, reqID uint64) (response, error) {
 	ch := make(chan response, 1)
 	c.mu.Lock()
@@ -616,22 +647,23 @@ func (c *Client) call(payload []byte, reqID uint64) (response, error) {
 		c.mu.Unlock()
 		return response{}, ErrClientClosed
 	}
-	conn := c.conn
-	if conn == nil {
+	out := c.out
+	if out == nil {
 		c.mu.Unlock()
 		return response{}, ErrConnLost
 	}
 	c.pending[reqID] = ch
 	c.mu.Unlock()
 
-	c.writeMu.Lock()
-	err := writeFrame(conn, payload)
-	c.writeMu.Unlock()
-	if err != nil {
+	if err := out.Send(payload); err != nil {
 		c.mu.Lock()
+		_, mine := c.pending[reqID]
 		delete(c.pending, reqID)
 		c.mu.Unlock()
-		return response{}, fmt.Errorf("%w: %v", ErrConnLost, err)
+		if mine {
+			return response{}, fmt.Errorf("%w: %v", ErrConnLost, err)
+		}
+		// connLost got there first and is completing ch.
 	}
 	return <-ch, nil
 }
@@ -641,7 +673,9 @@ func (c *Client) newRequest(op byte) ([]byte, uint64) {
 	c.nextReq++
 	id := c.nextReq
 	c.mu.Unlock()
-	payload := []byte{op}
+	// Room for the small requests outright; the batch encoders grow it
+	// once, to their own estimate.
+	payload := append(make([]byte, 0, 64), op)
 	payload = binary.LittleEndian.AppendUint64(payload, id)
 	return payload, id
 }
@@ -742,12 +776,57 @@ func (c *Client) bind(queue, exchange, routingKey string, remember bool) error {
 // acknowledges routing, so broker backpressure propagates to the remote
 // producer.
 func (c *Client) Publish(exchange, routingKey string, headers map[string]string, body []byte) error {
-	payload, id := c.newRequest(opPublish)
-	payload = appendString(payload, exchange)
-	payload = appendString(payload, routingKey)
-	payload = appendHeaders(payload, headers)
-	payload = appendBytes(payload, body)
-	return c.simpleCall(payload, id)
+	return c.PublishContext(context.Background(), exchange, routingKey, headers, body)
+}
+
+// PublishContext implements broker.ContextPublisher as a one-element
+// PublishBatch; see there for how far cancellation reaches.
+func (c *Client) PublishContext(ctx context.Context, exchange, routingKey string, headers map[string]string, body []byte) error {
+	pubs := [1]broker.Publication{{Exchange: exchange, RoutingKey: routingKey, Headers: headers, Body: body}}
+	_, err := c.PublishBatch(ctx, pubs[:])
+	return err
+}
+
+// maxBatchBytes caps the publication bytes of one opPublishBatch frame,
+// far below maxFrame; a larger batch travels as several frames, each
+// awaited before the next is sent.
+const maxBatchBytes = 1 << 20
+
+// PublishBatch implements broker.BatchPublisher: the batch travels as
+// one frame and costs one round trip, and the reply carries
+// broker.PublishBatch's own answer — the published prefix and the error
+// that stopped it, zero when the server's commit gate failed. A lost
+// connection reports zero as well: nothing of the frame is confirmed.
+//
+// ctx is honoured until a frame is handed to the connection. After that
+// the answer is the server's: abandoning a request already sent would
+// report "not published" for messages that may well be, and the server
+// cannot be told to stop.
+func (c *Client) PublishBatch(ctx context.Context, pubs []broker.Publication) (int, error) {
+	done := 0
+	for done < len(pubs) {
+		if err := ctx.Err(); err != nil {
+			return done, err
+		}
+		n, size := 0, 0
+		for n == 0 || (done+n < len(pubs) && size < maxBatchBytes) {
+			p := &pubs[done+n]
+			size += len(p.Exchange) + len(p.RoutingKey) + len(p.Body) + 8
+			n++
+		}
+		payload, id := c.newRequest(opPublishBatch)
+		payload = slices.Grow(payload, size+binary.MaxVarintLen32)
+		payload = appendPublications(payload, pubs[done:done+n])
+		resp, err := c.call(payload, id)
+		if err != nil {
+			return done, err
+		}
+		done += min(resp.published, n)
+		if resp.err != nil || resp.published < n {
+			return done, resp.err
+		}
+	}
+	return done, nil
 }
 
 // Consume implements broker.Client.
@@ -807,7 +886,11 @@ func (c *Client) QueueStats(queue string) (broker.QueueStats, error) {
 // remoteConsumer buffers deliveries without bound between the read loop
 // and the application, so a slow application can never stall the
 // client's read loop (which also carries request replies). The server
-// side enforces prefetch, keeping the buffer small in practice.
+// side enforces prefetch, keeping the buffer small in practice. The
+// delivery channel itself holds up to prefetch deliveries, as the
+// in-process consumer's does: a batching consumer (broker.Drain) finds
+// everything that has arrived, not just the one delivery the forwarder
+// had in hand.
 type remoteConsumer struct {
 	c        *Client
 	id       uint64
@@ -837,7 +920,7 @@ func newRemoteConsumer(c *Client, id uint64, queue string, prefetch int, autoAck
 		queue:    queue,
 		prefetch: prefetch,
 		autoAck:  autoAck,
-		ch:       make(chan broker.Delivery),
+		ch:       make(chan broker.Delivery, prefetch),
 		dead:     make(chan struct{}),
 		tags:     make(map[uint64]uint64),
 		notify:   make(chan struct{}, 1),
@@ -894,6 +977,7 @@ func (rc *remoteConsumer) wake() {
 }
 
 func (rc *remoteConsumer) forward() {
+	var batch []genDelivery
 	for {
 		rc.mu.Lock()
 		if len(rc.buf) == 0 {
@@ -911,57 +995,81 @@ func (rc *remoteConsumer) forward() {
 			}
 			continue
 		}
-		gd := rc.buf[0]
-		rc.buf = rc.buf[1:]
+		batch, rc.buf = rc.buf, batch[:0]
 		rc.mu.Unlock()
-		if gd.gen < rc.c.gen.Load() {
-			continue // went stale while buffered; the server requeued it
+		for i := range batch {
+			if batch[i].gen < rc.c.gen.Load() {
+				continue // went stale while buffered; the server requeued it
+			}
+			select {
+			case rc.ch <- batch[i].d:
+			case <-rc.dead:
+				// Cancelled with an unread buffer and no reader: drop the
+				// remainder rather than leak this goroutine. The server has
+				// already settled or requeued as appropriate.
+				close(rc.ch)
+				return
+			}
 		}
-		select {
-		case rc.ch <- gd.d:
-		case <-rc.dead:
-			// Cancelled with an unread buffer and no reader: drop the
-			// remainder rather than leak this goroutine. The server has
-			// already settled or requeued as appropriate.
-			close(rc.ch)
-			return
-		}
+		clear(batch) // drop the body references
 	}
 }
 
 // Deliveries implements broker.Consumer.
 func (rc *remoteConsumer) Deliveries() <-chan broker.Delivery { return rc.ch }
 
-// settleable checks the tag belongs to the current connection,
+// settleableLocked checks the tag belongs to the current connection,
 // forgetting it either way.
-func (rc *remoteConsumer) settleable(tag uint64) error {
-	rc.mu.Lock()
+func (rc *remoteConsumer) settleableLocked(tag uint64) bool {
 	gen, ok := rc.tags[tag]
 	delete(rc.tags, tag)
-	rc.mu.Unlock()
-	if !ok || gen < rc.c.gen.Load() {
-		return ErrStaleDelivery
-	}
-	return nil
+	return ok && gen >= rc.c.gen.Load()
 }
 
-// Ack implements broker.Consumer. Acking a delivery that arrived over a
-// previous connection fails with ErrStaleDelivery: the server already
-// requeued it, and the tag may meanwhile identify a different message.
+// Ack implements broker.Consumer as a one-element AckBatch.
 func (rc *remoteConsumer) Ack(tag uint64) error {
-	if err := rc.settleable(tag); err != nil {
+	tags := [1]uint64{tag}
+	return rc.AckBatch(tags[:])
+}
+
+// AckBatch implements broker.BatchAcker: one frame, one round trip.
+// Tags of deliveries that arrived over a previous connection are never
+// sent — the server already requeued those messages, and the tag may
+// meanwhile identify a different one — and make the call report
+// ErrStaleDelivery; the rest settle regardless.
+func (rc *remoteConsumer) AckBatch(tags []uint64) error {
+	live := make([]uint64, 0, len(tags))
+	rc.mu.Lock()
+	for _, tag := range tags {
+		if rc.settleableLocked(tag) {
+			live = append(live, tag)
+		}
+	}
+	rc.mu.Unlock()
+	var stale error
+	if len(live) < len(tags) {
+		stale = ErrStaleDelivery
+	}
+	if len(live) == 0 {
+		return stale
+	}
+	payload, id := rc.c.newRequest(opAckBatch)
+	payload = slices.Grow(payload, 8+binary.MaxVarintLen32+8*len(live))
+	payload = binary.LittleEndian.AppendUint64(payload, rc.id)
+	payload = appendTags(payload, live)
+	if err := rc.c.simpleCall(payload, id); err != nil {
 		return err
 	}
-	payload, id := rc.c.newRequest(opAck)
-	payload = binary.LittleEndian.AppendUint64(payload, rc.id)
-	payload = binary.LittleEndian.AppendUint64(payload, tag)
-	return rc.c.simpleCall(payload, id)
+	return stale
 }
 
 // Nack implements broker.Consumer; see Ack for stale-delivery handling.
 func (rc *remoteConsumer) Nack(tag uint64, requeue bool) error {
-	if err := rc.settleable(tag); err != nil {
-		return err
+	rc.mu.Lock()
+	live := rc.settleableLocked(tag)
+	rc.mu.Unlock()
+	if !live {
+		return ErrStaleDelivery
 	}
 	payload, id := rc.c.newRequest(opNack)
 	payload = binary.LittleEndian.AppendUint64(payload, rc.id)

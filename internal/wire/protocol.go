@@ -9,28 +9,34 @@
 // slices are uvarint-length-prefixed. Requests carry a client-assigned
 // correlation id echoed by the matching reply. Deliveries are
 // server-initiated frames carrying the server-side consumer id.
+//
+// Every fixed cost of a hop is paid per batch already at hand, never per
+// message and never after a wait: publications and acknowledgements
+// travel N to a frame (opPublishBatch, opAckBatch; a single Publish or
+// Ack is the one-element batch), frames travel as many to a socket write
+// as were queued when the write was issued (FrameWriter), and the server
+// answers publishes out of line, so that one quorum wait covers every
+// publish journaled before it (see session.complete).
 package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"bistream/internal/broker"
 )
 
-// Opcodes. Client→server requests are even-numbered conceptually; the
-// numbering only needs to be stable, not meaningful.
+// Opcodes. The numbering only needs to be stable, not meaningful; new
+// opcodes are appended so earlier values keep theirs.
 const (
 	opDeclareExchange byte = iota + 1
 	opDeclareQueue
 	opDeleteQueue
 	opBind
-	opPublish
+	opPublish // retired (one message per frame); the number stays reserved
 	opConsume
-	opAck
+	opAck // retired (one tag per frame); the number stays reserved
 	opNack
 	opCancel
 	opQueueStats
@@ -43,59 +49,13 @@ const (
 
 	// opPing is a liveness probe: the server echoes an empty opReply.
 	// The client's heartbeat uses it to detect half-open TCP connections
-	// that deliver neither frames nor errors. Appended last so earlier
-	// opcode values stay stable.
+	// that deliver neither frames nor errors.
 	opPing
+
+	opPublishBatch // reqID, n, n × (exchange, key, headers, body)
+	opAckBatch     // reqID, consumerID, n, n × tag
+	opPublishReply // reqID, published prefix, errString
 )
-
-// maxFrame bounds a single frame; tuples are small, so anything larger
-// indicates a corrupt stream.
-const maxFrame = 16 << 20
-
-// ErrFrameTooLarge is returned when a peer announces an oversized frame.
-var ErrFrameTooLarge = errors.New("wire: frame exceeds limit")
-
-// readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return nil, fmt.Errorf("wire: empty frame")
-	}
-	if n > maxFrame {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// ReadFrame reads one length-prefixed frame. Exported for sibling
-// protocols built on the same framing (the broker replication stream).
-func ReadFrame(r io.Reader) ([]byte, error) { return readFrame(r) }
-
-// WriteFrame writes one frame; the caller must serialize writes.
-// Exported for sibling protocols built on the same framing.
-func WriteFrame(w io.Writer, payload []byte) error { return writeFrame(w, payload) }
-
-// writeFrame writes one frame. The caller must serialize writes.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
 
 // --- encoding helpers ---
 
@@ -121,8 +81,9 @@ func appendHeaders(dst []byte, h map[string]string) []byte {
 // reader decodes fields sequentially and remembers the first error, so
 // call sites stay linear.
 type reader struct {
-	buf []byte
-	err error
+	buf   []byte
+	err   error
+	names map[string]string // the connection's intern table; see name
 }
 
 func (r *reader) fail(what string) {
@@ -172,40 +133,58 @@ func (r *reader) byte() byte {
 
 func (r *reader) bool() bool { return r.byte() != 0 }
 
-func (r *reader) string() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.buf)) {
-		r.fail("string")
-		return ""
-	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
-}
-
-func (r *reader) bytes() []byte {
+// field returns the next length-prefixed field without copying it.
+func (r *reader) field(what string) []byte {
 	n := r.uvarint()
 	if r.err != nil {
 		return nil
 	}
 	if n > uint64(len(r.buf)) {
-		r.fail("bytes")
+		r.fail(what)
 		return nil
 	}
-	b := append([]byte(nil), r.buf[:n]...)
+	b := r.buf[:n]
 	r.buf = r.buf[n:]
 	return b
 }
+
+func (r *reader) string() string { return string(r.field("string")) }
+
+func (r *reader) bytes() []byte {
+	if b := r.field("bytes"); b != nil {
+		return append([]byte(nil), b...)
+	}
+	return nil
+}
+
+// maxNames bounds a stream's table of interned names.
+const maxNames = 1024
+
+// Intern returns b as a string through names, a stream's table of the
+// names it has seen: exchange, queue, topic and routing-key names are
+// drawn from a small vocabulary and repeat on every message, so a repeat
+// costs a map lookup and no allocation. The table stops growing at
+// maxNames entries; a nil table interns nothing.
+func Intern(names map[string]string, b []byte) string {
+	if s, ok := names[string(b)]; ok { // the conversion does not allocate
+		return s
+	}
+	s := string(b)
+	if names != nil && len(names) < maxNames {
+		names[s] = s
+	}
+	return s
+}
+
+// name decodes a string through the connection's intern table.
+func (r *reader) name() string { return Intern(r.names, r.field("string")) }
 
 func (r *reader) headers() map[string]string {
 	n := r.uvarint()
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	if n > uint64(len(r.buf)) {
+	if n > uint64(len(r.buf)/2) { // a pair is two length bytes at least
 		r.fail("headers")
 		return nil
 	}
@@ -255,4 +234,70 @@ func (r *reader) stats() broker.QueueStats {
 	st.InRate = math.Float64frombits(r.uint64())
 	st.OutRate = math.Float64frombits(r.uint64())
 	return st
+}
+
+// minPublication is the encoded size of an empty publication (four
+// zero-length fields): a frame of n bytes cannot hold more than
+// n/minPublication of them, which bounds the decoder's allocation by
+// the bytes actually received.
+const minPublication = 4
+
+func appendPublications(dst []byte, pubs []broker.Publication) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(pubs)))
+	for i := range pubs {
+		p := &pubs[i]
+		dst = appendString(dst, p.Exchange)
+		dst = appendString(dst, p.RoutingKey)
+		dst = appendHeaders(dst, p.Headers)
+		dst = appendBytes(dst, p.Body)
+	}
+	return dst
+}
+
+func (r *reader) publications() []broker.Publication {
+	n := r.uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(len(r.buf)/minPublication) {
+		r.fail("publication batch")
+		return nil
+	}
+	pubs := make([]broker.Publication, n)
+	for i := range pubs {
+		pubs[i] = broker.Publication{
+			Exchange:   r.name(),
+			RoutingKey: r.name(),
+			Headers:    r.headers(),
+			Body:       r.bytes(),
+		}
+	}
+	if r.err != nil {
+		return nil
+	}
+	return pubs
+}
+
+func appendTags(dst []byte, tags []uint64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(tags)))
+	for _, tag := range tags {
+		dst = binary.LittleEndian.AppendUint64(dst, tag)
+	}
+	return dst
+}
+
+func (r *reader) tags() []uint64 {
+	n := r.uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(len(r.buf)/8) {
+		r.fail("tag batch")
+		return nil
+	}
+	tags := make([]uint64, n)
+	for i := range tags {
+		tags[i] = r.uint64()
+	}
+	return tags
 }

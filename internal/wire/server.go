@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"sync"
 
 	"bistream/internal/broker"
+	"bistream/internal/metrics"
 )
 
 // Server accepts TCP connections and executes broker operations on
@@ -22,6 +24,7 @@ import (
 type Server struct {
 	bmu    sync.RWMutex
 	b      *broker.Broker
+	reg    *metrics.Registry
 	ln     net.Listener
 	logf   func(format string, args ...any)
 	mu     sync.Mutex
@@ -68,6 +71,20 @@ func (s *Server) Broker() *broker.Broker {
 	return s.b
 }
 
+// SetMetrics makes connections accepted from now on count their frames
+// and socket writes in reg (wire.frames_out, wire.writes_out).
+func (s *Server) SetMetrics(reg *metrics.Registry) {
+	s.bmu.Lock()
+	s.reg = reg
+	s.bmu.Unlock()
+}
+
+func (s *Server) metrics() *metrics.Registry {
+	s.bmu.RLock()
+	defer s.bmu.RUnlock()
+	return s.reg
+}
+
 // Listen binds the address and starts serving in background goroutines.
 // It returns the bound address (useful with ":0").
 func (s *Server) Listen(addr string) (net.Addr, error) {
@@ -75,12 +92,18 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.Serve(ln)
+	return ln.Addr(), nil
+}
+
+// Serve starts serving connections accepted from ln, which Close will
+// close, in background goroutines.
+func (s *Server) Serve(ln net.Listener) {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
-	return ln.Addr(), nil
 }
 
 func (s *Server) acceptLoop(ln net.Listener) {
@@ -128,37 +151,87 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// session is the per-connection state: its consumers and a write lock
-// serializing frames onto the socket.
+// session is the per-connection state: the broker it serves, its
+// consumers, and the one writer every frame to the client goes through.
+//
+// A publish is executed in two halves. The ordered half
+// (broker.EnqueueBatch: route, admit, journal, flush) runs inline on the
+// connection's read loop, so a connection's publishes enqueue — and draw
+// their LSNs — in the order they were sent, and a full MaxLen queue
+// parks the read loop and with it the client's TCP stream. The quorum
+// wait does not run there: the request joins the completer's FIFO, and
+// the read loop moves on to the next frame. Whatever else arrives
+// meanwhile — publishes of the client's other goroutines, acks — is
+// journaled and streamed to the replicas while the first wait is still
+// in flight, and one advance of the commit LSN then answers all of them.
 type session struct {
-	srv       *Server
-	conn      net.Conn
-	writeMu   sync.Mutex
+	srv    *Server
+	b      *broker.Broker // nil: follower mode, every request is refused
+	conn   net.Conn
+	out    *FrameWriter
+	ctx    context.Context // done at teardown: ends parked publishes and quorum waits
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+
+	names map[string]string // read loop only: interned exchange and key names
+
 	mu        sync.Mutex
 	consumers map[uint64]broker.Consumer
-	wg        sync.WaitGroup
+
+	cmu        sync.Mutex
+	cwake      *sync.Cond
+	awaiting   []journaled // FIFO, ascending LSN: journaled, not yet answered
+	completing bool        // the completer goroutine was started
+	closing    bool
+}
+
+// journaled is a publish request whose ordered half is done.
+type journaled struct {
+	reqID     uint64
+	published int
+	lsn       uint64
+	err       error
+}
+
+func (s *Server) newSession(conn net.Conn) *session {
+	sess := &session{srv: s, b: s.Broker(), conn: conn,
+		names: make(map[string]string), consumers: make(map[uint64]broker.Consumer)}
+	sess.out = NewFrameWriter(conn, 0, s.metrics())
+	sess.ctx, sess.cancel = context.WithCancel(context.Background())
+	sess.cwake = sync.NewCond(&sess.cmu)
+	return sess
 }
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	sess := &session{srv: s, conn: conn, consumers: make(map[uint64]broker.Consumer)}
+	sess := s.newSession(conn)
 	defer sess.teardown()
+	in := NewFrameReader(conn)
 	for {
-		frame, err := readFrame(conn)
+		frame, err := in.Next()
+		if err == nil {
+			err = sess.handle(frame)
+		}
+		if err == nil && in.Drained() {
+			// Nothing more queued: the replies gathered so far go out in
+			// one write before the read loop waits for the socket.
+			err = sess.out.Flush()
+		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logf("wire: connection %v: %v", conn.RemoteAddr(), err)
 			}
 			return
 		}
-		if err := sess.handle(frame); err != nil {
-			s.logf("wire: connection %v: %v", conn.RemoteAddr(), err)
-			return
-		}
 	}
 }
 
 func (sess *session) teardown() {
+	sess.cancel()
+	sess.cmu.Lock()
+	sess.closing = true
+	sess.cwake.Signal()
+	sess.cmu.Unlock()
 	sess.mu.Lock()
 	consumers := make([]broker.Consumer, 0, len(sess.consumers))
 	for _, c := range sess.consumers {
@@ -176,32 +249,39 @@ func (sess *session) teardown() {
 	sess.srv.mu.Unlock()
 }
 
-func (sess *session) send(payload []byte) error {
-	sess.writeMu.Lock()
-	defer sess.writeMu.Unlock()
-	return writeFrame(sess.conn, payload)
-}
-
+// reply queues a generic ok/error reply; the read loop flushes it.
 func (sess *session) reply(reqID uint64, err error) error {
 	payload := []byte{opReply}
 	payload = binary.LittleEndian.AppendUint64(payload, reqID)
-	msg := ""
-	if err != nil {
-		msg = err.Error()
+	payload = appendString(payload, errString(err))
+	return sess.out.Append(payload)
+}
+
+func (sess *session) publishReply(p journaled) error {
+	payload := []byte{opPublishReply}
+	payload = binary.LittleEndian.AppendUint64(payload, p.reqID)
+	payload = binary.AppendUvarint(payload, uint64(p.published))
+	payload = appendString(payload, errString(p.err))
+	return sess.out.Append(payload)
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
 	}
-	payload = appendString(payload, msg)
-	return sess.send(payload)
+	return err.Error()
 }
 
 func (sess *session) handle(frame []byte) error {
 	op := frame[0]
-	r := &reader{buf: frame[1:]}
+	r := &reader{buf: frame[1:], names: sess.names}
 	reqID := r.uint64()
-	b := sess.srv.Broker()
+	b := sess.b
 	if b == nil {
 		// Follower mode: refuse and hang up, so the client's next dial
 		// probes its way to the leader.
 		_ = sess.reply(reqID, broker.ErrNotLeader)
+		_ = sess.out.Flush()
 		return fmt.Errorf("request while not leader")
 	}
 	switch op {
@@ -239,17 +319,19 @@ func (sess *session) handle(frame []byte) error {
 			return r.err
 		}
 		return sess.reply(reqID, b.Bind(q, ex, key))
-	case opPublish:
-		ex := r.string()
-		key := r.string()
-		headers := r.headers()
-		body := r.bytes()
+	case opPublishBatch:
+		pubs := r.publications()
 		if r.err != nil {
 			return r.err
 		}
-		// Publish may block on backpressure; do it inline so TCP reads
-		// pause, propagating the backpressure to the remote publisher.
-		return sess.reply(reqID, b.Publish(ex, key, headers, body))
+		// Admission may park on a full queue; it is done inline so TCP
+		// reads pause and the backpressure reaches the remote publisher.
+		// No reply may sit in the buffer meanwhile.
+		if err := sess.out.Flush(); err != nil {
+			return err
+		}
+		published, lsn, err := b.EnqueueBatch(sess.ctx, pubs)
+		return sess.complete(journaled{reqID: reqID, published: published, lsn: lsn, err: err})
 	case opConsume:
 		id := r.uint64() // client-assigned consumer id
 		queue := r.string()
@@ -257,6 +339,14 @@ func (sess *session) handle(frame []byte) error {
 		autoAck := r.bool()
 		if r.err != nil {
 			return r.err
+		}
+		sess.mu.Lock()
+		_, taken := sess.consumers[id]
+		sess.mu.Unlock()
+		if taken {
+			// Replacing the entry would orphan the first consumer: nothing
+			// could cancel it, and its pump would outlive the session.
+			return sess.reply(reqID, fmt.Errorf("wire: consumer id %d is in use", id))
 		}
 		cons, err := b.Consume(queue, prefetch, autoAck)
 		if err != nil {
@@ -267,20 +357,20 @@ func (sess *session) handle(frame []byte) error {
 		sess.mu.Unlock()
 		payload := []byte{opConsumeOK}
 		payload = binary.LittleEndian.AppendUint64(payload, reqID)
-		if err := sess.send(payload); err != nil {
+		if err := sess.out.Append(payload); err != nil {
 			cons.Cancel()
 			return err
 		}
 		sess.wg.Add(1)
 		go sess.pumpDeliveries(id, cons)
 		return nil
-	case opAck:
+	case opAckBatch:
 		id := r.uint64()
-		tag := r.uint64()
+		tags := r.tags()
 		if r.err != nil {
 			return r.err
 		}
-		return sess.reply(reqID, sess.withConsumer(id, func(c broker.Consumer) error { return c.Ack(tag) }))
+		return sess.reply(reqID, sess.withConsumer(id, func(c broker.Consumer) error { return broker.AckBatch(c, tags) }))
 	case opNack:
 		id := r.uint64()
 		tag := r.uint64()
@@ -318,15 +408,65 @@ func (sess *session) handle(frame []byte) error {
 		st, err := b.QueueStats(name)
 		payload := []byte{opStatsReply}
 		payload = binary.LittleEndian.AppendUint64(payload, reqID)
-		msg := ""
-		if err != nil {
-			msg = err.Error()
-		}
-		payload = appendString(payload, msg)
+		payload = appendString(payload, errString(err))
 		payload = encodeStats(payload, st)
-		return sess.send(payload)
+		return sess.out.Append(payload)
 	default:
 		return fmt.Errorf("wire: unknown opcode %d", op)
+	}
+}
+
+// complete answers a publish whose ordered half is done. One that needs
+// no quorum — nothing journaled, or no commit gate — is answered on the
+// spot. Any other joins the FIFO of the completer, which is started on
+// first use.
+func (sess *session) complete(p journaled) error {
+	if p.lsn == 0 || !sess.b.Gated() {
+		return sess.publishReply(p)
+	}
+	sess.cmu.Lock()
+	sess.awaiting = append(sess.awaiting, p)
+	if !sess.completing {
+		sess.completing = true
+		sess.wg.Add(1)
+		go sess.completeLoop()
+	}
+	sess.cwake.Signal()
+	sess.cmu.Unlock()
+	return nil
+}
+
+// completeLoop is the session's completer: it takes every request
+// journaled so far, waits for the commit LSN to cover the last of them
+// — which covers all, the FIFO ascends — and answers them in one write.
+// Requests journaled during the wait form the next group. A failed wait
+// (no quorum in time, leadership lost, connection gone) answers the
+// whole group with zero published: some of it may be committed, and the
+// at-least-once contract has the publishers repeat it.
+func (sess *session) completeLoop() {
+	defer sess.wg.Done()
+	var group []journaled
+	for {
+		sess.cmu.Lock()
+		for len(sess.awaiting) == 0 && !sess.closing {
+			sess.cwake.Wait()
+		}
+		if len(sess.awaiting) == 0 {
+			sess.cmu.Unlock()
+			return
+		}
+		group, sess.awaiting = sess.awaiting, group[:0]
+		sess.cmu.Unlock()
+		gerr := sess.b.AwaitCommit(sess.ctx, group[len(group)-1].lsn)
+		for _, p := range group {
+			if gerr != nil {
+				p.published, p.err = 0, gerr
+			}
+			_ = sess.publishReply(p) // a dead connection fails the Flush too
+		}
+		if sess.out.Flush() != nil {
+			return // the connection is closed; the read loop tears down
+		}
 	}
 }
 
@@ -340,29 +480,47 @@ func (sess *session) withConsumer(id uint64, fn func(broker.Consumer) error) err
 	return fn(c)
 }
 
-// pumpDeliveries forwards broker deliveries to the remote client. A
-// blocking socket write backpressures the broker's dispatcher, which is
-// exactly the flow control we want.
+// pumpDeliveries forwards broker deliveries to the remote client: it
+// waits for one, gathers whatever else the consumer's channel already
+// holds, and hands the lot to the socket in one write. A blocking
+// socket write backpressures the broker's dispatcher, which is exactly
+// the flow control we want.
 func (sess *session) pumpDeliveries(id uint64, cons broker.Consumer) {
 	defer sess.wg.Done()
-	for d := range cons.Deliveries() {
-		payload := []byte{opDeliver}
-		payload = binary.LittleEndian.AppendUint64(payload, id)
-		payload = binary.LittleEndian.AppendUint64(payload, d.Tag)
-		payload = append(payload, boolByte(d.Redelivered))
-		payload = appendString(payload, d.Queue)
-		payload = appendString(payload, d.Exchange)
-		payload = appendString(payload, d.RoutingKey)
-		payload = appendHeaders(payload, d.Headers)
-		payload = appendBytes(payload, d.Body)
-		if err := sess.send(payload); err != nil {
+	var payload []byte // reused: Append copies
+	ch := cons.Deliveries()
+	for d, open := <-ch; open; {
+		payload = appendDelivery(payload[:0], id, &d)
+		if err := sess.out.Append(payload); err != nil {
 			cons.Cancel()
 			return
 		}
+		select {
+		case d, open = <-ch:
+			continue // already queued: same write
+		default:
+		}
+		if err := sess.out.Flush(); err != nil {
+			cons.Cancel()
+			return
+		}
+		d, open = <-ch
 	}
-	payload := []byte{opConsumerEOF}
+	payload = append(payload[:0], opConsumerEOF)
 	payload = binary.LittleEndian.AppendUint64(payload, id)
-	_ = sess.send(payload)
+	_ = sess.out.Send(payload)
+}
+
+func appendDelivery(dst []byte, id uint64, d *broker.Delivery) []byte {
+	dst = append(dst, opDeliver)
+	dst = binary.LittleEndian.AppendUint64(dst, id)
+	dst = binary.LittleEndian.AppendUint64(dst, d.Tag)
+	dst = append(dst, boolByte(d.Redelivered))
+	dst = appendString(dst, d.Queue)
+	dst = appendString(dst, d.Exchange)
+	dst = appendString(dst, d.RoutingKey)
+	dst = appendHeaders(dst, d.Headers)
+	return appendBytes(dst, d.Body)
 }
 
 // ListenAndServe is a convenience for cmd/brokerd: serve until the
