@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet doclint linkcheck fuzz-smoke perf-pins bench-smoke bench-gate check bench bench-json bench-diff bench-e2e bench-compare clean
+.PHONY: build test race vet doclint linkcheck fuzz-smoke perf-pins bench-smoke check bench bench-e2e bench-compare clean
 
 build:
 	$(GO) build ./...
@@ -68,17 +68,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
-# Perf-regression gate against the checked-in baseline snapshot: short
-# amortized runs of the ingest benches, converted with benchjson and
-# diffed with benchdiff. One-iteration smoke numbers are setup-dominated
-# and useless to diff, so this runs 0.3s per bench instead; that keeps
-# allocs/op exact (the gate that matters) while ns/op stays noisy on
-# shared CI runners, hence the deliberately loose 75% time limit.
-BENCH_BASELINE ?= BENCH_20260926.json
-bench-gate:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 0.3s . | $(GO) run ./tools/benchjson > BENCH_ci.json
-	$(GO) run ./tools/benchdiff -max-ns-regression 75 $(BENCH_BASELINE) BENCH_ci.json && rm -f BENCH_ci.json
-
 # The gate new changes must pass before merging.
 check: vet build race perf-pins doclint linkcheck fuzz-smoke bench-smoke
 
@@ -86,23 +75,6 @@ check: vet build race perf-pins doclint linkcheck fuzz-smoke bench-smoke
 # see EXPERIMENTS.md for `bistream exp all`).
 bench:
 	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem .
-
-# Machine-readable bench snapshot: raw `go test -bench` text converted
-# to a JSON array of {name, runs, ns_per_op, ...} records, written to
-# BENCH_<date>.json for diffing across commits.
-bench-json:
-	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem . | $(GO) run ./tools/benchjson > BENCH_$$(date +%Y%m%d).json
-	@echo "wrote BENCH_$$(date +%Y%m%d).json"
-
-# Regression gate between two bench-json snapshots: fails on >15% ns/op
-# or >10 allocs/op growth on any benchmark present in both. Override
-# the files to diff arbitrary snapshots:
-#
-#	make bench-diff BENCH_OLD=BENCH_20260926.json BENCH_NEW=BENCH_ci.json
-BENCH_OLD ?= $(firstword $(shell ls -1 BENCH_*.json 2>/dev/null))
-BENCH_NEW ?= $(lastword $(shell ls -1 BENCH_*.json 2>/dev/null))
-bench-diff:
-	$(GO) run ./tools/benchdiff $(BENCH_OLD) $(BENCH_NEW)
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json), run the
 # way the benchmark driver runs it: every workload once, end to end,

@@ -28,9 +28,10 @@
 //	bistream.New(p, bistream.WithWindow(w))                // functional options
 //
 // Options may also be combined with a Config base — they are applied on
-// top of it in order. Engine.Stats remains, as a flat shim over the
-// structured, versioned Engine.Snapshot; new code should prefer
-// Snapshot, or scrape the registry (Engine.Metrics, WithMetricsAddr)
+// top of it in order. The flat Engine.Stats and Engine.JoinerStats gave
+// way to the structured, versioned Engine.Snapshot, whose Routers,
+// RJoiners and SJoiners views carry the same per-instance fields; the
+// registry (Engine.Metrics, WithMetricsAddr) can also be scraped
 // directly.
 //
 // See DESIGN.md for the system inventory, docs/OPERATIONS.md for the
@@ -42,7 +43,6 @@ import (
 	"fmt"
 
 	"bistream/internal/core"
-	"bistream/internal/index"
 	"bistream/internal/metrics"
 	"bistream/internal/predicate"
 	"bistream/internal/tuple"
@@ -50,15 +50,11 @@ import (
 
 // Engine is the running join-biclique system. See the internal core
 // package for the full method set: Start, Stop, Ingest, IngestContext,
-// Results, ScaleJoiners, ScaleRouters, Snapshot, Stats, Metrics,
-// Quiesce.
+// Results, ScaleJoiners, ScaleRouters, Snapshot, Metrics, Quiesce.
 type Engine = core.Engine
 
 // Config configures an Engine.
 type Config = core.Config
-
-// Stats aggregates engine counters (flat legacy view; see Snapshot).
-type Stats = core.Stats
 
 // Snapshot is the structured, versioned view of a running engine
 // returned by Engine.Snapshot.
@@ -170,11 +166,3 @@ func Theta(rAttr, sAttr int, op predicate.Op) Predicate {
 func Func(desc string, fn func(r, s *Tuple) bool) Predicate {
 	return predicate.NewFunc(desc, fn)
 }
-
-// Ordered-index choices for Config.OrderedIndex (non-equi predicates).
-const (
-	// SkipListIndex is the default ordered sub-index.
-	SkipListIndex = index.SkipListKind
-	// BTreeIndex selects the insert-only B+-tree sub-index.
-	BTreeIndex = index.BTreeKind
-)

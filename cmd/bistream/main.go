@@ -147,7 +147,7 @@ func cmdRun(args []string) {
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	st := eng.Stats()
+	st := eng.Snapshot()
 	log.Printf("done in %v: %d tuples in, %d results, %d live window tuples (%.1f MiB)",
 		elapsed.Round(time.Millisecond), st.TuplesIn, results.Load(),
 		st.WindowTuples, float64(st.WindowBytes)/(1<<20))

@@ -95,7 +95,7 @@ func main() {
 	for _, c := range campaigns {
 		fmt.Printf("  %-12s $%8.2f\n", c, revenue[c])
 	}
-	st := eng.Stats()
+	st := eng.Snapshot()
 	fmt.Printf("window now holds %d tuples across %d+%d joiners\n",
 		st.WindowTuples, eng.NumJoiners(bistream.R), eng.NumJoiners(bistream.S))
 }

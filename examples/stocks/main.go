@@ -74,7 +74,7 @@ func main() {
 
 	mu.Lock()
 	defer mu.Unlock()
-	st := eng.Stats()
+	st := eng.Snapshot()
 	var fanout, routed int64
 	for _, r := range st.Routers {
 		fanout += r.JoinFanout

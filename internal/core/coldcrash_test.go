@@ -240,9 +240,10 @@ func runColdCrashChaos(t *testing.T, seed int64) {
 			prefix := "joiner." + rel.String() + "." + string(rune('0'+id)) + "."
 			recoveries += counter(prefix + "checkpoint_recoveries")
 		}
-		for _, st := range e.JoinerStats(rel) {
-			deduped += st.Deduped
-		}
+	}
+	snap := e.Snapshot()
+	for _, m := range append(snap.RJoiners, snap.SJoiners...) {
+		deduped += m.Deduped
 	}
 	if recoveries == 0 {
 		t.Error("no cold-crashed member recovered from its checkpoint store")

@@ -16,7 +16,6 @@ import (
 	"bistream/internal/broker"
 	"bistream/internal/checkpoint"
 	"bistream/internal/dedup"
-	"bistream/internal/index"
 	"bistream/internal/joiner"
 	"bistream/internal/metrics"
 	"bistream/internal/obs"
@@ -43,9 +42,6 @@ type Config struct {
 	// ArchivePeriod is the chained index's sub-index span P; defaults
 	// to Window/16.
 	ArchivePeriod time.Duration
-	// OrderedIndex selects the joiners' ordered sub-index for non-equi
-	// predicates: index.SkipListKind (default) or index.BTreeKind.
-	OrderedIndex index.OrderedKind
 	// Shards is the number of per-core store shards each joiner
 	// partitions its window into; batches of deliveries fan out across
 	// the shards in parallel. Zero defaults to GOMAXPROCS; values are
@@ -185,17 +181,6 @@ func (c *Config) applyDefaults() error {
 		c.ResultBuffer = 4096
 	}
 	return nil
-}
-
-// Stats aggregates the engine's counters.
-type Stats struct {
-	Routers      []router.Stats
-	RJoiners     []joiner.Stats
-	SJoiners     []joiner.Stats
-	Results      int64
-	TuplesIn     int64
-	WindowBytes  int64 // total window memory across joiners
-	WindowTuples int
 }
 
 // sealedJoiner is a scaled-in member draining its window before
@@ -543,7 +528,6 @@ func (e *Engine) buildJoinerLocked(rel tuple.Relation, id int32) (*joiner.Servic
 		Window:        e.win,
 		FullHistory:   e.cfg.FullHistory,
 		ArchivePeriod: e.cfg.ArchivePeriod,
-		OrderedIndex:  e.cfg.OrderedIndex,
 		Shards:        e.cfg.Shards,
 		Unordered:     e.cfg.Unordered,
 		Metrics:       e.reg,
@@ -942,7 +926,7 @@ func (e *Engine) pushLayoutsLocked(nowTS int64) error {
 // Reap retires sealed joiners whose drain deadline has passed and
 // migration donors that were parked at cut-over (state safely moved,
 // donor still catching up to the barrier). It runs on a ticker from
-// Start, is also called from Stats, and may be called directly; it
+// Start, is also called from Snapshot, and may be called directly; it
 // returns how many members were retired.
 func (e *Engine) Reap() int {
 	e.mu.Lock()
@@ -1006,39 +990,6 @@ func (e *Engine) MemberIDs(rel tuple.Relation) []int32 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.memberIDsLocked(rel)
-}
-
-// JoinerStats returns per-member stats of one group. Thin shim over
-// the Snapshot view.
-func (e *Engine) JoinerStats(rel tuple.Relation) []joiner.Stats {
-	members := e.memberSnapshots(rel)
-	out := make([]joiner.Stats, len(members))
-	for i, m := range members {
-		out[i] = m.Stats
-	}
-	return out
-}
-
-// Stats aggregates counters across the engine. Thin shim over
-// Snapshot, kept for callers of the original flat API.
-func (e *Engine) Stats() Stats {
-	snap := e.Snapshot()
-	st := Stats{
-		Results:      snap.Results,
-		TuplesIn:     snap.TuplesIn,
-		WindowBytes:  snap.WindowBytes,
-		WindowTuples: snap.WindowTuples,
-	}
-	for _, r := range snap.Routers {
-		st.Routers = append(st.Routers, r.Stats)
-	}
-	for _, j := range snap.RJoiners {
-		st.RJoiners = append(st.RJoiners, j.Stats)
-	}
-	for _, j := range snap.SJoiners {
-		st.SJoiners = append(st.SJoiners, j.Stats)
-	}
-	return st
 }
 
 // Quiesce blocks until every queue is drained and every joiner's

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bistream/internal/broker"
-	"bistream/internal/index"
 	"bistream/internal/predicate"
 	"bistream/internal/topo"
 	"bistream/internal/tuple"
@@ -141,7 +140,7 @@ func TestEngineEquiJoinExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyExactlyOnce(t, col.snapshot(), refJoin(rs, ss, pred, 60_000), "equi")
-	st := e.Stats()
+	st := e.Snapshot()
 	if st.TuplesIn != 800 {
 		t.Errorf("TuplesIn = %d", st.TuplesIn)
 	}
@@ -455,7 +454,7 @@ func TestEngineHashRoutingFanoutIsOne(t *testing.T) {
 	if err := e.Quiesce(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	st := e.Stats()
+	st := e.Snapshot()
 	var routed, fanout int64
 	for _, r := range st.Routers {
 		routed += r.TuplesRouted
@@ -483,7 +482,7 @@ func TestEngineBroadcastFanoutIsGroupSize(t *testing.T) {
 	if err := e.Quiesce(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	st := e.Stats()
+	st := e.Snapshot()
 	var routed, fanout int64
 	for _, r := range st.Routers {
 		routed += r.TuplesRouted
@@ -518,7 +517,7 @@ func TestEngineStatsWindowShrinksViaExpiry(t *testing.T) {
 	if err := e.Quiesce(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	st := e.Stats()
+	st := e.Snapshot()
 	if st.WindowTuples > 600 {
 		t.Errorf("WindowTuples = %d; expiry is not bounding memory", st.WindowTuples)
 	}
@@ -738,11 +737,10 @@ func TestEngineBandJoinWithBTreeIndex(t *testing.T) {
 	pred := predicate.NewBand(0, 0, 2)
 	col := newCollector()
 	e := startEngine(t, Config{
-		Predicate:    pred,
-		Window:       time.Minute,
-		RJoiners:     2,
-		SJoiners:     2,
-		OrderedIndex: index.BTreeKind,
+		Predicate: pred,
+		Window:    time.Minute,
+		RJoiners:  2,
+		SJoiners:  2,
 	}, col)
 	rs, ss, all := makeWorkload(150, 30, 10, 14)
 	ingestAll(t, e, all)

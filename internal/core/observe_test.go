@@ -109,17 +109,7 @@ func TestSnapshotMatchesMetrics(t *testing.T) {
 			len(snap.Routers), len(snap.RJoiners), len(snap.SJoiners))
 	}
 
-	// The flat shim must agree with the structured view.
-	st := e.Stats()
-	if st.TuplesIn != snap.TuplesIn || st.Results != snap.Results {
-		t.Errorf("Stats shim (%d,%d) != Snapshot (%d,%d)",
-			st.TuplesIn, st.Results, snap.TuplesIn, snap.Results)
-	}
-	if len(st.RJoiners) != len(snap.RJoiners) {
-		t.Errorf("Stats shim has %d R members, snapshot %d", len(st.RJoiners), len(snap.RJoiners))
-	}
-
-	// And so must the registry served over HTTP.
+	// The registry served over HTTP must agree with the structured view.
 	addr := e.MetricsAddr()
 	if addr == "" {
 		t.Fatal("MetricsAddr empty with MetricsAddr configured")

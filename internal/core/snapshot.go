@@ -29,8 +29,8 @@ type MemberView struct {
 
 // Snapshot is a structured, versioned view of the whole engine taken at
 // one instant: per-instance router and joiner views plus the engine's
-// own aggregates. It replaces ad-hoc reads of the flat Stats struct;
-// Stats and JoinerStats remain as shims over it.
+// own aggregates. It is the engine's one stats API, assembled from the
+// router and joiner services' own Stats.
 type Snapshot struct {
 	SchemaVersion int `json:"schema_version"`
 

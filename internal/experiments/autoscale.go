@@ -307,8 +307,7 @@ func RunAutoscale(cfg AutoscaleConfig) (*AutoscaleResult, error) {
 		res.FinalMemMB = memSeries[len(memSeries)-1].V
 	}
 	res.Results = resultCount.Load()
-	st := eng.Stats()
-	res.TuplesIn = st.TuplesIn
+	res.TuplesIn = eng.Snapshot().TuplesIn
 	return res, nil
 }
 

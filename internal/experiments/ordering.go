@@ -171,7 +171,7 @@ func runOrderingMode(cfg OrderingConfig, ordered bool) (OrderingResult, error) {
 		if !ev.toR {
 			target = sJoiner
 		}
-		target.Handle(ev.env, ev.src, emit)
+		target.HandleBatch([]protocol.Envelope{ev.env}, ev.src, emit)
 	}
 	rJoiner.Flush(emit)
 	sJoiner.Flush(emit)

@@ -126,7 +126,7 @@ func runPunctuationOnce(cfg PunctuationConfig, interval time.Duration) (Punctuat
 	if err := eng.Quiesce(time.Minute); err != nil {
 		return PunctuationRow{}, err
 	}
-	st := eng.Stats()
+	st := eng.Snapshot()
 	var count, sum int64
 	var p99 int64
 	var tupleMsgs, allMsgs int64

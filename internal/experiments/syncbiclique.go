@@ -122,7 +122,7 @@ func (sb *SyncBiclique) Process(t *tuple.Tuple, emit func(tuple.JoinResult)) err
 		if jc == nil {
 			return fmt.Errorf("experiments: no joiner for destination %s/%s", d.Exchange, d.Key)
 		}
-		jc.Handle(d.Env, protocol.SourceStore, wrapped)
+		jc.HandleBatch([]protocol.Envelope{d.Env}, protocol.SourceStore, wrapped)
 	}
 	return nil
 }

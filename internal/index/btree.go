@@ -5,10 +5,11 @@ import (
 	"bistream/internal/tuple"
 )
 
-// BTree is a B+-tree ordered sub-index over one attribute — the
-// cache-friendlier alternative to the skip list for range probes (band
-// and inequality joins). Like every sub-index in the chained design it
-// is insert-only: deletion happens by dropping whole sub-indexes, so no
+// BTree is a B+-tree ordered sub-index over one attribute, serving the
+// range probes of band and inequality joins (the text's
+// "BinarySearchTree for non-equi-join predicates") with leaf-chain
+// scans. Like every sub-index in the chained design it is insert-only:
+// deletion happens by dropping whole sub-indexes, so no
 // rebalancing-on-delete is needed and leaves stay densely packed.
 type BTree struct {
 	attr     int

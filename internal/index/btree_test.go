@@ -1,7 +1,10 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -92,16 +95,144 @@ func TestBTreeDuplicateKeysAndEarlyStop(t *testing.T) {
 	}
 }
 
-// TestBTreeMatchesSkipList: both ordered indexes must agree with each
-// other (and hence the reference model) on random workloads.
+// scanMatches is the reference model: does a linear scan's plan test
+// admit key?
+func scanMatches(plan predicate.Plan, key tuple.Value) bool {
+	switch plan.Kind {
+	case predicate.ProbePoint:
+		return key.Compare(plan.Key) == 0
+	case predicate.ProbeRange:
+		if plan.Lo.IsValid() {
+			if c := key.Compare(plan.Lo); c < 0 || (c == 0 && !plan.LoInc) {
+				return false
+			}
+		}
+		if plan.Hi.IsValid() {
+			if c := key.Compare(plan.Hi); c > 0 || (c == 0 && !plan.HiInc) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestBTreeMatchesLinearScan is the B+-tree's reference-model property
+// test: over random insert orders with heavy duplicates, Int and Float
+// keys, and enough distinct keys that inner nodes split, every probe
+// shape returns exactly the seq multiset a linear scan admits, and an
+// early stop visits exactly as many candidates as it asked for.
+func TestBTreeMatchesLinearScan(t *testing.T) {
+	kinds := []struct {
+		name string
+		key  func(k int64) tuple.Value
+	}{
+		{"int", func(k int64) tuple.Value { return tuple.Int(k) }},
+		{"float", func(k int64) tuple.Value { return tuple.Float(float64(k) / 4) }},
+	}
+	for _, kind := range kinds {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", kind.name, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				const n = 3000
+				b := NewBTree(0)
+				stored := make([]*tuple.Tuple, 0, n)
+				for i := 0; i < n; i++ {
+					// A third of the tuples share five hot keys; the rest
+					// spread over a wide domain, negatives included.
+					k := rng.Int63n(4000) - 1000
+					if rng.Intn(3) == 0 {
+						k = int64(rng.Intn(5)) * 100
+					}
+					tp := tuple.New(tuple.R, uint64(i+1), 0, kind.key(k))
+					b.Insert(tp)
+					stored = append(stored, tp)
+				}
+				if root, ok := b.root.(*bInner); !ok {
+					t.Fatal("root is a leaf; the workload must split nodes")
+				} else if _, ok := root.children[0].(*bInner); !ok {
+					t.Fatal("tree has one inner level; the workload must split inner nodes")
+				}
+				if b.Len() != n {
+					t.Fatalf("Len = %d, want %d", b.Len(), n)
+				}
+				var plans []predicate.Plan
+				for i := 0; i < 40; i++ {
+					lo, hi := rng.Int63n(4400)-1200, rng.Int63n(4400)-1200
+					if lo > hi {
+						lo, hi = hi, lo
+					}
+					if i%8 == 0 {
+						lo, hi = 200, 200 // a hot key as a degenerate range
+					}
+					plans = append(plans,
+						predicate.Plan{Kind: predicate.ProbePoint, Key: kind.key(lo)},
+						predicate.Plan{Kind: predicate.ProbeRange, Lo: kind.key(lo), Hi: kind.key(hi), LoInc: true, HiInc: true},
+						predicate.Plan{Kind: predicate.ProbeRange, Lo: kind.key(lo), Hi: kind.key(hi)},
+						predicate.Plan{Kind: predicate.ProbeRange, Lo: kind.key(lo), Hi: kind.key(hi), LoInc: true},
+						predicate.Plan{Kind: predicate.ProbeRange, Lo: kind.key(lo), Hi: kind.key(hi), HiInc: true},
+						predicate.Plan{Kind: predicate.ProbeRange, Lo: kind.key(lo), LoInc: i%2 == 0},
+						predicate.Plan{Kind: predicate.ProbeRange, Hi: kind.key(hi), HiInc: i%2 == 0},
+					)
+				}
+				plans = append(plans,
+					predicate.Plan{Kind: predicate.ProbeRange},
+					predicate.Plan{Kind: predicate.ProbeAll},
+				)
+				for pi, plan := range plans {
+					var want []uint64
+					for _, tp := range stored {
+						if scanMatches(plan, tp.Value(0)) {
+							want = append(want, tp.Seq)
+						}
+					}
+					sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+					got := seqs(collect(b, plan))
+					if len(got) != len(want) {
+						t.Fatalf("plan %d (%+v): btree found %d, scan %d", pi, plan, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("plan %d (%+v): seq %d is %d, scan has %d", pi, plan, i, got[i], want[i])
+						}
+					}
+					if len(want) < 2 {
+						continue
+					}
+					stop := 1 + rng.Intn(len(want)-1)
+					visited := 0
+					b.Probe(plan, func(tp *tuple.Tuple) bool {
+						visited++
+						if !scanMatches(plan, tp.Value(0)) {
+							t.Fatalf("plan %d: early-stopped scan emitted a non-matching key %v", pi, tp.Value(0))
+						}
+						return visited < stop
+					})
+					if visited != stop {
+						t.Fatalf("plan %d: early stop at %d visited %d", pi, stop, visited)
+					}
+				}
+				exported := 0
+				b.Export(func(*tuple.Tuple) bool { exported++; return true })
+				if exported != n {
+					t.Fatalf("Export walked %d tuples, want %d", exported, n)
+				}
+			})
+		}
+	}
+}
+
+// TestBTreeMatchesSkipList once checked the B+-tree against the skip
+// list it replaced. With one ordered index left, it checks the B+-tree
+// against the linear-scan model on quick-generated inputs, empty and
+// tiny ones included, over every bound inclusivity.
 func TestBTreeMatchesSkipList(t *testing.T) {
-	f := func(vals []int16, lo, hi int8) bool {
-		bt := NewBTree(0)
-		sl := NewSkipList(0)
+	f := func(vals []int16, lo, hi int8, loInc, hiInc bool) bool {
+		b := NewBTree(0)
+		var stored []*tuple.Tuple
 		for i, v := range vals {
 			tp := tuple.New(tuple.R, uint64(i), 0, tuple.Int(int64(v)))
-			bt.Insert(tp)
-			sl.Insert(tp)
+			b.Insert(tp)
+			stored = append(stored, tp)
 		}
 		l, h := int64(lo), int64(hi)
 		if l > h {
@@ -109,9 +240,15 @@ func TestBTreeMatchesSkipList(t *testing.T) {
 		}
 		plan := predicate.Plan{
 			Kind: predicate.ProbeRange,
-			Lo:   tuple.Int(l), Hi: tuple.Int(h), LoInc: true, HiInc: true,
+			Lo:   tuple.Int(l), Hi: tuple.Int(h), LoInc: loInc, HiInc: hiInc,
 		}
-		return len(collect(bt, plan)) == len(collect(sl, plan))
+		var want []*tuple.Tuple
+		for _, tp := range stored {
+			if scanMatches(plan, tp.Value(0)) {
+				want = append(want, tp)
+			}
+		}
+		return slices.Equal(seqs(collect(b, plan)), seqs(want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -139,16 +276,22 @@ func TestBTreeDeepSplits(t *testing.T) {
 	}
 }
 
+// TestForPredicateOrderedKinds: every ordered predicate kind, band and
+// each theta comparison, gets a B+-tree on both relations, while equi
+// predicates still hash.
 func TestForPredicateOrderedKinds(t *testing.T) {
-	band := predicate.NewBand(0, 0, 1)
-	if _, ok := ForPredicateOrdered(band, tuple.R, BTreeKind)().(*BTree); !ok {
-		t.Error("BTreeKind ignored")
+	preds := []predicate.Predicate{predicate.NewBand(0, 0, 1)}
+	for _, op := range []predicate.Op{predicate.LT, predicate.LE, predicate.GT, predicate.GE} {
+		preds = append(preds, predicate.NewTheta(0, 0, op))
 	}
-	if _, ok := ForPredicateOrdered(band, tuple.R, SkipListKind)().(*SkipList); !ok {
-		t.Error("SkipListKind ignored")
+	for _, pred := range preds {
+		for _, rel := range []tuple.Relation{tuple.R, tuple.S} {
+			if _, ok := ForPredicate(pred, rel)().(*BTree); !ok {
+				t.Errorf("%v on %v: want a B+-tree", pred, rel)
+			}
+		}
 	}
-	// Equi predicates always hash, whatever the ordered kind.
-	if _, ok := ForPredicateOrdered(predicate.NewEqui(0, 0), tuple.R, BTreeKind)().(*Hash); !ok {
+	if _, ok := ForPredicate(predicate.NewEqui(0, 0), tuple.R)().(*Hash); !ok {
 		t.Error("equi should still hash")
 	}
 }
@@ -159,28 +302,4 @@ func BenchmarkBTreeInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bt.Insert(tuple.New(tuple.R, uint64(i), int64(i), tuple.Int(int64(i*2654435761))))
 	}
-}
-
-// BenchmarkOrderedIndexAblation compares the two ordered sub-index
-// implementations on the band-join access pattern: random inserts mixed
-// with short range probes.
-func BenchmarkOrderedIndexAblation(b *testing.B) {
-	run := func(b *testing.B, mk func() SubIndex) {
-		idx := mk()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			key := int64(i*2654435761) % 100_000
-			idx.Insert(tuple.New(tuple.R, uint64(i), int64(i), tuple.Int(key)))
-			if i%4 == 3 {
-				plan := predicate.Plan{
-					Kind: predicate.ProbeRange,
-					Lo:   tuple.Int(key - 50), Hi: tuple.Int(key + 50),
-					LoInc: true, HiInc: true,
-				}
-				idx.Probe(plan, func(*tuple.Tuple) bool { return true })
-			}
-		}
-	}
-	b.Run("skiplist", func(b *testing.B) { run(b, func() SubIndex { return NewSkipList(0) }) })
-	b.Run("btree", func(b *testing.B) { run(b, func() SubIndex { return NewBTree(0) }) })
 }

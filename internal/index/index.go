@@ -1,5 +1,5 @@
 // Package index provides the joiners' in-memory storage: a hash
-// sub-index for equi-joins, an ordered (skip list) sub-index for
+// sub-index for equi-joins, an ordered (B+-tree) sub-index for
 // non-equi joins, and the chained in-memory index of the source text's
 // Figure 5, which partitions the stream by discrete time intervals
 // (the archive period P) and discards stale data a whole sub-index at a
@@ -37,28 +37,10 @@ type SubIndex interface {
 // Factory builds empty sub-indexes. ForPredicate picks the right one.
 type Factory func() SubIndex
 
-// OrderedKind selects the ordered sub-index implementation for
-// non-equi predicates.
-type OrderedKind uint8
-
-// Ordered index implementations.
-const (
-	// SkipListKind: probabilistic skip list (default).
-	SkipListKind OrderedKind = iota
-	// BTreeKind: insert-only B+-tree with a leaf chain.
-	BTreeKind
-)
-
-// ForPredicate selects a hash sub-index for point probes and an ordered
-// sub-index otherwise, mirroring the text's "HashMap for equi-join and
+// ForPredicate selects a hash sub-index for point probes and a B+-tree
+// otherwise, mirroring the text's "HashMap for equi-join and
 // BinarySearchTree for non-equi-join predicates".
 func ForPredicate(pred predicate.Predicate, rel tuple.Relation) Factory {
-	return ForPredicateOrdered(pred, rel, SkipListKind)
-}
-
-// ForPredicateOrdered is ForPredicate with an explicit choice of
-// ordered index (the skip-list/B+-tree ablation).
-func ForPredicateOrdered(pred predicate.Predicate, rel tuple.Relation, kind OrderedKind) Factory {
 	attr := pred.IndexAttr(rel)
 	if attr < 0 {
 		// No index help: a hash sub-index still stores tuples and
@@ -68,10 +50,7 @@ func ForPredicateOrdered(pred predicate.Predicate, rel tuple.Relation, kind Orde
 	if pred.Partitionable() {
 		return func() SubIndex { return NewHash(attr) }
 	}
-	if kind == BTreeKind {
-		return func() SubIndex { return NewBTree(attr) }
-	}
-	return func() SubIndex { return NewSkipList(attr) }
+	return func() SubIndex { return NewBTree(attr) }
 }
 
 // IDAlloc hands out segment ids. One allocator can be shared by several
@@ -387,6 +366,15 @@ func (c *Chained) ImportSegments(segs []Segment) error {
 type segIdent struct {
 	origin int32
 	id     uint64
+}
+
+// reset empties the chain in place behind a freshly allocated live
+// segment, keeping the lifetime Dropped and Archives tallies.
+func (c *Chained) reset() {
+	c.archived = nil
+	c.active = newChainedSub(c.factory, c.alloc.take())
+	c.totalLen = 0
+	c.memBytes = 0
 }
 
 // Graft inserts sealed foreign segments (a migration donor's exported

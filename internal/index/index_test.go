@@ -79,16 +79,20 @@ func TestHashNoAttrStoresAndScans(t *testing.T) {
 	}
 }
 
+// The TestSkipList* cases were written for the skip list that used to
+// be the ordered sub-index. The B+-tree replaced it, and the cases keep
+// their names while pinning the same range semantics on the B+-tree.
+
 func TestSkipListOrderedRange(t *testing.T) {
-	s := NewSkipList(0)
+	b := NewBTree(0)
 	perm := rand.New(rand.NewSource(1)).Perm(200)
 	for i, v := range perm {
-		s.Insert(tuple.New(tuple.R, uint64(i), 0, tuple.Int(int64(v))))
+		b.Insert(tuple.New(tuple.R, uint64(i), 0, tuple.Int(int64(v))))
 	}
-	if s.Len() != 200 {
-		t.Fatalf("Len = %d", s.Len())
+	if b.Len() != 200 {
+		t.Fatalf("Len = %d", b.Len())
 	}
-	got := collect(s, predicate.Plan{
+	got := collect(b, predicate.Plan{
 		Kind: predicate.ProbeRange,
 		Lo:   tuple.Int(50), Hi: tuple.Int(59), LoInc: true, HiInc: true,
 	})
@@ -103,9 +107,9 @@ func TestSkipListOrderedRange(t *testing.T) {
 }
 
 func TestSkipListBoundsExclusive(t *testing.T) {
-	s := NewSkipList(0)
+	b := NewBTree(0)
 	for v := 0; v < 10; v++ {
-		s.Insert(tuple.New(tuple.R, uint64(v), 0, tuple.Int(int64(v))))
+		b.Insert(tuple.New(tuple.R, uint64(v), 0, tuple.Int(int64(v))))
 	}
 	cases := []struct {
 		lo, hi       int64
@@ -118,7 +122,7 @@ func TestSkipListBoundsExclusive(t *testing.T) {
 		{3, 6, false, false, 2},
 	}
 	for _, c := range cases {
-		got := collect(s, predicate.Plan{
+		got := collect(b, predicate.Plan{
 			Kind: predicate.ProbeRange,
 			Lo:   tuple.Int(c.lo), Hi: tuple.Int(c.hi), LoInc: c.loInc, HiInc: c.hiInc,
 		})
@@ -129,30 +133,30 @@ func TestSkipListBoundsExclusive(t *testing.T) {
 }
 
 func TestSkipListUnboundedSides(t *testing.T) {
-	s := NewSkipList(0)
+	b := NewBTree(0)
 	for v := 0; v < 10; v++ {
-		s.Insert(tuple.New(tuple.R, uint64(v), 0, tuple.Int(int64(v))))
+		b.Insert(tuple.New(tuple.R, uint64(v), 0, tuple.Int(int64(v))))
 	}
-	if got := collect(s, predicate.Plan{Kind: predicate.ProbeRange, Hi: tuple.Int(4), HiInc: false}); len(got) != 4 {
+	if got := collect(b, predicate.Plan{Kind: predicate.ProbeRange, Hi: tuple.Int(4), HiInc: false}); len(got) != 4 {
 		t.Errorf("(-inf,4) = %d", len(got))
 	}
-	if got := collect(s, predicate.Plan{Kind: predicate.ProbeRange, Lo: tuple.Int(7), LoInc: true}); len(got) != 3 {
+	if got := collect(b, predicate.Plan{Kind: predicate.ProbeRange, Lo: tuple.Int(7), LoInc: true}); len(got) != 3 {
 		t.Errorf("[7,inf) = %d", len(got))
 	}
-	if got := collect(s, predicate.Plan{Kind: predicate.ProbeRange}); len(got) != 10 {
+	if got := collect(b, predicate.Plan{Kind: predicate.ProbeRange}); len(got) != 10 {
 		t.Errorf("unbounded = %d", len(got))
 	}
-	if got := collect(s, predicate.Plan{Kind: predicate.ProbeAll}); len(got) != 10 {
+	if got := collect(b, predicate.Plan{Kind: predicate.ProbeAll}); len(got) != 10 {
 		t.Errorf("ProbeAll = %d", len(got))
 	}
 }
 
 func TestSkipListDuplicateKeys(t *testing.T) {
-	s := NewSkipList(0)
+	b := NewBTree(0)
 	for i := 0; i < 30; i++ {
-		s.Insert(tuple.New(tuple.R, uint64(i), 0, tuple.Int(int64(i%3))))
+		b.Insert(tuple.New(tuple.R, uint64(i), 0, tuple.Int(int64(i%3))))
 	}
-	got := collect(s, predicate.Plan{Kind: predicate.ProbePoint, Key: tuple.Int(1)})
+	got := collect(b, predicate.Plan{Kind: predicate.ProbePoint, Key: tuple.Int(1)})
 	if len(got) != 10 {
 		t.Errorf("duplicates for key 1 = %d", len(got))
 	}
@@ -160,15 +164,15 @@ func TestSkipListDuplicateKeys(t *testing.T) {
 
 func TestSkipListMatchesReferenceModel(t *testing.T) {
 	f := func(vals []int16, lo, hi int8) bool {
-		s := NewSkipList(0)
+		b := NewBTree(0)
 		for i, v := range vals {
-			s.Insert(tuple.New(tuple.R, uint64(i), 0, tuple.Int(int64(v))))
+			b.Insert(tuple.New(tuple.R, uint64(i), 0, tuple.Int(int64(v))))
 		}
 		l, h := int64(lo), int64(hi)
 		if l > h {
 			l, h = h, l
 		}
-		got := collect(s, predicate.Plan{
+		got := collect(b, predicate.Plan{
 			Kind: predicate.ProbeRange,
 			Lo:   tuple.Int(l), Hi: tuple.Int(h), LoInc: true, HiInc: true,
 		})
@@ -351,11 +355,11 @@ func TestForPredicate(t *testing.T) {
 	if _, ok := ForPredicate(predicate.NewEqui(0, 0), tuple.R)().(*Hash); !ok {
 		t.Error("equi should get a hash index")
 	}
-	if _, ok := ForPredicate(predicate.NewBand(0, 0, 1), tuple.R)().(*SkipList); !ok {
-		t.Error("band should get a skip list")
+	if _, ok := ForPredicate(predicate.NewBand(0, 0, 1), tuple.R)().(*BTree); !ok {
+		t.Error("band should get a B+-tree")
 	}
-	if _, ok := ForPredicate(predicate.NewTheta(0, 0, predicate.LT), tuple.S)().(*SkipList); !ok {
-		t.Error("theta should get a skip list")
+	if _, ok := ForPredicate(predicate.NewTheta(0, 0, predicate.LT), tuple.S)().(*BTree); !ok {
+		t.Error("theta should get a B+-tree")
 	}
 	fn := predicate.NewFunc("x", func(r, s *tuple.Tuple) bool { return true })
 	if _, ok := ForPredicate(fn, tuple.R)().(*Hash); !ok {
@@ -428,14 +432,6 @@ func BenchmarkHashInsert(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Insert(tuple.New(tuple.R, uint64(i), int64(i), tuple.Int(int64(i&1023))))
-	}
-}
-
-func BenchmarkSkipListInsert(b *testing.B) {
-	s := NewSkipList(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Insert(tuple.New(tuple.R, uint64(i), int64(i), tuple.Int(int64(i*2654435761))))
 	}
 }
 

@@ -66,7 +66,9 @@ func NewSharded(factory Factory, period int64, win window.Sliding, attr, n int) 
 // NumShards returns the shard count.
 func (x *Sharded) NumShards() int { return len(x.shards) }
 
-// Shard returns shard i, for per-shard workers.
+// Shard returns shard i, for per-shard workers. The pointer is stable
+// for the index's lifetime — ImportSegments restores into the existing
+// shards even across a shard-count change — so callers may hold it.
 func (x *Sharded) Shard(i int) *Chained { return x.shards[i] }
 
 // ShardFor returns the shard that stores t.
@@ -242,16 +244,12 @@ func (x *Sharded) ImportSegments(segs []Segment) error {
 			maxLocal = s.ID
 		}
 	}
+	// The shards are emptied in place, not replaced, so Shard pointers
+	// held by workers keep addressing the live window.
 	x.alloc.Bump(maxLocal + 1)
-	fresh := make([]*Chained, len(x.shards))
-	for i, old := range x.shards {
-		c, err := NewChainedAlloc(old.factory, old.period, old.win, x.alloc)
-		if err != nil {
-			return err
-		}
-		fresh[i] = c
+	for _, c := range x.shards {
+		c.reset()
 	}
-	x.shards = fresh
 	for _, s := range segs {
 		for _, t := range s.Tuples {
 			x.Insert(t)

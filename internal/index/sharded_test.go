@@ -138,6 +138,51 @@ func TestShardedRestoreAcrossShardCountChange(t *testing.T) {
 	}
 }
 
+// TestShardedResizedImportKeepsShardIdentity: a restore into a
+// different shard count repartitions inside the existing shards, so a
+// Shard pointer taken before the import still addresses the live
+// window — a tuple inserted through it afterwards is visible to the
+// index's probes, length and export.
+func TestShardedResizedImportKeepsShardIdentity(t *testing.T) {
+	orig := newShardedEqui(t, 3)
+	for i := 0; i < 90; i++ {
+		orig.Insert(tuple.New(tuple.R, uint64(i+1), int64(i*10), tuple.Int(int64(i%9))))
+	}
+	restored := newShardedEqui(t, 5)
+	held := make([]*Chained, restored.NumShards())
+	for i := range held {
+		held[i] = restored.Shard(i)
+	}
+	if err := restored.ImportSegments(orig.ExportSegments()); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range held {
+		if restored.Shard(i) != c {
+			t.Fatalf("shard %d replaced by a resized import", i)
+		}
+	}
+	late := tuple.New(tuple.R, 1000, 900, tuple.Int(4))
+	held[restored.ShardFor(late)].Insert(late)
+	if restored.Len() != orig.Len()+1 {
+		t.Fatalf("Len = %d after a post-restore insert, want %d", restored.Len(), orig.Len()+1)
+	}
+	found := 0
+	for _, s := range restored.ExportSegments() {
+		for _, tp := range s.Tuples {
+			if tp == late {
+				found++
+			}
+		}
+	}
+	if found != 1 {
+		t.Fatalf("post-restore tuple exported %d times, want 1", found)
+	}
+	plan := predicate.Plan{Kind: predicate.ProbePoint, Key: tuple.Int(4)}
+	if got, want := len(probeAll(restored, plan)), len(probeAll(orig, plan))+1; got != want {
+		t.Fatalf("probe found %d, want %d", got, want)
+	}
+}
+
 // TestShardedSameCountRestorePreservesLayout: with an unchanged shard
 // count the import is positional, preserving segment identities so
 // checkpoint increments stay valid.
@@ -246,7 +291,7 @@ func TestShardedGraftSplitsAndStaysIdempotent(t *testing.T) {
 // index does.
 func TestShardedRangeProbeMatchesSingleShard(t *testing.T) {
 	win := window.Sliding{Span: 10_000 * 1_000_000}
-	factory := func() SubIndex { return NewSkipList(0) }
+	factory := func() SubIndex { return NewBTree(0) }
 	multi, err := NewSharded(factory, 500, win, 0, 4)
 	if err != nil {
 		t.Fatal(err)

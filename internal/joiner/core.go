@@ -39,9 +39,6 @@ type Config struct {
 	// ArchivePeriod is the chained index's sub-index span P; it
 	// defaults to Window/16 when zero.
 	ArchivePeriod time.Duration
-	// OrderedIndex selects the ordered sub-index implementation for
-	// non-equi predicates (skip list by default, B+-tree optional).
-	OrderedIndex index.OrderedKind
 	// Shards is the number of per-core store shards the window is
 	// partitioned into; batches fan store and probe work out across
 	// them in parallel. Zero means GOMAXPROCS; values are clamped to
@@ -157,7 +154,7 @@ func NewCore(cfg Config) (*Core, error) {
 		cfg.Shards = index.MaxShards
 	}
 	idx, err := index.NewSharded(
-		index.ForPredicateOrdered(cfg.Pred, cfg.Rel, cfg.OrderedIndex),
+		index.ForPredicate(cfg.Pred, cfg.Rel),
 		cfg.ArchivePeriod.Milliseconds(),
 		cfg.Window,
 		cfg.Pred.IndexAttr(cfg.Rel),
@@ -226,54 +223,18 @@ func (c *Core) AddRouter(id int32) {
 // RemoveRouter unregisters a router (scale-in of the router group) and
 // processes whatever its departure unblocks.
 func (c *Core) RemoveRouter(id int32, emit func(tuple.JoinResult)) {
-	for _, e := range c.reorder.RemoveRouterAndRelease(id) {
-		c.process(e, emit)
-	}
-}
-
-// Handle feeds one envelope from the given source path into the joiner.
-// Join results are passed to emit as they are produced.
-func (c *Core) Handle(env protocol.Envelope, src protocol.Source, emit func(tuple.JoinResult)) {
-	if env.Kind == protocol.KindTuple {
-		c.received.Inc()
-		if env.Tuple != nil {
-			c.cfg.Trace.Observe(metrics.StageDeliver, env.Tuple.TraceNS)
-		}
-	}
-	if c.cfg.Unordered {
-		if env.Kind == protocol.KindTuple {
-			c.process(env, emit)
-		}
-		return
-	}
-	if env.Kind == protocol.KindTuple && env.RecvNanos == 0 {
-		env.RecvNanos = time.Now().UnixNano()
-	}
-	c.releaseBuf = c.reorder.AddInto(env, src, c.releaseBuf[:0])
-	for _, e := range c.releaseBuf {
-		if e.RecvNanos != 0 {
-			c.latency.Observe(time.Now().UnixNano() - e.RecvNanos)
-		}
-		if e.Tuple != nil {
-			c.cfg.Trace.Observe(metrics.StageOrder, e.Tuple.TraceNS)
-		}
-		c.process(e, emit)
-	}
-	clearEnvelopes(c.releaseBuf)
-	c.maybeRotateSeen()
+	c.processReleased(c.reorder.RemoveRouterAndRelease(id), emit)
 }
 
 // HandleBatch feeds a batch of envelopes from one source path into the
-// joiner: the whole batch drains into the reorder buffer first, then
-// every envelope the batch released is processed through the sharded
-// pipeline — one classification pass partitions store and probe work
-// across the shards, and the shards run in parallel when the batch is
-// big enough to pay for the goroutine handoff. Join results are passed
-// to emit (from the calling goroutine only) as each batch completes.
-//
-// Semantics match feeding the envelopes to Handle one at a time, except
-// that results within a batch are emitted grouped by shard rather than
-// strictly in release order — the result multiset is identical.
+// joiner; it is the core's only entry point, and a single envelope is a
+// one-element batch. The whole batch drains into the reorder buffer
+// first, then every envelope the batch released is processed through
+// the sharded pipeline — one classification pass partitions store and
+// probe work across the shards, and the shards run in parallel when the
+// batch is big enough to pay for the goroutine handoff. Join results
+// are passed to emit (from the calling goroutine only) as each batch
+// completes, grouped by shard rather than strictly in release order.
 func (c *Core) HandleBatch(envs []protocol.Envelope, src protocol.Source, emit func(tuple.JoinResult)) {
 	received := 0
 	release := c.releaseBuf[:0]
@@ -362,10 +323,12 @@ func (r *shardRun) visitOne(stored *tuple.Tuple) bool {
 	return true
 }
 
-// run executes the shard's op list in order. Expiry precedes each probe
-// (Theorem 1, as in the sequential path) and a final sweep at the
-// batch's max probe timestamp keeps shards no probe happened to visit
-// from accumulating stale sub-indexes.
+// run executes the shard's op list in order. This is the one place
+// window expiry happens: data discarding precedes each probe (Theorem
+// 1, at sub-index granularity, §3.1.2), and a final sweep at the batch's
+// max probe timestamp keeps shards no probe happened to visit from
+// accumulating stale sub-indexes. A shard never expires past the probe
+// in hand, and every candidate is still checked with Window.Contains.
 func (r *shardRun) run(maxProbeTS int64, hasProbe bool) {
 	for i := range r.ops {
 		op := &r.ops[i]
@@ -410,6 +373,10 @@ func (c *Core) processReleased(released []protocol.Envelope, emit func(tuple.Joi
 		if ordered {
 			c.cfg.Trace.Observe(metrics.StageOrder, t.TraceNS)
 		}
+		// A redelivery (consumer crash, requeue, duplicate publish) would
+		// double-insert or re-emit. Within one core each (relation, seq)
+		// legitimately arrives on exactly one stream, once, so
+		// suppression is safe.
 		if c.seen.SeenOrAdd(dedup.Key{uint64(t.Rel), t.Seq}) {
 			dedupedN++
 			continue
@@ -541,63 +508,7 @@ func (c *Core) maybeRotateSeen() {
 // Flush releases and processes every buffered envelope regardless of
 // punctuation frontiers (engine shutdown).
 func (c *Core) Flush(emit func(tuple.JoinResult)) {
-	for _, e := range c.reorder.Flush() {
-		c.process(e, emit)
-	}
-}
-
-func (c *Core) process(env protocol.Envelope, emit func(tuple.JoinResult)) {
-	t := env.Tuple
-	if t != nil && c.seen.SeenOrAdd(dedup.Key{uint64(t.Rel), t.Seq}) {
-		// A redelivery of a tuple this member already stored or probed
-		// (consumer crash, requeue, duplicate publish): processing it
-		// again would double-insert or re-emit. Within one core each
-		// (relation, seq) legitimately arrives on exactly one stream,
-		// once, so suppression is safe.
-		c.deduped.Inc()
-		return
-	}
-	switch env.Stream {
-	case protocol.StreamStore:
-		if t.Rel != c.cfg.Rel {
-			return // misrouted; a store copy must be our own relation
-		}
-		c.idx.Insert(t)
-		c.stored.Inc()
-		c.work.Inc()
-		c.cfg.Trace.Observe(metrics.StageStore, t.TraceNS)
-	case protocol.StreamJoin:
-		if t.Rel != c.cfg.Rel.Opposite() {
-			return
-		}
-		// Data discarding first (Theorem 1), then join processing
-		// against the surviving sub-indexes (§3.1.2). Discarding works
-		// at sub-index granularity — dropping a chain link is O(1)
-		// regardless of how many tuples it holds, which is the chained
-		// index's reason to exist — so it charges one work unit per
-		// expiry check, not per discarded tuple.
-		dropped := c.idx.Expire(t.TS)
-		c.expired.Add(int64(dropped))
-		plan := c.cfg.Pred.Plan(t)
-		c.idx.Probe(plan, func(stored *tuple.Tuple) bool {
-			c.comparisons.Inc()
-			c.work.Inc()
-			var r, s *tuple.Tuple
-			if c.cfg.Rel == tuple.R {
-				r, s = stored, t
-			} else {
-				r, s = t, stored
-			}
-			if c.cfg.Window.Contains(stored.TS, t.TS) && c.cfg.Pred.Match(r, s) {
-				c.results.Inc()
-				emit(tuple.NewJoinResult(r, s))
-			}
-			return true
-		})
-		c.probed.Inc()
-		c.work.Inc()
-		c.cfg.Trace.Observe(metrics.StageProbe, t.TraceNS)
-	}
+	c.processReleased(c.reorder.Flush(), emit)
 }
 
 // Stats snapshots the joiner's counters.

@@ -36,10 +36,15 @@ func joinEnv(counter uint64, t *tuple.Tuple) protocol.Envelope {
 	}
 }
 
+// feed delivers one envelope to the core as a one-element batch.
+func feed(c *Core, env protocol.Envelope, src protocol.Source, emit func(tuple.JoinResult)) {
+	c.HandleBatch([]protocol.Envelope{env}, src, emit)
+}
+
 func punctAll(c *Core, counter uint64, collect func(tuple.JoinResult)) {
 	p := protocol.Envelope{Kind: protocol.KindPunctuation, RouterID: 1, Counter: counter}
-	c.Handle(p, protocol.SourceStore, collect)
-	c.Handle(p, protocol.SourceJoin, collect)
+	feed(c, p, protocol.SourceStore, collect)
+	feed(c, p, protocol.SourceJoin, collect)
 }
 
 func TestCoreValidation(t *testing.T) {
@@ -65,8 +70,8 @@ func TestStoreThenJoinProducesResult(t *testing.T) {
 
 	r := tuple.New(tuple.R, 1, 1000, tuple.Int(7))
 	s := tuple.New(tuple.S, 2, 1500, tuple.Int(7))
-	c.Handle(storeEnv(1, r), protocol.SourceStore, collect)
-	c.Handle(joinEnv(2, s), protocol.SourceJoin, collect)
+	feed(c, storeEnv(1, r), protocol.SourceStore, collect)
+	feed(c, joinEnv(2, s), protocol.SourceJoin, collect)
 	if len(results) != 0 {
 		t.Fatal("results emitted before punctuation")
 	}
@@ -88,8 +93,8 @@ func TestNoMatchNoResult(t *testing.T) {
 	c := newRJoiner(t, predicate.NewEqui(0, 0))
 	var results []tuple.JoinResult
 	collect := func(jr tuple.JoinResult) { results = append(results, jr) }
-	c.Handle(storeEnv(1, tuple.New(tuple.R, 1, 0, tuple.Int(1))), protocol.SourceStore, collect)
-	c.Handle(joinEnv(2, tuple.New(tuple.S, 2, 0, tuple.Int(2))), protocol.SourceJoin, collect)
+	feed(c, storeEnv(1, tuple.New(tuple.R, 1, 0, tuple.Int(1))), protocol.SourceStore, collect)
+	feed(c, joinEnv(2, tuple.New(tuple.S, 2, 0, tuple.Int(2))), protocol.SourceJoin, collect)
 	punctAll(c, 2, collect)
 	if len(results) != 0 {
 		t.Errorf("results = %v", results)
@@ -102,13 +107,13 @@ func TestWindowConstraintEnforced(t *testing.T) {
 	collect := func(jr tuple.JoinResult) { results = append(results, jr) }
 	// r at t=0; s arrives at t=10s (inside) and another at t=10.001s+
 	// after expiry boundary.
-	c.Handle(storeEnv(1, tuple.New(tuple.R, 1, 0, tuple.Int(7))), protocol.SourceStore, collect)
-	c.Handle(joinEnv(2, tuple.New(tuple.S, 2, 10_000, tuple.Int(7))), protocol.SourceJoin, collect)
+	feed(c, storeEnv(1, tuple.New(tuple.R, 1, 0, tuple.Int(7))), protocol.SourceStore, collect)
+	feed(c, joinEnv(2, tuple.New(tuple.S, 2, 10_000, tuple.Int(7))), protocol.SourceJoin, collect)
 	punctAll(c, 2, collect)
 	if len(results) != 1 {
 		t.Fatalf("in-window join missing: %v", results)
 	}
-	c.Handle(joinEnv(3, tuple.New(tuple.S, 3, 10_001, tuple.Int(7))), protocol.SourceJoin, collect)
+	feed(c, joinEnv(3, tuple.New(tuple.S, 3, 10_001, tuple.Int(7))), protocol.SourceJoin, collect)
 	punctAll(c, 3, collect)
 	if len(results) != 1 {
 		t.Errorf("out-of-window join produced a result")
@@ -120,13 +125,13 @@ func TestTheorem1Expiry(t *testing.T) {
 	collect := func(tuple.JoinResult) {}
 	// Fill two archive periods, then expire with a far-future S tuple.
 	for i := 0; i < 100; i++ {
-		c.Handle(storeEnv(uint64(i+1), tuple.New(tuple.R, uint64(i), int64(i)*200, tuple.Int(int64(i)))), protocol.SourceStore, collect)
+		feed(c, storeEnv(uint64(i+1), tuple.New(tuple.R, uint64(i), int64(i)*200, tuple.Int(int64(i)))), protocol.SourceStore, collect)
 	}
 	punctAll(c, 100, collect)
 	if c.Stats().WindowLen != 100 {
 		t.Fatalf("WindowLen = %d", c.Stats().WindowLen)
 	}
-	c.Handle(joinEnv(101, tuple.New(tuple.S, 1000, 40_000, tuple.Int(1))), protocol.SourceJoin, collect)
+	feed(c, joinEnv(101, tuple.New(tuple.S, 1000, 40_000, tuple.Int(1))), protocol.SourceJoin, collect)
 	punctAll(c, 101, collect)
 	st := c.Stats()
 	if st.Expired == 0 {
@@ -151,9 +156,9 @@ func TestSJoinerOrientation(t *testing.T) {
 	c.AddRouter(1)
 	var results []tuple.JoinResult
 	collect := func(jr tuple.JoinResult) { results = append(results, jr) }
-	c.Handle(storeEnv(1, tuple.New(tuple.S, 1, 0, tuple.Int(10))), protocol.SourceStore, collect)
-	c.Handle(joinEnv(2, tuple.New(tuple.R, 2, 0, tuple.Int(5))), protocol.SourceJoin, collect)  // 5 < 10: match
-	c.Handle(joinEnv(3, tuple.New(tuple.R, 3, 0, tuple.Int(15))), protocol.SourceJoin, collect) // 15 < 10: no
+	feed(c, storeEnv(1, tuple.New(tuple.S, 1, 0, tuple.Int(10))), protocol.SourceStore, collect)
+	feed(c, joinEnv(2, tuple.New(tuple.R, 2, 0, tuple.Int(5))), protocol.SourceJoin, collect)  // 5 < 10: match
+	feed(c, joinEnv(3, tuple.New(tuple.R, 3, 0, tuple.Int(15))), protocol.SourceJoin, collect) // 15 < 10: no
 	punctAll(c, 3, collect)
 	if len(results) != 1 {
 		t.Fatalf("results = %v", results)
@@ -168,8 +173,8 @@ func TestMisroutedTuplesIgnored(t *testing.T) {
 	collect := func(tuple.JoinResult) {}
 	// A store copy of an S tuple and a join copy of an R tuple are both
 	// wrong for an R-side joiner.
-	c.Handle(storeEnv(1, tuple.New(tuple.S, 1, 0, tuple.Int(1))), protocol.SourceStore, collect)
-	c.Handle(joinEnv(2, tuple.New(tuple.R, 2, 0, tuple.Int(1))), protocol.SourceJoin, collect)
+	feed(c, storeEnv(1, tuple.New(tuple.S, 1, 0, tuple.Int(1))), protocol.SourceStore, collect)
+	feed(c, joinEnv(2, tuple.New(tuple.R, 2, 0, tuple.Int(1))), protocol.SourceJoin, collect)
 	punctAll(c, 2, collect)
 	st := c.Stats()
 	if st.Stored != 0 || st.Probed != 0 {
@@ -182,9 +187,9 @@ func TestBandJoinViaOrderedIndex(t *testing.T) {
 	var results []tuple.JoinResult
 	collect := func(jr tuple.JoinResult) { results = append(results, jr) }
 	for i, v := range []float64{1, 5, 9, 13} {
-		c.Handle(storeEnv(uint64(i+1), tuple.New(tuple.R, uint64(i), 0, tuple.Float(v))), protocol.SourceStore, collect)
+		feed(c, storeEnv(uint64(i+1), tuple.New(tuple.R, uint64(i), 0, tuple.Float(v))), protocol.SourceStore, collect)
 	}
-	c.Handle(joinEnv(5, tuple.New(tuple.S, 100, 0, tuple.Float(6))), protocol.SourceJoin, collect)
+	feed(c, joinEnv(5, tuple.New(tuple.S, 100, 0, tuple.Float(6))), protocol.SourceJoin, collect)
 	punctAll(c, 5, collect)
 	// |5-6|<=2 matches; |1-6|,|9-6| are 5 and 3: only value 5 matches.
 	if len(results) != 1 || results[0].Left.Value(0).AsFloat() != 5 {
@@ -204,8 +209,8 @@ func TestUnorderedModeProcessesImmediately(t *testing.T) {
 	}
 	var results []tuple.JoinResult
 	collect := func(jr tuple.JoinResult) { results = append(results, jr) }
-	c.Handle(storeEnv(1, tuple.New(tuple.R, 1, 0, tuple.Int(7))), protocol.SourceStore, collect)
-	c.Handle(joinEnv(2, tuple.New(tuple.S, 2, 0, tuple.Int(7))), protocol.SourceJoin, collect)
+	feed(c, storeEnv(1, tuple.New(tuple.R, 1, 0, tuple.Int(7))), protocol.SourceStore, collect)
+	feed(c, joinEnv(2, tuple.New(tuple.S, 2, 0, tuple.Int(7))), protocol.SourceJoin, collect)
 	if len(results) != 1 {
 		t.Fatalf("unordered mode did not process immediately: %v", results)
 	}
@@ -256,9 +261,9 @@ func TestFig8OrderingScenarios(t *testing.T) {
 		collect := func(jr tuple.JoinResult) { results = append(results, jr) }
 		for _, a := range seq {
 			if a.toR {
-				rJoiner.Handle(a.env, a.src, collect)
+				feed(rJoiner, a.env, a.src, collect)
 			} else {
-				sJoiner.Handle(a.env, a.src, collect)
+				feed(sJoiner, a.env, a.src, collect)
 			}
 		}
 		punctAll(rJoiner, 2, collect)
@@ -285,9 +290,9 @@ func TestFig8AnomaliesWithoutProtocol(t *testing.T) {
 		collect := func(tuple.JoinResult) { n++ }
 		for _, a := range seq {
 			if a.toR {
-				rJoiner.Handle(a.env, protocol.SourceStore, collect)
+				feed(rJoiner, a.env, protocol.SourceStore, collect)
 			} else {
-				sJoiner.Handle(a.env, protocol.SourceStore, collect)
+				feed(sJoiner, a.env, protocol.SourceStore, collect)
 			}
 		}
 		return n
@@ -316,8 +321,8 @@ func TestFlushReleasesBuffered(t *testing.T) {
 	c := newRJoiner(t, predicate.NewEqui(0, 0))
 	var results []tuple.JoinResult
 	collect := func(jr tuple.JoinResult) { results = append(results, jr) }
-	c.Handle(storeEnv(1, tuple.New(tuple.R, 1, 0, tuple.Int(7))), protocol.SourceStore, collect)
-	c.Handle(joinEnv(2, tuple.New(tuple.S, 2, 0, tuple.Int(7))), protocol.SourceJoin, collect)
+	feed(c, storeEnv(1, tuple.New(tuple.R, 1, 0, tuple.Int(7))), protocol.SourceStore, collect)
+	feed(c, joinEnv(2, tuple.New(tuple.S, 2, 0, tuple.Int(7))), protocol.SourceJoin, collect)
 	if c.Stats().Pending != 2 {
 		t.Fatalf("Pending = %d", c.Stats().Pending)
 	}
@@ -332,8 +337,8 @@ func TestRemoveRouterUnblocks(t *testing.T) {
 	c.AddRouter(2) // second router never punctuates
 	var results []tuple.JoinResult
 	collect := func(jr tuple.JoinResult) { results = append(results, jr) }
-	c.Handle(storeEnv(1, tuple.New(tuple.R, 1, 0, tuple.Int(7))), protocol.SourceStore, collect)
-	c.Handle(joinEnv(2, tuple.New(tuple.S, 2, 0, tuple.Int(7))), protocol.SourceJoin, collect)
+	feed(c, storeEnv(1, tuple.New(tuple.R, 1, 0, tuple.Int(7))), protocol.SourceStore, collect)
+	feed(c, joinEnv(2, tuple.New(tuple.S, 2, 0, tuple.Int(7))), protocol.SourceJoin, collect)
 	punctAll(c, 2, collect)
 	if len(results) != 0 {
 		t.Fatal("released despite router 2 frontier")
@@ -353,7 +358,7 @@ func TestArchivePeriodDefault(t *testing.T) {
 	// One insert per 500ms over 16s: with P = W/16 = 1s we expect many
 	// sub-indexes.
 	for i := 0; i < 32; i++ {
-		c.Handle(storeEnv(uint64(i+1), tuple.New(tuple.R, uint64(i), int64(i*500), tuple.Int(1))), protocol.SourceStore, collect)
+		feed(c, storeEnv(uint64(i+1), tuple.New(tuple.R, uint64(i), int64(i*500), tuple.Int(1))), protocol.SourceStore, collect)
 	}
 	punctAll(c, 32, collect)
 	if st := c.Stats(); st.SubIndexes < 8 {
@@ -367,8 +372,8 @@ func BenchmarkJoinerEquiThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ts := int64(i)
-		c.Handle(storeEnv(uint64(i)*2+1, tuple.New(tuple.R, uint64(i), ts, tuple.Int(int64(i&1023)))), protocol.SourceStore, collect)
-		c.Handle(joinEnv(uint64(i)*2+2, tuple.New(tuple.S, uint64(i), ts, tuple.Int(int64(i&1023)))), protocol.SourceJoin, collect)
+		feed(c, storeEnv(uint64(i)*2+1, tuple.New(tuple.R, uint64(i), ts, tuple.Int(int64(i&1023)))), protocol.SourceStore, collect)
+		feed(c, joinEnv(uint64(i)*2+2, tuple.New(tuple.S, uint64(i), ts, tuple.Int(int64(i&1023)))), protocol.SourceJoin, collect)
 	}
 }
 
@@ -385,9 +390,9 @@ func TestFullHistoryJoinerNeverExpires(t *testing.T) {
 	collect := func(jr tuple.JoinResult) { results = append(results, jr) }
 	// Store a tuple, then probe with one a year of event time later:
 	// windowed mode would have expired it long ago.
-	c.Handle(storeEnv(1, tuple.New(tuple.R, 1, 0, tuple.Int(7))), protocol.SourceStore, collect)
+	feed(c, storeEnv(1, tuple.New(tuple.R, 1, 0, tuple.Int(7))), protocol.SourceStore, collect)
 	yearMs := int64(365 * 24 * time.Hour / time.Millisecond)
-	c.Handle(joinEnv(2, tuple.New(tuple.S, 2, yearMs, tuple.Int(7))), protocol.SourceJoin, collect)
+	feed(c, joinEnv(2, tuple.New(tuple.S, 2, yearMs, tuple.Int(7))), protocol.SourceJoin, collect)
 	punctAll(c, 2, collect)
 	if len(results) != 1 {
 		t.Fatalf("full-history join missed: %v", results)

@@ -42,7 +42,7 @@ func TestDedupWatermarkPruneBoundsSeen(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			ts := int64(counter / 1000)
 			tp := tuple.New(tuple.R, seq, ts, tuple.Int(int64(seq%50)))
-			c.Handle(protocol.Envelope{
+			feed(c, protocol.Envelope{
 				Kind: protocol.KindTuple, RouterID: 1, Counter: counter,
 				Stream: protocol.StreamStore, Tuple: tp,
 			}, protocol.SourceStore, collect)
@@ -86,9 +86,9 @@ func TestDedupWatermarkStillSuppressesRecentRedelivery(t *testing.T) {
 		Kind: protocol.KindTuple, RouterID: 1, Counter: 1000,
 		Stream: protocol.StreamStore, Tuple: tp,
 	}
-	c.Handle(env, protocol.SourceStore, collect)
+	feed(c, env, protocol.SourceStore, collect)
 	punctAll(c, 2000, collect)
-	c.Handle(env, protocol.SourceStore, collect) // broker redelivery
+	feed(c, env, protocol.SourceStore, collect) // broker redelivery
 	punctAll(c, 3000, collect)
 	if st := c.Stats(); st.Stored != 1 {
 		t.Errorf("stored = %d after redelivery, want 1", st.Stored)
@@ -120,12 +120,12 @@ func TestDedupHoldsDelayedRedeliveryUnderRealStamps(t *testing.T) {
 		Kind: protocol.KindTuple, RouterID: 1, Counter: st.Next(),
 		Stream: protocol.StreamStore, Tuple: tuple.New(tuple.R, 9, 1, tuple.Int(4)),
 	}
-	c.Handle(env, protocol.SourceStore, collect)
+	feed(c, env, protocol.SourceStore, collect)
 	for i := 0; i < 12; i++ {
 		punctAll(c, st.Punctuation(), collect)
 		time.Sleep(5 * time.Millisecond)
 	}
-	c.Handle(env, protocol.SourceStore, collect) // redelivered ~60ms on
+	feed(c, env, protocol.SourceStore, collect) // redelivered ~60ms on
 	punctAll(c, st.Punctuation(), collect)
 	if s := c.Stats(); s.Stored != 1 {
 		t.Errorf("stored = %d after a redelivery 60ms later, want 1", s.Stored)

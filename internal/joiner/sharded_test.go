@@ -9,6 +9,7 @@ import (
 	"bistream/internal/predicate"
 	"bistream/internal/protocol"
 	"bistream/internal/tuple"
+	"bistream/internal/window"
 )
 
 // resultKey fingerprints a join result for multiset comparison.
@@ -51,48 +52,62 @@ func workload(seed int64, n int, pred func(i int) tuple.Value) (envs []protocol.
 	return envs, srcs
 }
 
-func runHandle(t *testing.T, c *Core, envs []protocol.Envelope, srcs []protocol.Source) []string {
+// runBatches drives the stream through HandleBatch, per source path in
+// FIFO order, alternating chunks of up to size envelopes between the
+// store and join paths. One-element chunks interleave the paths tightly;
+// large ones let one path run far ahead, so a single punctuation
+// releases batches well past parallelBatchMin and the shards fan out.
+func runBatches(t *testing.T, c *Core, envs []protocol.Envelope, srcs []protocol.Source, size int) []string {
 	t.Helper()
 	var out []string
 	collect := func(jr tuple.JoinResult) { out = append(out, resultKey(jr)) }
+	paths := map[protocol.Source][]protocol.Envelope{}
 	for i, e := range envs {
-		c.Handle(e, srcs[i], collect)
+		paths[srcs[i]] = append(paths[srcs[i]], e)
+	}
+	for len(paths[protocol.SourceStore])+len(paths[protocol.SourceJoin]) > 0 {
+		for _, src := range []protocol.Source{protocol.SourceStore, protocol.SourceJoin} {
+			p := paths[src]
+			n := min(size, len(p))
+			if n > 0 {
+				c.HandleBatch(p[:n], src, collect)
+			}
+			paths[src] = p[n:]
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// runHandleBatch drives the same stream through HandleBatch in large
-// per-source chunks, exercising the parallel shard fan-out (batches
-// comfortably exceed parallelBatchMin).
-func runHandleBatch(t *testing.T, c *Core, envs []protocol.Envelope, srcs []protocol.Source) []string {
-	t.Helper()
+// nestedLoop is the reference join for an R-side core's envelope
+// stream: every S probe meets every R store stamped before it (counter
+// order), and the pair is a result when the window contains it and the
+// predicate matches.
+func nestedLoop(pred predicate.Predicate, win window.Sliding, envs []protocol.Envelope) []string {
 	var out []string
-	collect := func(jr tuple.JoinResult) { out = append(out, resultKey(jr)) }
-	var batch []protocol.Envelope
-	cur := protocol.SourceStore
-	flush := func() {
-		if len(batch) > 0 {
-			c.HandleBatch(batch, cur, collect)
-			batch = batch[:0]
+	for _, probe := range envs {
+		if probe.Kind != protocol.KindTuple || probe.Stream != protocol.StreamJoin {
+			continue
+		}
+		for _, store := range envs {
+			if store.Kind != protocol.KindTuple || store.Stream != protocol.StreamStore || store.Counter >= probe.Counter {
+				continue
+			}
+			r, s := store.Tuple, probe.Tuple
+			if win.Contains(r.TS, s.TS) && pred.Match(r, s) {
+				out = append(out, resultKey(tuple.NewJoinResult(r, s)))
+			}
 		}
 	}
-	for i, e := range envs {
-		if srcs[i] != cur {
-			flush()
-			cur = srcs[i]
-		}
-		batch = append(batch, e)
-	}
-	flush()
 	sort.Strings(out)
 	return out
 }
 
-// TestShardedMatchesSingleShard is the core equivalence property: the
-// sharded batched pipeline must produce exactly the result multiset of
-// a one-shard core fed the same envelopes one at a time, for both
-// partitionable (equi) and fan-out (band) predicates.
+// TestShardedMatchesSingleShard is the core equivalence property: one
+// shard or four, one-element batches or large ones, the pipeline
+// produces exactly the nested-loop reference's result multiset, for
+// both partitionable (equi) and fan-out (band) predicates. The stream
+// spans longer than the window, so expiry runs throughout.
 func TestShardedMatchesSingleShard(t *testing.T) {
 	preds := []struct {
 		name string
@@ -105,31 +120,43 @@ func TestShardedMatchesSingleShard(t *testing.T) {
 	for _, pc := range preds {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", pc.name, seed), func(t *testing.T) {
-				envs, srcs := workload(seed, 400, pc.key)
-				single, err := NewCore(Config{Rel: tuple.R, Pred: pc.pred, Window: testWin(), Shards: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				single.AddRouter(1)
-				sharded, err := NewCore(Config{Rel: tuple.R, Pred: pc.pred, Window: testWin(), Shards: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sharded.AddRouter(1)
-				want := runHandle(t, single, envs, srcs)
-				got := runHandleBatch(t, sharded, envs, srcs)
-				if len(got) != len(want) {
-					t.Fatalf("sharded produced %d results, single produced %d", len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("result %d differs: %s vs %s", i, got[i], want[i])
+				envs, srcs := workload(seed, 1500, pc.key)
+				want := nestedLoop(pc.pred, testWin(), envs)
+				var stores, probes int64
+				for _, e := range envs {
+					if e.Kind == protocol.KindTuple && e.Stream == protocol.StreamStore {
+						stores++
+					} else if e.Kind == protocol.KindTuple {
+						probes++
 					}
 				}
-				ss, gs := single.Stats(), sharded.Stats()
-				if gs.Stored != ss.Stored || gs.Probed != ss.Probed || gs.Results != ss.Results {
-					t.Fatalf("counter drift: sharded stored=%d probed=%d results=%d, single stored=%d probed=%d results=%d",
-						gs.Stored, gs.Probed, gs.Results, ss.Stored, ss.Probed, ss.Results)
+				for _, shards := range []int{1, 4} {
+					for _, size := range []int{1, 512} {
+						t.Run(fmt.Sprintf("shards%d/batch%d", shards, size), func(t *testing.T) {
+							c, err := NewCore(Config{Rel: tuple.R, Pred: pc.pred, Window: testWin(), Shards: shards})
+							if err != nil {
+								t.Fatal(err)
+							}
+							c.AddRouter(1)
+							got := runBatches(t, c, envs, srcs, size)
+							if len(got) != len(want) {
+								t.Fatalf("produced %d results, reference %d", len(got), len(want))
+							}
+							for i := range want {
+								if got[i] != want[i] {
+									t.Fatalf("result %d differs: %s vs reference %s", i, got[i], want[i])
+								}
+							}
+							st := c.Stats()
+							if st.Stored != stores || st.Probed != probes || st.Results != int64(len(want)) {
+								t.Fatalf("counters stored=%d probed=%d results=%d, want %d/%d/%d",
+									st.Stored, st.Probed, st.Results, stores, probes, len(want))
+							}
+							if st.Expired == 0 {
+								t.Fatal("nothing expired; the stream must outlast the window")
+							}
+						})
+					}
 				}
 			})
 		}
@@ -145,11 +172,11 @@ func TestHandleBatchDedupsRedeliveries(t *testing.T) {
 	}
 	c.AddRouter(1)
 	envs, srcs := workload(9, 200, func(i int) tuple.Value { return tuple.Int(int64(i % 5)) })
-	first := runHandleBatch(t, c, envs, srcs)
+	first := runBatches(t, c, envs, srcs, 512)
 	if len(first) == 0 {
 		t.Fatal("workload produced no results")
 	}
-	second := runHandleBatch(t, c, envs, srcs)
+	second := runBatches(t, c, envs, srcs, 512)
 	if len(second) != 0 {
 		t.Fatalf("redelivered batch re-emitted %d results", len(second))
 	}
@@ -158,49 +185,79 @@ func TestHandleBatchDedupsRedeliveries(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotRestoreRoundTrip: a sharded core's snapshot
-// restores into cores with the same and with a different shard count,
-// and both continue producing correct results.
-func TestShardedSnapshotRestoreRoundTrip(t *testing.T) {
+// probeAfter feeds one S probe and the punctuation releasing it, and
+// returns the left (stored R) seqs of the results, sorted.
+func probeAfter(c *Core, counter uint64, probe *tuple.Tuple) []uint64 {
+	var left []uint64
+	collect := func(jr tuple.JoinResult) { left = append(left, jr.Left.Seq) }
+	feed(c, joinEnv(counter, probe), protocol.SourceJoin, collect)
+	punctAll(c, counter+1, collect)
+	sort.Slice(left, func(i, j int) bool { return left[i] < left[j] })
+	return left
+}
+
+// restoredCore builds an R-side core with the given shard count from a
+// 3-shard core's snapshot of a 300-tuple workload.
+func restoredCore(t *testing.T, shards int) (src, restored *Core) {
+	t.Helper()
 	src, err := NewCore(Config{Rel: tuple.R, Pred: predicate.NewEqui(0, 0), Window: testWin(), Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	src.AddRouter(1)
 	envs, srcs := workload(13, 300, func(i int) tuple.Value { return tuple.Int(int64(i % 9)) })
-	runHandleBatch(t, src, envs, srcs)
-	snap := src.Snapshot()
-	var wantResults []tuple.JoinResult
-	probe2 := tuple.New(tuple.S, 100_001, 7000, tuple.Int(3))
-	src.Handle(joinEnv(1_000_002, probe2), protocol.SourceJoin, func(jr tuple.JoinResult) {
-		wantResults = append(wantResults, jr)
-	})
-	punct2 := protocol.Envelope{Kind: protocol.KindPunctuation, RouterID: 1, Counter: 1_000_003}
-	src.Handle(punct2, protocol.SourceStore, func(jr tuple.JoinResult) { wantResults = append(wantResults, jr) })
-	src.Handle(punct2, protocol.SourceJoin, func(jr tuple.JoinResult) { wantResults = append(wantResults, jr) })
+	runBatches(t, src, envs, srcs, 512)
+	restored, err = NewCore(Config{Rel: tuple.R, Pred: predicate.NewEqui(0, 0), Window: testWin(), Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(src.Snapshot()); err != nil {
+		t.Fatalf("restore into %d shards: %v", shards, err)
+	}
+	if restored.idx.Len() != src.idx.Len() {
+		t.Fatalf("restored window len=%d, want %d", restored.idx.Len(), src.idx.Len())
+	}
+	return src, restored
+}
+
+// TestShardedSnapshotRestoreRoundTrip: a sharded core's snapshot
+// restores into cores with the same and with a different shard count,
+// and a probe through HandleBatch on either joins against the full
+// restored window.
+func TestShardedSnapshotRestoreRoundTrip(t *testing.T) {
 	for _, shards := range []int{3, 5} {
-		restored, err := NewCore(Config{Rel: tuple.R, Pred: predicate.NewEqui(0, 0), Window: testWin(), Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := restored.Restore(snap); err != nil {
-			t.Fatalf("restore into %d shards: %v", shards, err)
-		}
-		if restored.idx.Len() != src.idx.Len() {
-			t.Fatalf("restored window len=%d, want %d", restored.idx.Len(), src.idx.Len())
-		}
-		// A probe on the restored core joins against the full window.
-		var results []tuple.JoinResult
+		src, restored := restoredCore(t, shards)
 		probe := tuple.New(tuple.S, 100_000, 7000, tuple.Int(3))
-		restored.Handle(joinEnv(1_000_000, probe), protocol.SourceJoin, func(jr tuple.JoinResult) {
-			results = append(results, jr)
-		})
-		punct := protocol.Envelope{Kind: protocol.KindPunctuation, RouterID: 1, Counter: 1_000_001}
-		restored.Handle(punct, protocol.SourceStore, func(jr tuple.JoinResult) { results = append(results, jr) })
-		restored.Handle(punct, protocol.SourceJoin, func(jr tuple.JoinResult) { results = append(results, jr) })
-		if len(results) != len(wantResults) {
-			t.Fatalf("restored core with %d shards produced %d results for the probe, want %d",
-				shards, len(results), len(wantResults))
+		want := probeAfter(src, 1_000_000, probe)
+		if len(want) == 0 {
+			t.Fatal("reference probe found nothing; the workload must store key 3")
 		}
+		got := probeAfter(restored, 1_000_000, probe)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("restored core with %d shards matched %v, want %v", shards, got, want)
+		}
+	}
+}
+
+// TestResizedRestoreSnapshotsLaterStores: after a 3→5-shard restore, a
+// tuple stored through HandleBatch lands in the live window, so the
+// next checkpoint snapshot carries it.
+func TestResizedRestoreSnapshotsLaterStores(t *testing.T) {
+	_, restored := restoredCore(t, 5)
+	before := restored.idx.Len()
+	late := tuple.New(tuple.R, 200_000, 7000, tuple.Int(4))
+	collect := func(tuple.JoinResult) {}
+	feed(restored, storeEnv(1_000_000, late), protocol.SourceStore, collect)
+	punctAll(restored, 1_000_001, collect)
+	n, found := 0, false
+	for _, seg := range restored.Snapshot().Segments {
+		for _, tp := range seg.Tuples {
+			n++
+			found = found || tp.Seq == late.Seq
+		}
+	}
+	if !found || n != before+1 {
+		t.Fatalf("snapshot after a post-restore store holds %d tuples (late tuple present: %v), want %d",
+			n, found, before+1)
 	}
 }

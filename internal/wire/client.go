@@ -891,6 +891,11 @@ func (c *Client) QueueStats(queue string) (broker.QueueStats, error) {
 // in-process consumer's does: a batching consumer (broker.Drain) finds
 // everything that has arrived, not just the one delivery the forwarder
 // had in hand.
+//
+// The tags the application sees are the consumer's own, numbered once
+// for its lifetime, not the server's: a restarted or newly elected
+// broker numbers deliveries from scratch, so a server tag from the old
+// connection can name a different message on the new one.
 type remoteConsumer struct {
 	c        *Client
 	id       uint64
@@ -901,16 +906,23 @@ type remoteConsumer struct {
 	dead     chan struct{} // closed on Cancel: the forwarder must not block
 	once     sync.Once
 
-	mu     sync.Mutex
-	buf    []genDelivery
-	tags   map[uint64]uint64 // delivery tag -> connection generation
-	eof    bool
-	notify chan struct{}
+	mu      sync.Mutex
+	buf     []genDelivery
+	lastTag uint64               // last local tag handed out
+	tags    map[uint64]serverTag // local tag -> its server-side delivery
+	eof     bool
+	notify  chan struct{}
 }
 
 type genDelivery struct {
 	d   broker.Delivery
 	gen uint64
+}
+
+// serverTag names a delivery on the server: its tag there and the
+// connection generation it arrived over.
+type serverTag struct {
+	tag, gen uint64
 }
 
 func newRemoteConsumer(c *Client, id uint64, queue string, prefetch int, autoAck bool) *remoteConsumer {
@@ -922,20 +934,23 @@ func newRemoteConsumer(c *Client, id uint64, queue string, prefetch int, autoAck
 		autoAck:  autoAck,
 		ch:       make(chan broker.Delivery, prefetch),
 		dead:     make(chan struct{}),
-		tags:     make(map[uint64]uint64),
+		tags:     make(map[uint64]serverTag),
 		notify:   make(chan struct{}, 1),
 	}
 	go rc.forward()
 	return rc
 }
 
-// push is called from the client's read loop; it never blocks.
+// push is called from the client's read loop; it never blocks. It
+// swaps the server tag for a fresh local one.
 func (rc *remoteConsumer) push(d broker.Delivery, gen uint64) {
 	rc.mu.Lock()
-	rc.buf = append(rc.buf, genDelivery{d, gen})
+	rc.lastTag++
 	if !rc.autoAck {
-		rc.tags[d.Tag] = gen
+		rc.tags[rc.lastTag] = serverTag{d.Tag, gen}
 	}
+	d.Tag = rc.lastTag
+	rc.buf = append(rc.buf, genDelivery{d, gen})
 	rc.mu.Unlock()
 	rc.wake()
 }
@@ -953,8 +968,8 @@ func (rc *remoteConsumer) dropStale(gen uint64) {
 		}
 	}
 	rc.buf = kept
-	for tag, g := range rc.tags {
-		if g < gen {
+	for tag, st := range rc.tags {
+		if st.gen < gen {
 			delete(rc.tags, tag)
 		}
 	}
@@ -1018,12 +1033,12 @@ func (rc *remoteConsumer) forward() {
 // Deliveries implements broker.Consumer.
 func (rc *remoteConsumer) Deliveries() <-chan broker.Delivery { return rc.ch }
 
-// settleableLocked checks the tag belongs to the current connection,
-// forgetting it either way.
-func (rc *remoteConsumer) settleableLocked(tag uint64) bool {
-	gen, ok := rc.tags[tag]
+// settleableLocked maps a local tag to its server tag and checks it
+// belongs to the current connection, forgetting it either way.
+func (rc *remoteConsumer) settleableLocked(tag uint64) (uint64, bool) {
+	st, ok := rc.tags[tag]
 	delete(rc.tags, tag)
-	return ok && gen >= rc.c.gen.Load()
+	return st.tag, ok && st.gen >= rc.c.gen.Load()
 }
 
 // Ack implements broker.Consumer as a one-element AckBatch.
@@ -1034,15 +1049,15 @@ func (rc *remoteConsumer) Ack(tag uint64) error {
 
 // AckBatch implements broker.BatchAcker: one frame, one round trip.
 // Tags of deliveries that arrived over a previous connection are never
-// sent — the server already requeued those messages, and the tag may
-// meanwhile identify a different one — and make the call report
+// sent — the server already requeued those messages, and their server
+// tag may meanwhile identify a different one — and make the call report
 // ErrStaleDelivery; the rest settle regardless.
 func (rc *remoteConsumer) AckBatch(tags []uint64) error {
 	live := make([]uint64, 0, len(tags))
 	rc.mu.Lock()
 	for _, tag := range tags {
-		if rc.settleableLocked(tag) {
-			live = append(live, tag)
+		if st, ok := rc.settleableLocked(tag); ok {
+			live = append(live, st)
 		}
 	}
 	rc.mu.Unlock()
@@ -1066,14 +1081,14 @@ func (rc *remoteConsumer) AckBatch(tags []uint64) error {
 // Nack implements broker.Consumer; see Ack for stale-delivery handling.
 func (rc *remoteConsumer) Nack(tag uint64, requeue bool) error {
 	rc.mu.Lock()
-	live := rc.settleableLocked(tag)
+	st, live := rc.settleableLocked(tag)
 	rc.mu.Unlock()
 	if !live {
 		return ErrStaleDelivery
 	}
 	payload, id := rc.c.newRequest(opNack)
 	payload = binary.LittleEndian.AppendUint64(payload, rc.id)
-	payload = binary.LittleEndian.AppendUint64(payload, tag)
+	payload = binary.LittleEndian.AppendUint64(payload, st)
 	payload = append(payload, boolByte(requeue))
 	return rc.c.simpleCall(payload, id)
 }

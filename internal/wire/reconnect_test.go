@@ -264,6 +264,92 @@ func TestReconnectReplaysTopologyAndConsumers(t *testing.T) {
 	}
 }
 
+// TestStaleAckCannotSettleReusedTag: a restarted (or newly elected)
+// broker numbers its deliveries from scratch, so a delivery over the
+// new connection can carry the same server tag as one the application
+// still holds from the old connection. Settling the old delivery must
+// fail as stale and leave the new one alone: a nack of the new one
+// must still requeue it, not find it already acked and lose it.
+func TestStaleAckCannotSettleReusedTag(t *testing.T) {
+	b := broker.New(nil)
+	srv := NewServer(b, t.Logf)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastReconnect(addr.String())
+	cfg.Logf = t.Logf
+	client, err := Connect(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	mustNil(t, client.DeclareExchange("ex", broker.Direct))
+	mustNil(t, client.DeclareQueue("q", broker.QueueOptions{}))
+	mustNil(t, client.Bind("q", "ex", "k"))
+	cons, err := client.Consume("q", 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustNil(t, client.Publish("ex", "k", nil, []byte("before")))
+	before := recvBody(t, cons, "before")
+
+	srv.Close()
+	b.Close()
+	b2 := broker.New(nil)
+	defer b2.Close()
+	srv2 := NewServer(b2, t.Logf)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := srv2.Listen(addr.String()); err == nil {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("rebind %s: %v", addr, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	defer srv2.Close()
+	for {
+		err := client.Publish("ex", "k", nil, []byte("after"))
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("publish after restart kept failing: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// The fresh broker's first delivery: server tag 1, like "before".
+	after := recvBody(t, cons, "after")
+
+	if err := cons.Ack(before.Tag); !errors.Is(err, ErrStaleDelivery) {
+		t.Fatalf("ack of the pre-restart delivery = %v; want ErrStaleDelivery", err)
+	}
+	if err := cons.Nack(after.Tag, true); err != nil {
+		t.Fatalf("nack of the post-restart delivery: %v", err)
+	}
+	again := recvBody(t, cons, "after")
+	if !again.Redelivered {
+		t.Error("requeued delivery not marked redelivered")
+	}
+	mustNil(t, cons.Ack(again.Tag))
+}
+
+// recvBody waits for the consumer's next delivery and checks its body.
+func recvBody(t *testing.T, cons broker.Consumer, want string) broker.Delivery {
+	t.Helper()
+	select {
+	case d := <-cons.Deliveries():
+		if string(d.Body) != want {
+			t.Fatalf("delivery = %q; want %q", d.Body, want)
+		}
+		return d
+	case <-time.After(5 * time.Second):
+		t.Fatalf("no %q delivery", want)
+	}
+	return broker.Delivery{}
+}
+
 // TestHeartbeatDetectsHalfOpenConnection: against a peer that accepts
 // and stays silent, the heartbeat must declare the connection dead and
 // force a reconnect instead of waiting on TCP forever.
@@ -289,7 +375,16 @@ func TestHeartbeatDetectsHalfOpenConnection(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if v, _ := reg.Value("wire.disconnects"); v < 1 {
-		t.Errorf("wire.disconnects = %v; want >= 1 after heartbeat kill", v)
+	// The heartbeat only closes the socket; the read loop notices and
+	// counts the disconnect a moment later.
+	for {
+		v, _ := reg.Value("wire.disconnects")
+		if v >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("wire.disconnects = %v; want >= 1 after heartbeat kill", v)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"bistream/internal/broker"
-	"bistream/internal/index"
 	"bistream/internal/metrics"
 )
 
@@ -44,12 +43,6 @@ func WithSubgroups(r, s int) Option {
 // WithArchivePeriod sets the chained index's sub-index span P.
 func WithArchivePeriod(p time.Duration) Option {
 	return func(c *Config) { c.ArchivePeriod = p }
-}
-
-// WithOrderedIndex selects the joiners' ordered sub-index implementation
-// (SkipListIndex or BTreeIndex) for non-equi predicates.
-func WithOrderedIndex(kind index.OrderedKind) Option {
-	return func(c *Config) { c.OrderedIndex = kind }
 }
 
 // WithShards sets the number of per-core store shards each joiner
