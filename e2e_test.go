@@ -101,15 +101,18 @@ func TestDistributedProcesses(t *testing.T) {
 	}
 	seen := map[[2]uint64]int{}
 	deadline := time.After(30 * time.Second)
+	var dec tuple.Decoder
+	var frame []*tuple.Tuple
 	for len(seen) < pairs {
 		select {
 		case d := <-sink.Deliveries():
-			l, r, err := tuple.UnmarshalPair(d.Body)
-			if err != nil {
+			// Each delivery is a result frame of one or more pairs.
+			if frame, err = dec.AppendPairs(frame[:0], d.Body); err != nil {
 				t.Fatal(err)
 			}
-			jr := tuple.NewJoinResult(l, r)
-			seen[jr.Key()]++
+			for i := 0; i < len(frame); i += 2 {
+				seen[tuple.NewJoinResult(frame[i], frame[i+1]).Key()]++
+			}
 		case <-deadline:
 			t.Fatalf("only %d/%d results after 30s", len(seen), pairs)
 		}

@@ -172,11 +172,12 @@ func TestBatchFallbacks(t *testing.T) {
 }
 
 // TestCancelWithLargeUnackedWindow: a checkpointing joiner holds
-// thousands of deliveries unacked per queue; cancelling such a consumer
-// must requeue them in delivery order, flagged redelivered, without
-// stalling the queue's publishers behind a long hold of its lock.
+// thousands of deliveries unacked per queue, up to MaxPrefetch;
+// cancelling such a consumer must requeue them in delivery order,
+// flagged redelivered, without stalling the queue's publishers behind a
+// long hold of its lock.
 func TestCancelWithLargeUnackedWindow(t *testing.T) {
-	const n = 50_000
+	const n = MaxPrefetch
 	b := newTestBroker(t)
 	declareBound(t, b, "ex", "q", QueueOptions{MaxRedeliver: -1})
 	ids := make([]int, n)
@@ -219,6 +220,25 @@ func TestCancelWithLargeUnackedWindow(t *testing.T) {
 		}
 		next++
 	}
+}
+
+// TestConsumeClampsPrefetch: a prefetch far beyond MaxPrefetch — one a
+// remote client can put in a 25-byte frame — is clamped instead of
+// sizing the delivery channel by it, and the consumer works.
+func TestConsumeClampsPrefetch(t *testing.T) {
+	b := newTestBroker(t)
+	declareBound(t, b, "ex", "q", QueueOptions{})
+	c, err := b.Consume("q", 1<<40, false)
+	mustNil(t, err)
+	if got := cap(c.Deliveries()); got != MaxPrefetch {
+		t.Fatalf("delivery channel holds %d, want MaxPrefetch = %d", got, MaxPrefetch)
+	}
+	mustNil(t, b.Publish("ex", "k", nil, []byte("m")))
+	d := drain(t, c, 1, 5*time.Second)[0]
+	if string(d.Body) != "m" {
+		t.Fatalf("delivered %q, want %q", d.Body, "m")
+	}
+	mustNil(t, c.Ack(d.Tag))
 }
 
 // TestMessagePathAllocations pins the steady-state allocation counts of

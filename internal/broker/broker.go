@@ -627,9 +627,17 @@ func (b *Broker) exchange(name string) (*exchange, error) {
 	return ex, nil
 }
 
+// MaxPrefetch caps a consumer's prefetch. The delivery channel is sized
+// by prefetch, and the value can arrive from a remote client (wire's
+// opConsume), so an unchecked one would let a single frame allocate
+// without bound. 4096 is the deepest window the engine asks for (a
+// checkpointing joiner's).
+const MaxPrefetch = 4096
+
 // Consume attaches a consumer to the queue. prefetch bounds the number
-// of unacknowledged deliveries in flight to this consumer (minimum 1);
-// with autoAck deliveries are confirmed as they are handed out.
+// of unacknowledged deliveries in flight to this consumer; it is
+// clamped to [1, MaxPrefetch]. With autoAck deliveries are confirmed as
+// they are handed out.
 func (b *Broker) Consume(queueName string, prefetch int, autoAck bool) (Consumer, error) {
 	b.mu.RLock()
 	if b.closed {

@@ -161,9 +161,7 @@ func (q *queue) waitRoomLocked(ctx context.Context) error {
 func (q *queue) backlogLocked() int { return q.ready.len() + q.unacked }
 
 func (q *queue) addConsumer(prefetch int, autoAck bool) (*consumer, error) {
-	if prefetch < 1 {
-		prefetch = 1
-	}
+	prefetch = min(max(prefetch, 1), MaxPrefetch)
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()

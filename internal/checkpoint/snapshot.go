@@ -21,7 +21,7 @@ import (
 //     are checkpointed), so losing them would lose results.
 //   - Dedup: the (relation, seq) filter, so redeliveries of
 //     pre-checkpoint tuples are suppressed after restore.
-//   - Retry: result bodies that failed to publish and are queued for
+//   - Retry: result frames that failed to publish and are queued for
 //     retransmission; their probes are checkpointed (hence acked), so
 //     the backlog is the only copy.
 type Snapshot struct {

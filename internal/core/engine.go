@@ -70,7 +70,10 @@ type Config struct {
 	// brokerd.
 	Broker broker.Client
 	// OnResult, when set, receives every join result synchronously from
-	// the sink and disables the Results channel.
+	// the sink and disables the Results channel. The result's tuples are
+	// carved out of the sink decoder's slab chunks, which hold hundreds
+	// of tuples each: an application that keeps a sparse subset of
+	// results pins whole chunks, and should copy what it keeps.
 	OnResult func(tuple.JoinResult)
 	// ResultBuffer sizes the Results channel (default 4096). When the
 	// buffer is full the sink blocks, backpressuring joiners.
@@ -220,8 +223,8 @@ type Engine struct {
 
 	// resultSeen dedups result pairs at the sink: the joiners' retry
 	// buffer and the broker's at-least-once redelivery can both deliver
-	// a result body twice, and the (left seq, right seq) pair identifies
-	// it exactly. Touched only by the sink goroutine (dedup.Set is not
+	// a result frame twice, and the (left seq, right seq) pair identifies
+	// each of its results exactly. Touched only by the sink goroutine (dedup.Set is not
 	// concurrency-safe). Nil in Unordered mode, where the Figure 8
 	// experiment measures duplicate anomalies on purpose.
 	resultSeen  *dedup.Set
@@ -750,6 +753,8 @@ func (e *Engine) IngestContext(ctx context.Context, t *tuple.Tuple) error {
 }
 
 // Results returns the join result channel (nil when OnResult is set).
+// Result tuples come from the sink decoder's slab chunks, so keeping a
+// sparse subset of results pins whole chunks; copy what you keep.
 func (e *Engine) Results() <-chan tuple.JoinResult { return e.results }
 
 // maxSinkBatch caps how many result deliveries one sinkLoop wakeup
@@ -759,10 +764,15 @@ func (e *Engine) Results() <-chan tuple.JoinResult { return e.results }
 const maxSinkBatch = 512
 
 // sinkLoop drains the result queue in batches: block for one delivery,
-// gather whatever else is already queued (up to maxSinkBatch), hand the
-// pairs to the application in arrival order, then settle the batch.
+// gather whatever else is already queued (up to maxSinkBatch), decode
+// each delivery's result frame and hand its pairs to the application in
+// arrival order, then settle the batch. Frames decode through one
+// slab-backed decoder, so a frame's tuples cost a share of a slab chunk
+// rather than allocations of their own.
 func (e *Engine) sinkLoop(cons broker.Consumer) {
 	defer close(e.sinkDone)
+	var dec tuple.Decoder
+	var pairs []*tuple.Tuple
 	batch := make([]broker.Delivery, 0, maxSinkBatch)
 	tags := make([]uint64, 0, maxSinkBatch)
 	ch := cons.Deliveries()
@@ -772,16 +782,25 @@ func (e *Engine) sinkLoop(cons broker.Consumer) {
 		tags = tags[:0]
 		stopping := false
 		for i := range batch {
-			l, r, err := tuple.UnmarshalPair(batch[i].Body)
-			if err != nil {
-				_ = cons.Nack(batch[i].Tag, false) // poison: dead-letter for inspection
+			var err error
+			if pairs, err = dec.AppendPairs(pairs[:0], batch[i].Body); err != nil {
+				// Poison: dead-letter the whole frame for inspection. The
+				// decoder took it in full or not at all, so none of its
+				// pairs reached the application.
+				_ = cons.Nack(batch[i].Tag, false)
 				continue
 			}
-			if stopping = !e.deliver(l, r); stopping {
-				break // unread results stay unacked
+			for j := 0; j < len(pairs) && !stopping; j += 2 {
+				stopping = !e.deliver(pairs[j], pairs[j+1])
+			}
+			if stopping {
+				// The frame stays unacked; on redelivery the dedup
+				// absorbs the prefix that was delivered.
+				break
 			}
 			tags = append(tags, batch[i].Tag)
 		}
+		clear(pairs[:cap(pairs)]) // drop the tuple references
 		// Ack only after the results reached the application; a crash
 		// before this point redelivers the pairs and the sink's dedup
 		// keeps the redelivery from duplicating them. A failed ack

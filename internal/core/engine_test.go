@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -321,6 +322,42 @@ func TestEngineResultsChannel(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no result on channel")
+	}
+}
+
+// TestSinkDeadLettersAPoisonFrameWhole: a result frame whose second pair
+// is truncated is dead-lettered as a whole — its intact first pair never
+// reaches the application — and the sink carries on with the next frame.
+func TestSinkDeadLettersAPoisonFrameWhole(t *testing.T) {
+	b := broker.New(nil)
+	t.Cleanup(func() { b.Close() }) // after the engine's own cleanup stops it
+	col := newCollector()
+	startEngine(t, Config{Predicate: predicate.NewEqui(0, 0), Window: time.Minute, Broker: b}, col)
+	pair := func(l, r uint64) []byte {
+		return tuple.AppendPair(nil, tuple.New(tuple.R, l, 0, tuple.Int(1)), tuple.New(tuple.S, r, 0, tuple.Int(1)))
+	}
+	poison := append(pair(1, 2), pair(3, 4)...)
+	for _, frame := range [][]byte{poison[:len(poison)-1], append(pair(5, 6), pair(7, 8)...)} {
+		if err := b.Publish(topo.ResultExchange, topo.ResultKey, nil, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The sink takes frames in order, so once the good frame's pairs are
+	// in, the poison frame has been handled.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(col.snapshot()) < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	want := map[[2]uint64]int{{5, 6}: 1, {7, 8}: 1}
+	if got := col.snapshot(); !maps.Equal(got, want) {
+		t.Fatalf("delivered %v, want only the good frame's pairs %v", got, want)
+	}
+	st, err := b.QueueStats(topo.ResultExchange + ".sink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DeadLettered != 1 {
+		t.Fatalf("sink queue dead-lettered %d frames, want the poison frame", st.DeadLettered)
 	}
 }
 

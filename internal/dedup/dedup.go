@@ -12,6 +12,8 @@
 // crash, while old traffic ages out instead of growing without bound.
 package dedup
 
+import "maps"
+
 // Key identifies one unit of work: (relation, seq) for tuples,
 // (leftSeq, rightSeq) for join results.
 type Key [2]uint64
@@ -64,6 +66,12 @@ func (s *Set) SeenOrAdd(k Key) bool {
 	}
 	s.Add(k)
 	return false
+}
+
+// DeleteFunc forgets every retained key for which del returns true.
+func (s *Set) DeleteFunc(del func(Key) bool) {
+	maps.DeleteFunc(s.cur, func(k Key, _ struct{}) bool { return del(k) })
+	maps.DeleteFunc(s.prev, func(k Key, _ struct{}) bool { return del(k) })
 }
 
 // Suppressed returns how many SeenOrAdd calls found their key already

@@ -582,10 +582,22 @@ func (c *Core) Restore(snap *checkpoint.Snapshot) error {
 // deliberately NOT merged — copies of in-flight tuples addressed to
 // this member must still process here, and segment-level identity
 // already suppresses the only duplication grafting can cause.
+//
+// A graft that adds tuples also forgets the probes this member has seen
+// (the opposite relation's dedup keys): their evaluation here predates
+// the grafted tuples. A later copy of such a probe — a router's re-route
+// after a fan-out that failed part-way, stamped past the migration's
+// cut-over so the donor no longer answers it — must be evaluated again,
+// or its pairs with the moved tuples are lost. The pairs the re-run
+// repeats reach the sink's result dedup, as the migration overlap's do.
 func (c *Core) Graft(segs []index.Segment) error {
 	added, err := c.idx.Graft(segs)
 	if err != nil {
 		return fmt.Errorf("joiner: graft: %w", err)
+	}
+	if added > 0 {
+		probes := uint64(c.cfg.Rel.Opposite())
+		c.seen.DeleteFunc(func(k dedup.Key) bool { return k[0] == probes })
 	}
 	c.migratedIn.Add(int64(added))
 	c.migratedSegs.Add(int64(len(segs)))

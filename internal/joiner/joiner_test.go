@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"bistream/internal/index"
 	"bistream/internal/predicate"
 	"bistream/internal/protocol"
 	"bistream/internal/tuple"
@@ -86,6 +87,45 @@ func TestStoreThenJoinProducesResult(t *testing.T) {
 	st := c.Stats()
 	if st.Stored != 1 || st.Probed != 1 || st.Results != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestGraftReevaluatesProbesSeenBefore: a later copy of a probe (a
+// router's re-route under a new stamp) is suppressed as a duplicate,
+// unless a graft added tuples since the probe was evaluated here — then
+// it is evaluated again and meets them. Without that, a hot-key move
+// whose donor drops its pile before the re-routed copy reaches it loses
+// the probe's pairs with the moved tuples.
+func TestGraftReevaluatesProbesSeenBefore(t *testing.T) {
+	c := newRJoiner(t, predicate.NewEqui(0, 0))
+	var results []tuple.JoinResult
+	collect := func(jr tuple.JoinResult) { results = append(results, jr) }
+	probe := tuple.New(tuple.S, 50, 1000, tuple.Int(7))
+	for stamp := uint64(1); stamp <= 2; stamp++ {
+		feed(c, joinEnv(stamp, probe), protocol.SourceJoin, collect)
+		punctAll(c, stamp, collect)
+	}
+	if st := c.Stats(); st.Probed != 1 || st.Deduped != 1 || len(results) != 0 {
+		t.Fatalf("before the graft: stats %+v, results %v; want one probe, one duplicate, no result", st, results)
+	}
+	moved := tuple.New(tuple.R, 10, 1000, tuple.Int(7))
+	if err := c.Graft([]index.Segment{{ID: 1, Origin: 3, Sealed: true, MinTS: 1000, MaxTS: 1000, Tuples: []*tuple.Tuple{moved}}}); err != nil {
+		t.Fatal(err)
+	}
+	feed(c, joinEnv(3, probe), protocol.SourceJoin, collect)
+	punctAll(c, 3, collect)
+	if len(results) != 1 || results[0].Left != moved || results[0].Right.Seq != probe.Seq {
+		t.Fatalf("after the graft: results %v, want the probe paired with the grafted tuple", results)
+	}
+	// Only probes are forgotten: a redelivered store copy is still a
+	// duplicate.
+	stored := tuple.New(tuple.R, 11, 1000, tuple.Int(8))
+	for stamp := uint64(4); stamp <= 5; stamp++ {
+		feed(c, storeEnv(stamp, stored), protocol.SourceStore, collect)
+		punctAll(c, stamp, collect)
+	}
+	if st := c.Stats(); st.Stored != 1 {
+		t.Fatalf("stored %d copies of one tuple, want 1", st.Stored)
 	}
 }
 

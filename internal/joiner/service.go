@@ -38,14 +38,21 @@ type Service struct {
 	stopCh    chan struct{}
 	wg        sync.WaitGroup
 	started   bool
-	// out holds the results emitted under the current hold of mu, in
-	// emit order; publishLocked moves them to the broker in one batch
-	// before mu is released, so it is empty whenever mu is free.
-	out []broker.Publication
-	// retry holds marshaled result bodies whose publish failed, in emit
-	// order; drained opportunistically after each handled batch and by a
-	// background ticker while the stream is quiet.
-	retry [][]byte
+	// frame is the open result frame: the pairs emitted since the last
+	// seal, encoded back to back (tuple.AppendPair). Sealing copies it
+	// into out as one publication and reuses the buffer.
+	frame []byte
+	// out holds the sealed result frames of the current hold of mu, in
+	// emit order; publishLocked seals the open frame and moves them to
+	// the broker in one batch before mu is released, so out, frame and
+	// buffered are empty whenever mu is free.
+	out      []broker.Publication
+	buffered int // result pairs in out and frame
+	// retry holds result frames whose publish failed, in emit order, and
+	// retryBytes their total size; drained opportunistically after each
+	// handled batch and by a background ticker while the stream is quiet.
+	retry      [][]byte
+	retryBytes int
 
 	// Checkpointing (nil ckpt = disabled). With checkpointing on, acks
 	// are deferred: a handled delivery joins pendingAcks and is
@@ -82,11 +89,12 @@ func (s *Service) ackBatch(cons broker.Consumer, tags []uint64) {
 	}
 }
 
-// retryBacklogCap bounds the buffered result bodies during a broker
-// outage (~32k results); beyond it the oldest are dropped and counted,
-// trading bounded memory for completeness exactly like the window
-// state a crashed joiner loses.
-const retryBacklogCap = 1 << 15
+// retryBacklogBytes bounds the buffered result frames during a broker
+// outage (2 MiB, about 32k small result pairs); beyond it the oldest
+// frames are dropped and their pairs counted, trading bounded memory
+// for completeness exactly like the window state a crashed joiner
+// loses.
+const retryBacklogBytes = 2 << 20
 
 // retryInterval paces background republish attempts of buffered
 // results while no deliveries are arriving.
@@ -173,9 +181,9 @@ func (s *Service) EnableCheckpointing(ck *checkpoint.Checkpointer, interval time
 		if err := s.core.Restore(snap); err != nil {
 			return false, err
 		}
-		s.retry = nil
-		if len(snap.Retry) > 0 {
-			s.retry = append(s.retry, snap.Retry...)
+		s.retry, s.retryBytes = nil, 0
+		for _, frame := range snap.Retry {
+			s.retryLocked(frame)
 		}
 	}
 	s.ckpt = ck
@@ -324,8 +332,8 @@ func (s *Service) MemBytes() int64 {
 	return s.core.MemBytes()
 }
 
-// RetryBacklog reports how many result publishes are waiting to be
-// retried.
+// RetryBacklog reports how many result publishes — result frames, each
+// of one or more pairs — are waiting to be retried.
 func (s *Service) RetryBacklog() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -595,25 +603,51 @@ func (s *Service) retryLoop(stop <-chan struct{}) {
 // window) publishes in slices instead of buffering every pair.
 const maxEmitBatch = 4096
 
-// emit queues a join result for publishLocked. Called with s.mu held.
+// maxResultFrame is the size at which the open result frame is sealed
+// into a publication of its own. Results need no order and are
+// deduplicated per pair at the sink, so one broker message can carry
+// many of them; the bound keeps a frame a modest broker message and
+// retry-backlog unit. A frame holds at least one pair, so it can exceed
+// the bound by at most one pair.
+const maxResultFrame = 32 << 10
+
+// emit appends a join result to the open result frame for
+// publishLocked. Called with s.mu held.
 func (s *Service) emit(jr tuple.JoinResult) {
-	s.out = append(s.out, broker.Publication{
-		Exchange: topo.ResultExchange, RoutingKey: topo.ResultKey,
-		Body: tuple.AppendBinary(tuple.Marshal(jr.Left), jr.Right),
-	})
-	if len(s.out) >= maxEmitBatch {
+	s.frame = tuple.AppendPair(s.frame, jr.Left, jr.Right)
+	s.buffered++
+	if len(s.frame) >= maxResultFrame {
+		s.sealFrame()
+	}
+	if s.buffered >= maxEmitBatch {
 		s.publishLocked()
 	}
 }
 
-// publishLocked publishes the results emitted under this hold of s.mu
-// with one PublishBatch. Results whose publish fails join the retry
-// backlog instead of being dropped, and ordering across results is
-// preserved by never publishing around a non-empty backlog: the backlog
-// goes first, and while any of it remains the fresh results queue up
-// behind it. Called with s.mu held, by everything that hands s.emit to
-// the core, before releasing it.
+// sealFrame moves the open result frame into out as one publication.
+// The body is a copy: the broker keeps it for as long as the message
+// lives, while the frame buffer is reused for the next frame.
+func (s *Service) sealFrame() {
+	if len(s.frame) == 0 {
+		return
+	}
+	s.out = append(s.out, broker.Publication{
+		Exchange: topo.ResultExchange, RoutingKey: topo.ResultKey,
+		Body: append([]byte(nil), s.frame...),
+	})
+	s.frame = s.frame[:0]
+}
+
+// publishLocked publishes the results emitted under this hold of s.mu,
+// sealed into result frames, with one PublishBatch. Frames whose publish
+// fails join the retry backlog instead of being dropped, and ordering
+// across frames is preserved by never publishing around a non-empty
+// backlog: the backlog goes first, and while any of it remains the fresh
+// frames queue up behind it. Called with s.mu held, by everything that
+// hands s.emit to the core, before releasing it.
 func (s *Service) publishLocked() {
+	s.sealFrame()
+	s.buffered = 0
 	s.drainRetryLocked()
 	if len(s.out) == 0 {
 		return
@@ -626,24 +660,41 @@ func (s *Service) publishLocked() {
 		}
 	}
 	for _, p := range s.out[published:] {
-		if len(s.retry) >= retryBacklogCap {
-			s.retry = s.retry[1:]
-			s.dropped.Inc()
-		}
-		s.retry = append(s.retry, p.Body)
+		s.retryLocked(p.Body)
 	}
 	clear(s.out) // drop the body references
 	s.out = s.out[:0]
 }
 
-// drainRetryLocked republishes buffered results until the backlog is
-// empty or a publish fails again. Called with s.mu held.
+// retryLocked appends a result frame to the retry backlog, first
+// dropping whole oldest frames while the backlog would exceed
+// retryBacklogBytes. results_dropped counts the pairs lost. Called with
+// s.mu held.
+func (s *Service) retryLocked(frame []byte) {
+	for len(s.retry) > 0 && s.retryBytes+len(frame) > retryBacklogBytes {
+		// Frames come from emit or from a checkpoint of its backlog and
+		// always decode; one that did not would still be one lost result.
+		var dec tuple.Decoder
+		pairs, _ := dec.AppendPairs(nil, s.retry[0])
+		s.dropped.Add(max(int64(len(pairs)/2), 1))
+		s.retryBytes -= len(s.retry[0])
+		s.retry[0] = nil
+		s.retry = s.retry[1:]
+	}
+	s.retry = append(s.retry, frame)
+	s.retryBytes += len(frame)
+}
+
+// drainRetryLocked republishes buffered result frames until the backlog
+// is empty or a publish fails again. Called with s.mu held.
 func (s *Service) drainRetryLocked() {
 	for len(s.retry) > 0 {
 		if err := s.client.Publish(topo.ResultExchange, topo.ResultKey, nil, s.retry[0]); err != nil {
 			s.publishErrors.Inc()
 			return
 		}
+		s.retryBytes -= len(s.retry[0])
+		s.retry[0] = nil
 		s.retry = s.retry[1:]
 	}
 	s.retry = nil

@@ -2,6 +2,7 @@ package joiner
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -238,15 +239,11 @@ func (f *flakyResults) Publish(exchange, key string, h map[string]string, body [
 	return f.Client.Publish(exchange, key, h, body)
 }
 
-// TestServiceResultBatchFailureKeepsOrder: a batch's results go out in
-// one PublishBatch; when it fails part-way the published prefix stays
-// published, the rest joins the retry backlog, later results queue up
-// behind the backlog instead of overtaking it, and once the broker is
-// back everything arrives exactly once in emit order.
-func TestServiceResultBatchFailureKeepsOrder(t *testing.T) {
-	b := broker.New(nil)
-	defer b.Close()
-	client := &flakyResults{Client: b}
+// handDriven is a result-publishing service over client whose results
+// land on b's "sink" queue, driven by hand instead of by consume loops:
+// handle runs one batch under the lock a consume loop would hold.
+func handDriven(t *testing.T, b *broker.Broker, client broker.Client) (svc *Service, handle func(protocol.Source, ...protocol.Envelope)) {
+	t.Helper()
 	if err := topo.Declare(client); err != nil {
 		t.Fatal(err)
 	}
@@ -256,66 +253,185 @@ func TestServiceResultBatchFailureKeepsOrder(t *testing.T) {
 	if err := b.Bind("sink", topo.ResultExchange, topo.ResultKey); err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(mustCore(t, tuple.R, 0), client)
+	svc = NewService(mustCore(t, tuple.R, 0), client)
 	svc.AddRouter(1)
-	// Driven by hand, under the lock the consume loops would hold.
-	handle := func(src protocol.Source, envs ...protocol.Envelope) {
+	return svc, func(src protocol.Source, envs ...protocol.Envelope) {
 		svc.mu.Lock()
 		svc.core.HandleBatch(envs, src, svc.emit)
 		svc.publishLocked()
 		svc.mu.Unlock()
 	}
-	punct := func(c uint64) protocol.Envelope {
-		return protocol.Envelope{Kind: protocol.KindPunctuation, RouterID: 1, Counter: c}
-	}
-	// One stored R tuple; every S probe of the key yields one result.
-	handle(protocol.SourceStore, storeEnv(1, tuple.New(tuple.R, 1, 0, tuple.Int(7))), punct(1))
-	handle(protocol.SourceJoin, punct(1))
-	probe := func(counter, seq uint64) protocol.Envelope {
-		return joinEnv(counter, tuple.New(tuple.S, seq, 0, tuple.Int(7)))
-	}
+}
 
-	// Batch 1: five results, the broker dies after two of them.
-	client.set(true, 2)
-	handle(protocol.SourceStore, punct(10))
-	handle(protocol.SourceJoin, probe(2, 102), probe(3, 103), probe(4, 104), probe(5, 105), probe(6, 106), punct(10))
-	if got := svc.RetryBacklog(); got != 3 {
-		t.Fatalf("backlog after the failed batch = %d, want 3", got)
-	}
-	// Batch 2 while still down: must queue behind the backlog.
-	handle(protocol.SourceStore, punct(20))
-	handle(protocol.SourceJoin, probe(11, 111), probe(12, 112), punct(20))
-	if got := svc.RetryBacklog(); got != 5 {
-		t.Fatalf("backlog while down = %d, want 5", got)
-	}
-	// Batch 3 after recovery: backlog first, then the fresh result.
-	client.set(false, 0)
-	handle(protocol.SourceStore, punct(30))
-	handle(protocol.SourceJoin, probe(21, 121), punct(30))
-	if got := svc.RetryBacklog(); got != 0 {
-		t.Fatalf("backlog after recovery = %d, want 0", got)
-	}
+func punctEnv(c uint64) protocol.Envelope {
+	return protocol.Envelope{Kind: protocol.KindPunctuation, RouterID: 1, Counter: c}
+}
 
+// sinkFrames reads result frames off the sink queue until it holds
+// `pairs` result pairs, and returns the frames and the pairs' tuples
+// (left, right, left, right, ...) in arrival order.
+func sinkFrames(t *testing.T, b *broker.Broker, pairs int) (frames [][]byte, tuples []*tuple.Tuple) {
+	t.Helper()
 	sink, err := b.Consume("sink", 16, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []uint64{102, 103, 104, 105, 106, 111, 112, 121}
-	for i, w := range want {
+	defer sink.Cancel()
+	var dec tuple.Decoder
+	for len(tuples) < 2*pairs {
 		select {
 		case d := <-sink.Deliveries():
-			_, s, err := tuple.UnmarshalPair(d.Body)
-			if err != nil {
-				t.Fatal(err)
+			if tuples, err = dec.AppendPairs(tuples, d.Body); err != nil {
+				t.Fatalf("frame %d: %v", len(frames), err)
 			}
-			if s.Seq != w {
-				t.Fatalf("result %d pairs S seq %d, want %d (emit order)", i, s.Seq, w)
-			}
+			frames = append(frames, d.Body)
 		case <-time.After(5 * time.Second):
-			t.Fatalf("result %d never arrived", i)
+			t.Fatalf("%d of %d results arrived", len(tuples)/2, pairs)
 		}
 	}
-	if st, _ := b.QueueStats("sink"); st.Published != int64(len(want)) {
-		t.Fatalf("sink saw %d results, want %d exactly once each", st.Published, len(want))
+	return frames, tuples
+}
+
+// TestServiceResultBatchFailureKeepsOrder: a batch's results go out as
+// result frames in one PublishBatch; when it fails part-way the
+// published frames stay published, the rest join the retry backlog,
+// later frames queue up behind the backlog instead of overtaking it,
+// and once the broker is back every pair arrives exactly once in emit
+// order.
+func TestServiceResultBatchFailureKeepsOrder(t *testing.T) {
+	b := broker.New(nil)
+	defer b.Close()
+	client := &flakyResults{Client: b}
+	svc, handle := handDriven(t, b, client)
+	// One stored R tuple; every S probe of the key yields one result.
+	// The large attributes make a pair about 12 KiB, so a frame seals
+	// after three pairs.
+	big := strings.Repeat("x", 6<<10)
+	handle(protocol.SourceStore, storeEnv(1, tuple.New(tuple.R, 1, 0, tuple.Int(7), tuple.String(big))), punctEnv(1))
+	handle(protocol.SourceJoin, punctEnv(1))
+	probe := func(counter, seq uint64) protocol.Envelope {
+		return joinEnv(counter, tuple.New(tuple.S, seq, 0, tuple.Int(7), tuple.String(big)))
+	}
+	published := func() int64 {
+		st, err := b.QueueStats("sink")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Published
+	}
+
+	// Batch 1: nine results in three frames; the broker dies after the
+	// first frame.
+	client.set(true, 1)
+	handle(protocol.SourceStore, punctEnv(20))
+	var batch []protocol.Envelope
+	for i := uint64(0); i < 9; i++ {
+		batch = append(batch, probe(2+i, 102+i))
+	}
+	handle(protocol.SourceJoin, append(batch, punctEnv(20))...)
+	if got := svc.RetryBacklog(); got != 2 {
+		t.Fatalf("backlog after the failed batch = %d frames, want 2", got)
+	}
+	if got := published(); got != 1 {
+		t.Fatalf("sink holds %d frames after the failed batch, want the published first one", got)
+	}
+	// Batch 2 while still down: its frame must queue behind the backlog.
+	handle(protocol.SourceStore, punctEnv(30))
+	handle(protocol.SourceJoin, probe(21, 121), probe(22, 122), punctEnv(30))
+	if got := svc.RetryBacklog(); got != 3 {
+		t.Fatalf("backlog while down = %d frames, want 3", got)
+	}
+	if got := published(); got != 1 {
+		t.Fatalf("sink holds %d frames while down, want 1", got)
+	}
+	// Batch 3 after recovery: backlog first, then the fresh frame.
+	client.set(false, 0)
+	handle(protocol.SourceStore, punctEnv(40))
+	handle(protocol.SourceJoin, probe(31, 131), punctEnv(40))
+	if got := svc.RetryBacklog(); got != 0 {
+		t.Fatalf("backlog after recovery = %d frames, want 0", got)
+	}
+
+	want := []uint64{102, 103, 104, 105, 106, 107, 108, 109, 110, 121, 122, 131}
+	frames, tuples := sinkFrames(t, b, len(want))
+	for i, w := range want {
+		if s := tuples[2*i+1]; s.Seq != w {
+			t.Fatalf("result %d pairs S seq %d, want %d (emit order)", i, s.Seq, w)
+		}
+	}
+	if len(tuples) != 2*len(want) || len(frames) != 5 || published() != 5 {
+		t.Fatalf("sink saw %d pairs in %d frames (%d published), want %d pairs in 5 frames exactly once each",
+			len(tuples)/2, len(frames), published(), len(want))
+	}
+}
+
+// TestServiceHotKeyBatchSpansFrames: a probe matching a hot key's whole
+// window emits more than maxResultFrame bytes of results; they go out as
+// several frames, each at most the bound plus one pair, and every pair
+// arrives once.
+func TestServiceHotKeyBatchSpansFrames(t *testing.T) {
+	b := broker.New(nil)
+	defer b.Close()
+	_, handle := handDriven(t, b, b)
+	const stored = 2000
+	var batch []protocol.Envelope
+	for i := uint64(1); i <= stored; i++ {
+		batch = append(batch, storeEnv(i, tuple.New(tuple.R, i, 0, tuple.Int(7))))
+	}
+	handle(protocol.SourceStore, append(batch, punctEnv(stored+10))...)
+	probe := tuple.New(tuple.S, 1<<20, 0, tuple.Int(7))
+	handle(protocol.SourceJoin, joinEnv(stored+1, probe), punctEnv(stored+10))
+
+	pairLen := len(tuple.AppendPair(nil, tuple.New(tuple.R, stored, 0, tuple.Int(7)), probe))
+	if stored*pairLen <= 2*maxResultFrame {
+		t.Fatalf("%d results of %d bytes do not span three frames", stored, pairLen)
+	}
+	frames, tuples := sinkFrames(t, b, stored)
+	if len(frames) < 3 {
+		t.Fatalf("%d bytes of results went out in %d frames, want several", stored*pairLen, len(frames))
+	}
+	seen := map[uint64]bool{}
+	for i := 0; i < len(tuples); i += 2 {
+		seen[tuples[i].Seq] = true
+	}
+	if len(tuples) != 2*stored || len(seen) != stored {
+		t.Fatalf("got %d pairs (%d distinct), want %d", len(tuples)/2, len(seen), stored)
+	}
+	for i, f := range frames {
+		if len(f) > maxResultFrame+pairLen {
+			t.Errorf("frame %d is %d bytes, above the %d-byte bound plus one %d-byte pair", i, len(f), maxResultFrame, pairLen)
+		}
+	}
+}
+
+// TestEmitAndPublishAllocations pins the joiner's result path: emitting
+// 512 results and publishing them costs allocations per result frame
+// (one body copy; these 512 pairs fit one frame), not per result pair
+// (make perf-pins).
+func TestEmitAndPublishAllocations(t *testing.T) {
+	b := broker.New(nil)
+	defer b.Close()
+	svc, _ := handDriven(t, b, b)
+	// Results route nowhere, so nothing piles up across runs.
+	if err := b.DeleteQueue("sink"); err != nil {
+		t.Fatal(err)
+	}
+	results := make([]tuple.JoinResult, 512)
+	for i := range results {
+		results[i] = tuple.NewJoinResult(
+			tuple.New(tuple.R, uint64(i), int64(i), tuple.Int(int64(i))),
+			tuple.New(tuple.S, uint64(i+1000), int64(i), tuple.Int(int64(i))))
+	}
+	run := func() {
+		svc.mu.Lock()
+		for _, jr := range results {
+			svc.emit(jr)
+		}
+		svc.publishLocked()
+		svc.mu.Unlock()
+	}
+	run()
+	if got := testing.AllocsPerRun(100, run); got > 2 {
+		t.Errorf("emitting and publishing %d results allocates %v times, want at most 2 (per frame, not per pair)", len(results), got)
 	}
 }

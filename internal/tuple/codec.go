@@ -78,8 +78,17 @@ func Unmarshal(data []byte) (*Tuple, error) {
 	return t, nil
 }
 
+// AppendPair appends one join result — the left tuple's encoding
+// followed by the right's — to dst. A result frame is one or more such
+// pairs back to back, so a one-pair frame is exactly the body
+// UnmarshalPair decodes.
+func AppendPair(dst []byte, l, r *Tuple) []byte {
+	return AppendBinary(AppendBinary(dst, l), r)
+}
+
 // UnmarshalPair decodes two concatenated tuples, the encoding joiners
-// use for join results (left tuple followed by right tuple).
+// use for join results (left tuple followed by right tuple): a result
+// frame of exactly one pair.
 func UnmarshalPair(data []byte) (*Tuple, *Tuple, error) {
 	a, rest, err := consume(data)
 	if err != nil {

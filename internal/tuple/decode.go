@@ -33,11 +33,7 @@ const (
 // AppendBinary, exactly like the package-level Unmarshal, but allocates
 // from the decoder's slabs.
 func (d *Decoder) Unmarshal(data []byte) (*Tuple, error) {
-	if len(d.tuples) == cap(d.tuples) {
-		d.tuples = make([]Tuple, 0, decoderTupleChunk)
-	}
-	d.tuples = d.tuples[:len(d.tuples)+1]
-	t := &d.tuples[len(d.tuples)-1]
+	t := d.slot()
 	rest, err := parseInto(t, data, d)
 	if err == nil && len(rest) != 0 {
 		err = fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
@@ -48,6 +44,46 @@ func (d *Decoder) Unmarshal(data []byte) (*Tuple, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// AppendPairs decodes a result frame — one or more AppendPair pairs
+// back to back — and appends its tuples to dst as left, right, left,
+// right, ... The whole frame is parsed before AppendPairs returns, so a
+// frame is taken in full or not at all: an empty frame, a corrupt or
+// truncated tuple anywhere in it, or an odd tuple count returns dst
+// unchanged with an error, and the slab slots the frame used are handed
+// back.
+func (d *Decoder) AppendPairs(dst []*Tuple, frame []byte) ([]*Tuple, error) {
+	if len(frame) == 0 {
+		return dst, fmt.Errorf("%w: empty result frame", ErrCorrupt)
+	}
+	tuples, values, n := d.tuples, d.values, len(dst)
+	var err error
+	for len(frame) > 0 && err == nil {
+		t := d.slot()
+		if frame, err = parseInto(t, frame, d); err == nil {
+			dst = append(dst, t)
+		}
+	}
+	if err == nil && (len(dst)-n)%2 != 0 {
+		err = fmt.Errorf("%w: odd tuple count %d in result frame", ErrCorrupt, len(dst)-n)
+	}
+	if err != nil {
+		d.tuples, d.values = tuples, values
+		clear(dst[n:])
+		return dst[:n], err
+	}
+	return dst, nil
+}
+
+// slot returns the next tuple slot of the current chunk, starting a new
+// chunk when it is full.
+func (d *Decoder) slot() *Tuple {
+	if len(d.tuples) == cap(d.tuples) {
+		d.tuples = make([]Tuple, 0, decoderTupleChunk)
+	}
+	d.tuples = d.tuples[:len(d.tuples)+1]
+	return &d.tuples[len(d.tuples)-1]
 }
 
 // valueSlab returns the current value slab, guaranteed to have room for

@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -120,6 +121,128 @@ func TestDecoderRejectsCorrupt(t *testing.T) {
 	}
 	if got.Seq != 1 || got.Values[0].AsInt() != 7 {
 		t.Fatalf("decode after errors corrupted: %+v", got)
+	}
+}
+
+// framePairs builds n result pairs cycling through decodeCases, so a
+// frame mixes int, float and string values and traced and untraced
+// tuples.
+func framePairs(n int) []*Tuple {
+	cases := decodeCases()
+	pairs := make([]*Tuple, 0, 2*n)
+	for i := 0; i < n; i++ {
+		l, r := *cases[i%len(cases)], *cases[(i+1)%len(cases)]
+		l.Seq, r.Seq = uint64(2*i+1), uint64(2*i+2)
+		pairs = append(pairs, &l, &r)
+	}
+	return pairs
+}
+
+func TestResultFrameRoundTrip(t *testing.T) {
+	for _, n := range []int{1, 2, 1000} {
+		want := framePairs(n)
+		var frame []byte
+		for i := 0; i < len(want); i += 2 {
+			frame = AppendPair(frame, want[i], want[i+1])
+		}
+		var d Decoder
+		prefix := []*Tuple{New(R, 99, 99)}
+		got, err := d.AppendPairs(prefix, frame)
+		if err != nil {
+			t.Fatalf("%d pairs: %v", n, err)
+		}
+		if len(got) != 1+len(want) || got[0] != prefix[0] {
+			t.Fatalf("%d pairs: got %d tuples, want the prefix and %d", n, len(got), len(want))
+		}
+		for i, w := range want {
+			wantSameTuple(t, got[1+i], w)
+		}
+	}
+}
+
+// TestResultFrameOfOnePairIsThePairBody: a one-pair frame is byte for
+// byte the single-pair result body, so old bodies (checkpointed retry
+// backlogs, single-pair publishers) decode as frames and a one-pair
+// frame decodes with UnmarshalPair.
+func TestResultFrameOfOnePairIsThePairBody(t *testing.T) {
+	l, r := decodeCases()[3], decodeCases()[4]
+	frame := AppendPair(nil, l, r)
+	if body := AppendBinary(Marshal(l), r); !bytes.Equal(frame, body) {
+		t.Fatalf("one-pair frame %x differs from the pair body %x", frame, body)
+	}
+	gl, gr, err := UnmarshalPair(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSameTuple(t, gl, l)
+	wantSameTuple(t, gr, r)
+}
+
+func TestResultFrameRejectsMalformed(t *testing.T) {
+	pairs := framePairs(3)
+	var good []byte
+	for i := 0; i < len(pairs); i += 2 {
+		good = AppendPair(good, pairs[i], pairs[i+1])
+	}
+	one := Marshal(pairs[0])
+	cases := map[string][]byte{
+		"empty":               nil,
+		"odd":                 append(append([]byte{}, good...), one...),
+		"single tuple":        one,
+		"truncated last pair": good[:len(good)-3],
+		"truncated header":    append(append([]byte{}, good...), one[:5]...),
+	}
+	var d Decoder
+	// Take a slab slot first so the decoder's chunks are live.
+	if _, err := d.AppendPairs(nil, good); err != nil {
+		t.Fatal(err)
+	}
+	for name, frame := range cases {
+		tuples, values := len(d.tuples), len(d.values)
+		dst := []*Tuple{pairs[0]}
+		got, err := d.AppendPairs(dst, frame)
+		if err == nil {
+			t.Errorf("%s: malformed frame decoded", name)
+			continue
+		}
+		if len(got) != 1 || got[0] != pairs[0] {
+			t.Errorf("%s: dst changed to %d tuples on error", name, len(got))
+		}
+		if len(d.tuples) != tuples || len(d.values) != values {
+			t.Errorf("%s: slab slots leaked: tuples %d → %d, values %d → %d",
+				name, tuples, len(d.tuples), values, len(d.values))
+		}
+	}
+	// The decoder still works after the errors.
+	got, err := d.AppendPairs(nil, good)
+	if err != nil || len(got) != len(pairs) {
+		t.Fatalf("decode after errors: %d tuples, %v", len(got), err)
+	}
+	for i, w := range pairs {
+		wantSameTuple(t, got[i], w)
+	}
+}
+
+// TestResultFrameDecodeAllocations pins the sink's decode cost: a
+// 64-pair frame of int tuples through a warm Decoder into a reused
+// slice costs at most one amortised allocation (the slab chunks), not
+// one per tuple (make perf-pins).
+func TestResultFrameDecodeAllocations(t *testing.T) {
+	var frame []byte
+	for i := 0; i < 64; i++ {
+		frame = AppendPair(frame, New(R, uint64(i), int64(i), Int(int64(i))), New(S, uint64(i), int64(i), Int(int64(i))))
+	}
+	var d Decoder
+	dst := make([]*Tuple, 0, 128)
+	decode := func() {
+		var err error
+		if dst, err = d.AppendPairs(dst[:0], frame); err != nil || len(dst) != 128 {
+			t.Fatalf("decoded %d tuples: %v", len(dst), err)
+		}
+	}
+	decode()
+	if got := testing.AllocsPerRun(1000, decode); got > 1 {
+		t.Errorf("decoding a 64-pair frame allocates %v per frame, want at most 1", got)
 	}
 }
 

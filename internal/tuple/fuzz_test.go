@@ -71,3 +71,46 @@ func FuzzUnmarshalPair(f *testing.F) {
 		}
 	})
 }
+
+// FuzzResultFrame does the same for multi-pair result frames through
+// the slab decoder, and checks a rejected frame leaves the decoder's
+// slabs and the caller's slice as they were.
+func FuzzResultFrame(f *testing.F) {
+	l, r := New(R, 1, 2, Int(3)), New(S, 4, 5, Int(3), String("s"))
+	r.TraceNS = 6
+	f.Add(AppendPair(nil, l, r))
+	f.Add(AppendPair(AppendPair(nil, l, r), r, l))
+	f.Add(Marshal(l))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		var d Decoder
+		// A live slab for a rejected frame to leak into.
+		if _, err := d.Unmarshal(Marshal(l)); err != nil {
+			t.Fatal(err)
+		}
+		tuples, values := len(d.tuples), len(d.values)
+		got, err := d.AppendPairs(nil, frame)
+		if err != nil {
+			if len(got) != 0 || len(d.tuples) != tuples || len(d.values) != values {
+				t.Fatalf("rejected frame kept %d tuples or leaked slab slots", len(got))
+			}
+			return
+		}
+		var again []byte
+		for i := 0; i < len(got); i += 2 {
+			again = AppendPair(again, got[i], got[i+1])
+		}
+		got2, err := d.AppendPairs(nil, again)
+		if err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v", err)
+		}
+		if len(got2) != len(got) {
+			t.Fatalf("re-encoded frame has %d tuples, want %d", len(got2), len(got))
+		}
+		for i := range got {
+			if !sameTuple(got[i], got2[i]) {
+				t.Fatalf("tuple %d: semantic round-trip mismatch", i)
+			}
+		}
+	})
+}

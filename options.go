@@ -64,7 +64,10 @@ func WithResultBuffer(n int) Option {
 }
 
 // WithOnResult delivers every join result synchronously to fn instead
-// of the Results channel.
+// of the Results channel. As on the channel, the result's tuples are
+// carved out of slab chunks shared by hundreds of tuples, so an
+// application that keeps a sparse subset of results pins those chunks
+// and should copy what it keeps.
 func WithOnResult(fn func(JoinResult)) Option {
 	return func(c *Config) { c.OnResult = fn }
 }
