@@ -49,7 +49,9 @@ fuzz-smoke:
 # in-process message path (compiled route lookup 0, publish → deliver →
 # ack on a warm queue <= 2, Core.Route <= 2) and on the result path
 # (emitting and publishing 512 results <= 2, per frame rather than per
-# pair; decoding a 64-pair result frame <= 1), and socket-write counts on
+# pair; decoding a 64-pair result frame <= 1), on the probe path (a band
+# probe through 16 B+-tree sub-indexes and a point probe through a hash
+# chain allocate nothing), and socket-write counts on
 # the wire path through a write-counting net.Conn (a 128-publication
 # PublishBatch and a 512-tag AckBatch are one client write and one reply
 # write each, 512 queued deliveries reach the client in <= 8 writes).
@@ -57,7 +59,7 @@ fuzz-smoke:
 # CI runner do not, so this is the perf regression CI can actually hold.
 # Run without -race: the detector's own bookkeeping allocates.
 perf-pins:
-	$(GO) test -count=1 -run 'Allocations$$' ./internal/broker ./internal/router ./internal/joiner ./internal/tuple
+	$(GO) test -count=1 -run 'Allocations$$' ./internal/broker ./internal/router ./internal/joiner ./internal/tuple ./internal/index
 	$(GO) test -count=1 -run 'SocketWrites$$' ./internal/wire
 
 # The root package's hot-path benches: the engine end to end and the

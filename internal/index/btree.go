@@ -1,6 +1,8 @@
 package index
 
 import (
+	"math"
+
 	"bistream/internal/predicate"
 	"bistream/internal/tuple"
 )
@@ -11,6 +13,10 @@ import (
 // scans. Like every sub-index in the chained design it is insert-only:
 // deletion happens by dropping whole sub-indexes, so no
 // rebalancing-on-delete is needed and leaves stay densely packed.
+//
+// Nodes hold keys in compare-ready form (bKey), converted once per
+// insert and once per probe bound, so the comparisons of a descent are
+// native float or string comparisons rather than Value.Compare calls.
 type BTree struct {
 	attr     int
 	root     bNode
@@ -19,60 +25,113 @@ type BTree struct {
 }
 
 // btreeOrder is the fan-out: each internal node holds up to btreeOrder
-// children, each leaf up to btreeOrder keys. 32 keeps nodes around two
-// cache lines of Values.
+// children, each leaf up to btreeOrder keys. A bKey is 32 bytes, so a
+// full node's key array is 1 KiB (16 cache lines), of which a binary
+// search touches about five.
 const btreeOrder = 32
+
+// bKey is a key in compare-ready form. Its order is Value.Compare's by
+// construction: ints and floats both compare as float64, exactly the
+// conversion Compare makes (so ints past 2^53 tie where Compare ties
+// them, and NaN compares equal to every number); strings sort after
+// every number; the invalid Value orders as the empty string.
+type bKey struct {
+	s   string
+	n   float64 // the number, or +Inf for a string
+	str bool
+}
+
+// keyOf converts a Value to its compare-ready key.
+func keyOf(v tuple.Value) bKey {
+	switch v.Kind() {
+	case tuple.KindInt, tuple.KindFloat:
+		return bKey{n: v.AsFloat()}
+	}
+	return bKey{s: v.AsString(), n: math.Inf(1), str: true}
+}
+
+// cmp orders two keys as Value.Compare orders the values they came
+// from, returning -1, 0 or +1. It inlines, and two keys whose numbers
+// differ are ordered by one float comparison: a string's +Inf puts it
+// after every number but +Inf and NaN, which the class test settles.
+func (a bKey) cmp(b bKey) int {
+	switch {
+	case a.n < b.n:
+		return -1
+	case a.n > b.n:
+		return 1
+	case !a.str && !b.str:
+		return 0
+	case !a.str:
+		return -1
+	case !b.str:
+		return 1
+	case a.s < b.s:
+		return -1
+	case a.s > b.s:
+		return 1
+	}
+	return 0
+}
+
+// lowerBound returns the first slot whose key is >= k (> k when not
+// inclusive).
+func lowerBound(keys []bKey, k bKey, inclusive bool) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if c := keys[mid].cmp(k); c < 0 || (c == 0 && !inclusive) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
 
 type bNode interface {
 	// insert adds (key, t); a split returns the new right sibling and
 	// its separator key.
-	insert(key tuple.Value, t *tuple.Tuple) (sep tuple.Value, right bNode)
+	insert(key bKey, t *tuple.Tuple) (sep bKey, right bNode)
 }
 
 type bLeaf struct {
-	keys   []tuple.Value
-	vals   [][]*tuple.Tuple
-	next   *bLeaf // leaf chain for range scans
-	parent *BTree
+	keys []bKey
+	vals [][]*tuple.Tuple
+	next *bLeaf // leaf chain for range scans
 }
 
 type bInner struct {
-	keys     []tuple.Value // len(children)-1 separators
+	keys     []bKey // len(children)-1 separators
 	children []bNode
 }
 
 // NewBTree builds a B+-tree sub-index keyed on the given attribute.
 func NewBTree(attr int) *BTree {
-	bt := &BTree{attr: attr}
-	bt.root = &bLeaf{parent: bt}
-	return bt
+	return &BTree{attr: attr, root: &bLeaf{}}
 }
 
 // Insert implements SubIndex.
 func (b *BTree) Insert(t *tuple.Tuple) {
-	key := t.Value(b.attr)
-	sep, right := b.root.insert(key, t)
+	sep, right := b.root.insert(keyOf(t.Value(b.attr)), t)
 	if right != nil {
-		b.root = &bInner{keys: []tuple.Value{sep}, children: []bNode{b.root, right}}
+		b.root = &bInner{keys: []bKey{sep}, children: []bNode{b.root, right}}
 		b.memBytes += 64
 	}
 	b.length++
 	b.memBytes += int64(t.MemSize()) + listEntryOverhead + 16
 }
 
-// findLeaf descends to the leaf that does or would contain key.
-func (b *BTree) findLeaf(key tuple.Value) *bLeaf {
+// findLeaf descends to the leaf that does or would contain key: at each
+// inner node, the child after the last separator <= key.
+func (b *BTree) findLeaf(key bKey) *bLeaf {
 	n := b.root
 	for {
 		switch v := n.(type) {
 		case *bLeaf:
 			return v
 		case *bInner:
-			i := 0
-			for i < len(v.keys) && key.Compare(v.keys[i]) >= 0 {
-				i++
-			}
-			n = v.children[i]
+			n = v.children[lowerBound(v.keys, key, false)]
 		}
 	}
 }
@@ -90,84 +149,65 @@ func (b *BTree) firstLeaf() *bLeaf {
 	}
 }
 
-// Probe implements SubIndex: leaf-chain range scan.
-func (b *BTree) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) {
-	var leaf *bLeaf
-	var start int
+// Probe implements SubIndex: leaf-chain range scan. A point probe is the
+// range [Key, Key]; an invalid bound is unbounded.
+func (b *BTree) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) bool {
+	lo, hi, loInc, hiInc := plan.Lo, plan.Hi, plan.LoInc, plan.HiInc
 	switch plan.Kind {
 	case predicate.ProbePoint:
-		plan = predicate.Plan{
-			Kind: predicate.ProbeRange,
-			Lo:   plan.Key, Hi: plan.Key, LoInc: true, HiInc: true,
-		}
-		fallthrough
-	case predicate.ProbeRange:
-		if plan.Lo.IsValid() {
-			leaf = b.findLeaf(plan.Lo)
-			start = leaf.lowerBound(plan.Lo, plan.LoInc)
-		} else {
-			leaf = b.firstLeaf()
-		}
-	default:
+		lo, hi, loInc, hiInc = plan.Key, plan.Key, true, true
+	case predicate.ProbeRange: // bounds as given
+	default: // a full scan
+		lo, hi = tuple.Value{}, tuple.Value{}
+	}
+	var leaf *bLeaf
+	start := 0
+	if lo.IsValid() {
+		k := keyOf(lo)
+		leaf = b.findLeaf(k)
+		start = lowerBound(leaf.keys, k, loInc)
+	} else {
 		leaf = b.firstLeaf()
 	}
-	for leaf != nil {
+	bounded, hk := hi.IsValid(), keyOf(hi)
+	for ; leaf != nil; leaf, start = leaf.next, 0 {
 		for i := start; i < len(leaf.keys); i++ {
-			if plan.Kind == predicate.ProbeRange && plan.Hi.IsValid() {
-				c := leaf.keys[i].Compare(plan.Hi)
-				if c > 0 || (c == 0 && !plan.HiInc) {
-					return
+			if bounded {
+				if c := leaf.keys[i].cmp(hk); c > 0 || (c == 0 && !hiInc) {
+					return true
 				}
 			}
 			for _, t := range leaf.vals[i] {
 				if !emit(t) {
-					return
+					return false
 				}
 			}
 		}
-		leaf = leaf.next
-		start = 0
 	}
+	return true
 }
 
-// lowerBound returns the first slot with key >= target (or > when
-// exclusive).
-func (l *bLeaf) lowerBound(target tuple.Value, inclusive bool) int {
-	lo, hi := 0, len(l.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		c := l.keys[mid].Compare(target)
-		if c < 0 || (c == 0 && !inclusive) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-func (l *bLeaf) insert(key tuple.Value, t *tuple.Tuple) (tuple.Value, bNode) {
-	i := l.lowerBound(key, true)
-	if i < len(l.keys) && l.keys[i].Compare(key) == 0 {
+func (l *bLeaf) insert(key bKey, t *tuple.Tuple) (bKey, bNode) {
+	i := lowerBound(l.keys, key, true)
+	if i < len(l.keys) && l.keys[i].cmp(key) == 0 {
 		l.vals[i] = append(l.vals[i], t)
-		return tuple.Value{}, nil
+		return bKey{}, nil
 	}
-	l.keys = append(l.keys, tuple.Value{})
+	l.keys = append(l.keys, bKey{})
 	copy(l.keys[i+1:], l.keys[i:])
 	l.keys[i] = key
 	l.vals = append(l.vals, nil)
 	copy(l.vals[i+1:], l.vals[i:])
 	l.vals[i] = []*tuple.Tuple{t}
 	if len(l.keys) <= btreeOrder {
-		return tuple.Value{}, nil
+		return bKey{}, nil
 	}
 	// Split: right half moves to a new leaf linked after this one.
 	mid := len(l.keys) / 2
 	right := &bLeaf{
-		keys:   append([]tuple.Value(nil), l.keys[mid:]...),
-		vals:   append([][]*tuple.Tuple(nil), l.vals[mid:]...),
-		next:   l.next,
-		parent: l.parent,
+		keys: append([]bKey(nil), l.keys[mid:]...),
+		vals: append([][]*tuple.Tuple(nil), l.vals[mid:]...),
+		next: l.next,
 	}
 	l.keys = l.keys[:mid:mid]
 	l.vals = l.vals[:mid:mid]
@@ -175,28 +215,25 @@ func (l *bLeaf) insert(key tuple.Value, t *tuple.Tuple) (tuple.Value, bNode) {
 	return right.keys[0], right
 }
 
-func (n *bInner) insert(key tuple.Value, t *tuple.Tuple) (tuple.Value, bNode) {
-	i := 0
-	for i < len(n.keys) && key.Compare(n.keys[i]) >= 0 {
-		i++
-	}
+func (n *bInner) insert(key bKey, t *tuple.Tuple) (bKey, bNode) {
+	i := lowerBound(n.keys, key, false)
 	sep, right := n.children[i].insert(key, t)
 	if right == nil {
-		return tuple.Value{}, nil
+		return bKey{}, nil
 	}
-	n.keys = append(n.keys, tuple.Value{})
+	n.keys = append(n.keys, bKey{})
 	copy(n.keys[i+1:], n.keys[i:])
 	n.keys[i] = sep
 	n.children = append(n.children, nil)
 	copy(n.children[i+2:], n.children[i+1:])
 	n.children[i+1] = right
 	if len(n.children) <= btreeOrder {
-		return tuple.Value{}, nil
+		return bKey{}, nil
 	}
 	mid := len(n.keys) / 2
 	upSep := n.keys[mid]
 	rightInner := &bInner{
-		keys:     append([]tuple.Value(nil), n.keys[mid+1:]...),
+		keys:     append([]bKey(nil), n.keys[mid+1:]...),
 		children: append([]bNode(nil), n.children[mid+1:]...),
 	}
 	n.keys = n.keys[:mid:mid]

@@ -2,9 +2,11 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -95,12 +97,37 @@ func TestBTreeDuplicateKeysAndEarlyStop(t *testing.T) {
 	}
 }
 
+// TestKeyOrderMatchesValueCompare pins the compare-ready key to the
+// order it replaces: for every pair of values across the edge cases of
+// each kind, keyOf(a).cmp(keyOf(b)) is exactly a.Compare(b).
+func TestKeyOrderMatchesValueCompare(t *testing.T) {
+	const p53 = int64(1) << 53
+	vals := []tuple.Value{{}}
+	for _, i := range []int64{0, 1, -1, 42, p53 - 1, p53, p53 + 1, -p53 - 1, -p53, math.MinInt64, math.MaxInt64} {
+		vals = append(vals, tuple.Int(i))
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 0.5, -0.5, 42, float64(p53), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN(), float64(math.MaxInt64)} {
+		vals = append(vals, tuple.Float(f))
+	}
+	for _, s := range []string{"", "\x00", "0", "42", "a", "ab", "b", "\xff"} {
+		vals = append(vals, tuple.String(s))
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := keyOf(a).cmp(keyOf(b)), a.Compare(b); got != want {
+				t.Errorf("keyOf(%#v).cmp(keyOf(%#v)) = %d, Value.Compare says %d", a, b, got, want)
+			}
+		}
+	}
+}
+
 // scanMatches is the reference model: does a linear scan's plan test
-// admit key?
+// admit key? An invalid bound, the point key included, is unbounded.
 func scanMatches(plan predicate.Plan, key tuple.Value) bool {
 	switch plan.Kind {
 	case predicate.ProbePoint:
-		return key.Compare(plan.Key) == 0
+		return !plan.Key.IsValid() || key.Compare(plan.Key) == 0
 	case predicate.ProbeRange:
 		if plan.Lo.IsValid() {
 			if c := key.Compare(plan.Lo); c < 0 || (c == 0 && !plan.LoInc) {
@@ -117,10 +144,12 @@ func scanMatches(plan predicate.Plan, key tuple.Value) bool {
 }
 
 // TestBTreeMatchesLinearScan is the B+-tree's reference-model property
-// test: over random insert orders with heavy duplicates, Int and Float
-// keys, and enough distinct keys that inner nodes split, every probe
-// shape returns exactly the seq multiset a linear scan admits, and an
-// early stop visits exactly as many candidates as it asked for.
+// test: over random insert orders with heavy duplicates, Int, Float and
+// mixed Int/Float/String keys, and enough distinct keys that inner
+// nodes split, every probe shape — points (the invalid key included),
+// inclusive, exclusive and unbounded ranges — returns exactly the seq
+// multiset a linear scan admits, and an early stop visits exactly as
+// many candidates as it asked for and reports that it stopped.
 func TestBTreeMatchesLinearScan(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -128,6 +157,15 @@ func TestBTreeMatchesLinearScan(t *testing.T) {
 	}{
 		{"int", func(k int64) tuple.Value { return tuple.Int(k) }},
 		{"float", func(k int64) tuple.Value { return tuple.Float(float64(k) / 4) }},
+		{"mixed", func(k int64) tuple.Value {
+			switch (k%3 + 3) % 3 {
+			case 0:
+				return tuple.Int(k)
+			case 1:
+				return tuple.Float(float64(k) / 4)
+			}
+			return tuple.String(strconv.FormatInt(k, 36))
+		}},
 	}
 	for _, kind := range kinds {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -175,6 +213,7 @@ func TestBTreeMatchesLinearScan(t *testing.T) {
 					)
 				}
 				plans = append(plans,
+					predicate.Plan{Kind: predicate.ProbePoint},
 					predicate.Plan{Kind: predicate.ProbeRange},
 					predicate.Plan{Kind: predicate.ProbeAll},
 				)
@@ -186,7 +225,11 @@ func TestBTreeMatchesLinearScan(t *testing.T) {
 						}
 					}
 					sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-					got := seqs(collect(b, plan))
+					var found []*tuple.Tuple
+					if !b.Probe(plan, func(tp *tuple.Tuple) bool { found = append(found, tp); return true }) {
+						t.Fatalf("plan %d (%+v): a probe that ran to the end reported a stop", pi, plan)
+					}
+					got := seqs(found)
 					if len(got) != len(want) {
 						t.Fatalf("plan %d (%+v): btree found %d, scan %d", pi, plan, len(got), len(want))
 					}
@@ -200,15 +243,15 @@ func TestBTreeMatchesLinearScan(t *testing.T) {
 					}
 					stop := 1 + rng.Intn(len(want)-1)
 					visited := 0
-					b.Probe(plan, func(tp *tuple.Tuple) bool {
+					done := b.Probe(plan, func(tp *tuple.Tuple) bool {
 						visited++
 						if !scanMatches(plan, tp.Value(0)) {
 							t.Fatalf("plan %d: early-stopped scan emitted a non-matching key %v", pi, tp.Value(0))
 						}
 						return visited < stop
 					})
-					if visited != stop {
-						t.Fatalf("plan %d: early stop at %d visited %d", pi, stop, visited)
+					if visited != stop || done {
+						t.Fatalf("plan %d: early stop at %d visited %d, reported done=%v", pi, stop, visited, done)
 					}
 				}
 				exported := 0

@@ -14,7 +14,7 @@ import (
 // probeAll collects every tuple a probe emits, as sortable fingerprints
 // (multiset comparison must survive implementation-defined order).
 func probeAll(p interface {
-	Probe(predicate.Plan, func(*tuple.Tuple) bool)
+	Probe(predicate.Plan, func(*tuple.Tuple) bool) bool
 }, plan predicate.Plan) []string {
 	var got []string
 	p.Probe(plan, func(t *tuple.Tuple) bool {

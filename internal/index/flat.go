@@ -78,21 +78,18 @@ func (f *Flat) Expire(oppTS int64) int {
 }
 
 // Probe serves point probes from the buckets and everything else by
-// full scan.
-func (f *Flat) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) {
+// full scan. It returns false when emit stopped the scan.
+func (f *Flat) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) bool {
+	scan := f.fifo[f.head:]
 	if plan.Kind == predicate.ProbePoint && f.attr >= 0 {
-		for _, t := range f.buckets[plan.Key.Hash()] {
-			if !emit(t) {
-				return
-			}
-		}
-		return
+		scan = f.buckets[plan.Key.Hash()]
 	}
-	for _, t := range f.fifo[f.head:] {
+	for _, t := range scan {
 		if !emit(t) {
-			return
+			return false
 		}
 	}
+	return true
 }
 
 // Export calls emit for every live tuple in arrival order (checkpoint

@@ -41,20 +41,17 @@ func (h *Hash) Insert(t *tuple.Tuple) {
 // Probe implements SubIndex. Point probes use the bucket; range probes
 // (which should not normally reach a hash sub-index) and full scans walk
 // everything.
-func (h *Hash) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) {
+func (h *Hash) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) bool {
+	scan := h.all
 	if plan.Kind == predicate.ProbePoint && h.attr >= 0 {
-		for _, t := range h.buckets[plan.HashOfKey()] {
-			if !emit(t) {
-				return
-			}
-		}
-		return
+		scan = h.buckets[plan.HashOfKey()]
 	}
-	for _, t := range h.all {
+	for _, t := range scan {
 		if !emit(t) {
-			return
+			return false
 		}
 	}
+	return true
 }
 
 // Export implements SubIndex: insertion-order walk of every tuple.

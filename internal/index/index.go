@@ -22,8 +22,9 @@ type SubIndex interface {
 	Insert(t *tuple.Tuple)
 	// Probe calls emit for every stored tuple the plan may match.
 	// Candidates are over-approximate; the caller verifies with the
-	// predicate. Iteration stops early if emit returns false.
-	Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool)
+	// predicate. Iteration stops early if emit returns false, and Probe
+	// then returns false; it returns true when the scan ran to the end.
+	Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) bool
 	// Export calls emit for every stored tuple exactly once, in an
 	// implementation-defined order (checkpoint export). Iteration
 	// stops early if emit returns false.
@@ -220,23 +221,14 @@ func (c *Chained) Expire(oppTS int64) int {
 
 // Probe runs the plan over the active sub-index and every surviving
 // archived sub-index (the Join Processing operation). emit receives
-// candidates; returning false stops the scan.
-func (c *Chained) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) {
-	stopped := false
-	wrapped := func(t *tuple.Tuple) bool {
-		if !emit(t) {
-			stopped = true
+// candidates; returning false stops the scan, and Probe returns false.
+func (c *Chained) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) bool {
+	for _, cs := range c.archived {
+		if !cs.sub.Probe(plan, emit) {
 			return false
 		}
-		return true
 	}
-	for _, cs := range c.archived {
-		cs.sub.Probe(plan, wrapped)
-		if stopped {
-			return
-		}
-	}
-	c.active.sub.Probe(plan, wrapped)
+	return c.active.sub.Probe(plan, emit)
 }
 
 // Len returns the number of live tuples across all sub-indexes.

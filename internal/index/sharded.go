@@ -101,26 +101,17 @@ func (x *Sharded) Insert(t *tuple.Tuple) {
 
 // Probe runs the plan: a point probe visits only the key's shard, any
 // other plan fans out across all shards. Iteration stops early when
-// emit returns false.
-func (x *Sharded) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) {
+// emit returns false, and Probe then returns false.
+func (x *Sharded) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) bool {
 	if s := x.ProbeShard(plan); s >= 0 {
-		x.shards[s].Probe(plan, emit)
-		return
-	}
-	stopped := false
-	wrapped := func(t *tuple.Tuple) bool {
-		if !emit(t) {
-			stopped = true
-			return false
-		}
-		return true
+		return x.shards[s].Probe(plan, emit)
 	}
 	for _, c := range x.shards {
-		c.Probe(plan, wrapped)
-		if stopped {
-			return
+		if !c.Probe(plan, emit) {
+			return false
 		}
 	}
+	return true
 }
 
 // Expire drops expired sub-indexes in every shard and returns the total
