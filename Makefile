@@ -9,8 +9,10 @@ build:
 test:
 	$(GO) test ./...
 
+# go vet plus a formatting gate: any file gofmt would rewrite fails.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Full suite under the race detector — including the chaos tests
 # (joiner/router crashes, broker restart, replica leader failover),

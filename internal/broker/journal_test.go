@@ -282,9 +282,9 @@ func TestLegacyJournalMigration(t *testing.T) {
 	ex := append(appendString([]byte{recDeclareExchange}, "ex"), byte(Topic))
 	file = append(file, legacy(ex)...)
 	q := appendString([]byte{recDeclareQueue}, "q")
-	q = append(q, 0)       // AutoDelete=false
-	q = append(q, 0)       // MaxLen=0
-	q = append(q, 0)       // MaxRedeliver+1 = 0 (unlimited)
+	q = append(q, 0) // AutoDelete=false
+	q = append(q, 0) // MaxLen=0
+	q = append(q, 0) // MaxRedeliver+1 = 0 (unlimited)
 	file = append(file, legacy(q)...)
 	bind := appendString([]byte{recBind}, "q")
 	bind = appendString(bind, "ex")

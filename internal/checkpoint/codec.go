@@ -72,20 +72,9 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-// EncodeSegment serializes one segment for transport: the migration
-// coordinator reuses the checkpoint segment encoding as its wire
-// format, so state moves between members in blobs recovery already
-// knows how to validate.
+// EncodeSegment returns the blob a checkpoint store holds for one
+// segment, for callers that measure checkpoint size without a store.
 func EncodeSegment(seg index.Segment) []byte { return encodeSegment(seg) }
-
-// DecodeSegment parses and CRC-checks a segment blob (the inverse of
-// EncodeSegment).
-func DecodeSegment(blob []byte) (index.Segment, error) { return decodeSegment(blob) }
-
-// BlobCRC is the checksum manifests and migration transfers record per
-// segment blob: the CRC-32C of the whole blob including its own
-// trailing CRC.
-func BlobCRC(blob []byte) uint32 { return blobCRC(blob) }
 
 // encodeSegment serializes one segment (metadata plus its tuples).
 func encodeSegment(seg index.Segment) []byte {

@@ -5,8 +5,9 @@ package core
 // routers (detect + decide, internal/router); the Adapter reacts to
 // each promotion (internal/router/adapt.go); and migrateKey below is
 // the move — it relocates the promoted key's already-stored partition
-// from its hash owners to the scattered owners over internal/migrate's
-// key-scoped drain-barrier/segment-streaming path.
+// from its hash owners to the scattered owners through the same
+// migrate.Run coordinator a scale-in uses, ending in a release of the
+// exported tuples instead of the donor's retirement.
 //
 // The donor set is exactly what hash routing targeted before the flip:
 // the members of the key's subgroup (hash selects the subgroup,
@@ -20,10 +21,16 @@ import (
 	"fmt"
 
 	"bistream/internal/index"
+	"bistream/internal/joiner"
 	"bistream/internal/migrate"
 	"bistream/internal/router"
 	"bistream/internal/tuple"
 )
+
+// maxKeyAttempt bounds the key-move counter so the graft segment ids
+// (attempt<<16 | n, see migrate.KeyGrafts) stay shardable:
+// Sharded.Graft needs ids below 1<<56.
+const maxKeyAttempt = 1 << 40
 
 // migrateKey relocates one relation's stored partition of a newly hot
 // key from its hash owners to the rest of the group. It is the
@@ -51,12 +58,7 @@ func (e *Engine) migrateKey(rel tuple.Relation, keyHash uint64) (int, error) {
 	// before the Adapter invoked us; today's cursor is therefore at or
 	// above the flip point, so a donor frontier past it proves every
 	// store copy hash-routed under the cold regime has landed.
-	var barrier uint64
-	for _, r := range routers {
-		if c := r.StampCursor(); c > barrier {
-			barrier = c
-		}
-	}
+	barrier := maxCursor(routers)
 
 	// Hash owners of the key under the current layout: the members of
 	// subgroup keyHash%subgroups, i.e. every subgroups-th slot of the
@@ -74,75 +76,78 @@ func (e *Engine) migrateKey(rel tuple.Relation, keyHash uint64) (int, error) {
 	moved := 0
 	for _, donorID := range donors {
 		donorID := donorID
+		// The pile spreads across every other live member: a member must
+		// never graft its own export, or the release would delete the
+		// grafted copy too.
 		recipients := make([]int32, 0, len(members)-1)
 		for _, m := range members {
 			if m != donorID {
 				recipients = append(recipients, m)
 			}
 		}
-		if len(recipients) == 0 {
-			continue
-		}
 		e.mu.Lock()
 		e.migAttempt++
 		attempt := e.migAttempt
 		e.mu.Unlock()
-		res, err := migrate.RunKey(migrate.KeyConfig{
-			Client:       e.client,
-			Metrics:      e.reg,
-			Rel:          rel,
-			Origin:       donorID,
-			KeyHash:      keyHash,
-			Attempt:      attempt,
-			DrainBarrier: barrier,
-			Timeout:      e.cfg.MigrationTimeout,
-			Donor: func() migrate.KeyPeer {
+		if attempt >= maxKeyAttempt {
+			return moved, fmt.Errorf("core: key move attempt %d out of range", attempt)
+		}
+		donor := func() *joiner.Service {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			return e.joinerByIDLocked(rel, donorID)
+		}
+		// The donor keeps its copies until the release: broadcast probes in
+		// flight may still be answerable only there. Until then a probe can
+		// match both a copy and its graft; the sink's result dedup absorbs
+		// those pairs. Tuples of the key scattered to the donor after the
+		// flip are not in seqs and survive the release.
+		var seqs []uint64
+		n, err := migrate.Run(migrate.Move{
+			Rel:     rel,
+			Origin:  donorID,
+			Timeout: e.cfg.MigrationTimeout,
+			Donor: func() migrate.Peer {
 				// Re-resolve by id every call: a cold-crashed donor's
-				// replacement carries the same id, so the migration rides
+				// replacement carries the same id, so the move rides
 				// through the crash against the recovered incarnation.
-				e.mu.Lock()
-				svc := e.joinerByIDLocked(rel, donorID)
-				e.mu.Unlock()
-				if svc == nil {
-					return nil
+				if svc := donor(); svc != nil {
+					return svc
 				}
-				return svc
+				return nil
 			},
-			Cursor: func() uint64 {
-				e.mu.Lock()
-				rs := append([]*router.Service(nil), e.routers...)
-				e.mu.Unlock()
-				var c uint64
-				for _, r := range rs {
-					if v := r.StampCursor(); v > c {
-						c = v
-					}
+			Export: func(p migrate.Peer) (map[int32][]index.Segment, error) {
+				tuples, err := p.ExportKeyIfDrained(keyHash, barrier)
+				if err != nil {
+					return nil, err
 				}
-				return c
+				seqs = make([]uint64, len(tuples))
+				for i, t := range tuples {
+					seqs[i] = t.Seq
+				}
+				return migrate.KeyGrafts(tuples, donorID, attempt, recipients), nil
 			},
-			Recipients: recipients,
 			Import: func(member int32, segs []index.Segment) error {
 				return e.importForeign(rel, member, segs)
 			},
-			Drop: func(seqs []uint64) (int, error) {
-				e.mu.Lock()
-				svc := e.joinerByIDLocked(rel, donorID)
-				e.mu.Unlock()
+			Cursor: e.stampCursor,
+			Release: func() error {
+				svc := donor()
 				if svc == nil {
-					return 0, fmt.Errorf("core: key donor %s-%d gone at drop", rel, donorID)
+					return fmt.Errorf("core: key donor %s-%d gone at release", rel, donorID)
 				}
-				n := svc.DropKeySeqs(keyHash, seqs)
+				svc.DropKeySeqs(keyHash, seqs)
 				// Make the removal durable so a later cold crash does not
 				// resurrect the pile. Best-effort: a failure here leaves
 				// duplicate storage at worst, which the sink dedup absorbs.
 				_ = svc.CheckpointNow()
-				return n, nil
+				return nil
 			},
 		})
 		if err != nil {
 			return moved, fmt.Errorf("core: key migration %s-%d (key %x): %w", rel, donorID, keyHash, err)
 		}
-		moved += res.Tuples
+		moved += n
 	}
 	return moved, nil
 }

@@ -200,9 +200,6 @@ func runKeyMigrationChaos(t *testing.T, seed int64) {
 		Default: faults.Rule{Drop: 0.03, Dup: 0.03, Delay: 0.05, MaxDelay: time.Millisecond},
 		PerExchange: map[string]faults.Rule{
 			topo.EntryExchange: {Drop: 0.03, Dup: 0.03, Reorder: 0.05},
-			// Key-migration frames ride the same transfer exchange as
-			// whole-member migrations, hit harder than the rest.
-			topo.MigrateExchange: {Drop: 0.15, Dup: 0.15},
 		},
 	})
 	stores := &faults.StoreProvider{

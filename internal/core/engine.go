@@ -130,13 +130,9 @@ type Config struct {
 	// ColdCrashJoiner, CrashRouter, the Supervisor). Zero-value fields
 	// take the DefaultRetryPolicy defaults.
 	Restart RetryPolicy
-	// MigrateOnShrink makes windowed joins migrate a removed member's
-	// state to the survivors instead of sealing it and waiting a full
-	// window for drain. Full-history joins always migrate on scale-in
-	// (drain never happens); both paths require the ordering protocol.
-	MigrateOnShrink bool
-	// MigrationTimeout bounds one donor's migration (drain, transfer,
-	// import, cut-over); zero uses migrate.DefaultTimeout.
+	// MigrationTimeout bounds one donor's state move — a full-history
+	// scale-in or a hot-key move (drain, graft, cut-over); zero uses
+	// migrate.DefaultTimeout.
 	MigrationTimeout time.Duration
 }
 
@@ -242,14 +238,14 @@ type Engine struct {
 	// surviving members. They are out of the layout but keep consuming
 	// and emitting until the migration's cut-over barrier passes, so
 	// they appear in allJoinersLocked. migLock serializes migrations end
-	// to end without holding e.mu across the broker transfer.
+	// to end without holding e.mu across the drain and cut-over waits.
 	migrating []*migratingDonor
 	migLock   sync.Mutex
 	// deadJoiners records members removed by migration, per relation.
 	// Routers filter them from old-generation join fan-out (their queues
 	// are deleted); new routers replay the list after the layout history.
 	deadJoiners [2][]int32
-	migAttempt  uint64 // transfer attempt counter, see topo.MigrateKey
+	migAttempt  uint64 // key-move counter, qualifies graft ids (migrate.KeyGrafts)
 	nextRtr     int32
 	nextJid     [2]int32
 	obsSrv      *obs.Server
@@ -854,13 +850,12 @@ func (e *Engine) deliver(l, r *tuple.Tuple) bool {
 
 // ScaleJoiners grows or shrinks one relation's joiner group to n
 // members. Growing adds members that only receive new tuples. The
-// shrink path depends on the join mode: windowed joins (by default)
-// seal removed members — they stop storing immediately, keep serving
-// join probes while their window drains, and are retired afterwards —
-// while full-history joins, and windowed joins with
-// Config.MigrateOnShrink, migrate the removed member's state live to
-// the surviving members (see the migration path in migration.go) so no
-// stored tuple and no pending result is lost.
+// shrink path depends on the join mode: windowed joins seal removed
+// members — they stop storing immediately, keep serving join probes
+// while their window drains, and are retired afterwards (§3.4) — while
+// full-history joins, whose window never drains, migrate the removed
+// member's state live to the surviving members (see migration.go) so
+// no stored tuple and no pending result is lost.
 func (e *Engine) ScaleJoiners(rel tuple.Relation, n int) error {
 	if n < 1 {
 		return fmt.Errorf("core: joiner group must keep at least 1 member")
@@ -872,7 +867,7 @@ func (e *Engine) ScaleJoiners(rel tuple.Relation, n int) error {
 	}
 	js := e.joinersLocked(rel)
 	shrink := n < len(*js)
-	migrateIn := shrink && (e.cfg.FullHistory || e.cfg.MigrateOnShrink)
+	migrateIn := shrink && e.cfg.FullHistory
 	if migrateIn && e.cfg.Unordered {
 		e.mu.Unlock()
 		return fmt.Errorf("core: scale-in migration needs the ordering protocol's drain barrier (Unordered is set)")

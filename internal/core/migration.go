@@ -9,12 +9,11 @@ package core
 //     captured right afterwards is the drain barrier — stamping and
 //     publishing are one atomic step, so no store copy routed to the
 //     donor under the old layout can be stamped above it.
-//  2. migrate.Run drains the donor past the barrier, snapshots it,
-//     streams the re-sealed segments over the broker, and grafts them
-//     onto the surviving members chosen by assignFunc — the exact
-//     store-target geometry of the shrunk layout, so every future (and
-//     past) join probe's fan-out covers the member now holding each
-//     grafted tuple.
+//  2. migrate.Run drains the donor past the barrier, snapshots it, and
+//     hands its segments in memory to the surviving members chosen by
+//     assignFunc (migrate.MemberGrafts) — the exact store-target
+//     geometry of the shrunk layout, so every future (and past) join
+//     probe's fan-out covers the member now holding each grafted tuple.
 //  3. Cut-over: the donor is marked dead in every router's generation
 //     table (old generations keep its positional slot, so subgroup
 //     geometry is undisturbed), and the donor must pass the
@@ -73,6 +72,25 @@ func (e *Engine) joinerByIDLocked(rel tuple.Relation, id int32) *joiner.Service 
 	return nil
 }
 
+// maxCursor is the highest stamp cursor over rs. Stamp-before-publish
+// makes it a hard line: every tuple those routers published so far is
+// stamped at or below it, which is what every migration barrier needs.
+func maxCursor(rs []*router.Service) uint64 {
+	var c uint64
+	for _, r := range rs {
+		c = max(c, r.StampCursor())
+	}
+	return c
+}
+
+// stampCursor is maxCursor over the current router tier.
+func (e *Engine) stampCursor() uint64 {
+	e.mu.Lock()
+	rs := append([]*router.Service(nil), e.routers...)
+	e.mu.Unlock()
+	return maxCursor(rs)
+}
+
 // scaleInWithMigration shrinks rel's group to n members, migrating one
 // donor at a time. migLock serializes whole migrations so concurrent
 // ScaleJoiners calls cannot interleave donors.
@@ -113,28 +131,18 @@ func (e *Engine) migrateOneDonor(rel tuple.Relation, n int) (bool, error) {
 	routers := append([]*router.Service(nil), e.routers...)
 	members := e.memberIDsLocked(rel)
 	subgroups := e.subgroupsLocked(rel)
-	e.migAttempt++
-	attempt := e.migAttempt
 	e.mu.Unlock()
 
 	// Drain barrier: all routers already route stores by the shrunk
 	// layout, so nothing stamped above this cursor targets the donor's
 	// store stream.
-	var barrier uint64
-	for _, r := range routers {
-		if c := r.StampCursor(); c > barrier {
-			barrier = c
-		}
-	}
+	barrier := maxCursor(routers)
+	assign := e.assignFunc(members, subgroups)
 
-	res, err := migrate.Run(migrate.Config{
-		Client:       e.client,
-		Metrics:      e.reg,
-		Rel:          rel,
-		Origin:       d.id,
-		Attempt:      attempt,
-		DrainBarrier: barrier,
-		Timeout:      e.cfg.MigrationTimeout,
+	moved, err := migrate.Run(migrate.Move{
+		Rel:     rel,
+		Origin:  d.id,
+		Timeout: e.cfg.MigrationTimeout,
 		Donor: func() migrate.Peer {
 			// Re-resolve every call so a cold-replaced donor is observed
 			// through its recovered incarnation.
@@ -146,26 +154,17 @@ func (e *Engine) migrateOneDonor(rel tuple.Relation, n int) (bool, error) {
 			}
 			return svc
 		},
-		Cursor: func() uint64 {
-			e.mu.Lock()
-			rs := append([]*router.Service(nil), e.routers...)
-			e.mu.Unlock()
-			var c uint64
-			for _, r := range rs {
-				if v := r.StampCursor(); v > c {
-					c = v
-				}
+		Export: func(p migrate.Peer) (map[int32][]index.Segment, error) {
+			snap, err := p.ExportIfDrained(barrier)
+			if err != nil {
+				return nil, err
 			}
-			e.mu.Lock()
-			d.barrier = c
-			e.mu.Unlock()
-			return c
+			return migrate.MemberGrafts(snap, d.id, assign), nil
 		},
-		Assign: e.assignFunc(members, subgroups),
 		Import: func(member int32, segs []index.Segment) error {
 			return e.importForeign(rel, member, segs)
 		},
-		MarkDead: func() error {
+		Cut: func() {
 			e.mu.Lock()
 			d.cutover = true
 			e.deadJoiners[rel] = append(e.deadJoiners[rel], d.id)
@@ -174,7 +173,13 @@ func (e *Engine) migrateOneDonor(rel tuple.Relation, n int) (bool, error) {
 			for _, r := range rs {
 				r.RetireMember(rel, d.id)
 			}
-			return nil
+		},
+		Cursor: func() uint64 {
+			c := e.stampCursor()
+			e.mu.Lock()
+			d.barrier = c
+			e.mu.Unlock()
+			return c
 		},
 	})
 	if err != nil {
@@ -209,7 +214,7 @@ func (e *Engine) migrateOneDonor(rel tuple.Relation, n int) (bool, error) {
 	e.retiredResults += st.Results
 	e.mu.Unlock()
 	e.migrations.Inc()
-	e.migratedTuples.Add(int64(res.Tuples))
+	e.migratedTuples.Add(int64(moved))
 	return false, nil
 }
 

@@ -52,7 +52,7 @@ func DefaultScaleInConfig() ScaleInConfig {
 // ScaleInResult is the experiment's measurement.
 type ScaleInResult struct {
 	// MigrationMS is the wall time of the HPA-triggered ScaleJoiners
-	// call: drain barrier, state transfer, graft, cut-over.
+	// call: drain barrier, in-memory handoff, graft, cut-over.
 	MigrationMS float64
 	// Migrations and MovedTuples are the engine's migration counters.
 	Migrations  int64

@@ -253,7 +253,7 @@ func (x *Sharded) ImportSegments(segs []Segment) error {
 // shards by tuple hash. Each donor segment splits into at most one part
 // per shard, keyed by the synthetic id donorID<<shardIDBits | shard —
 // deterministic, so a retried graft after a crash skips parts already
-// present, and collision-free because the migration transfer renumbers
+// present, and collision-free because migrate.MemberGrafts renumbers
 // donor segments from 1 (checked here). With one shard the donor
 // identity passes through unchanged. It returns the number of tuples
 // actually added.

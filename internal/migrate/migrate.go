@@ -1,61 +1,57 @@
-// Package migrate implements live joiner state migration, the scale-in
-// path of §3.4's elasticity story: when a joiner group shrinks, the
-// departing member's window state is drained, exported through the
-// checkpoint codec, streamed over the broker, and grafted onto the
-// surviving members of the shrunk layout — so even a full-history join
-// can scale in with zero lost or duplicated results.
+// Package migrate implements live joiner state moves. Two callers share
+// one coordinator: the scale-in path of §3.4's elasticity story, which
+// empties a departing member so even a full-history join can shrink
+// with zero lost or duplicated results, and the adaptive router's
+// hot-key moves, which spread one key's pile off its hash owner while
+// the owner stays a member.
 //
-// The coordinator runs the middle phases of the engine's migration
-// protocol:
+// Run drives one Move through the phases both share:
 //
-//  1. Drain: the engine has already pushed the shrunk layout and
-//     captured the routers' stamp cursor (the drain barrier). Run polls
-//     the donor until its release frontier passes the barrier, then
-//     atomically snapshots its window.
-//  2. Transfer: every non-empty segment is re-sealed under the donor's
-//     member id, encoded with the checkpoint segment codec, and
-//     published to the migration exchange as one frame per segment plus
-//     a manifest frame. The coordinator consumes the queue, deduplicates
-//     redeliveries, CRC-validates every blob against the manifest and
-//     retransmits missing frames until the transfer completes — so a
-//     faulty fabric (drops, duplicates, reorders, partitions) delays the
-//     migration but cannot corrupt it.
-//  3. Redistribute: the transferred tuples are partitioned with the
-//     engine-supplied Assign function, which mirrors the router's
-//     store-target geometry under the shrunk layout, and imported into
-//     each recipient as sealed foreign segments tagged with the donor's
-//     id.
-//  4. Cut over: MarkDead excludes the donor from all join fan-out, and
-//     Run waits for the donor's frontier to pass the post-cut-over
-//     cursor and its result backlog to drain, proving the donor has
-//     processed every probe that could only be answered by it.
+//  1. Drain: the engine has already changed placement (pushed the
+//     shrunk layout, or flipped the key to scattered) and captured the
+//     routers' stamp cursor as the drain barrier. Run polls Export until
+//     the donor's release frontier passes that barrier; the check and
+//     the export are one critical section on the donor, so no envelope
+//     slips in between. Export returns the state placed per recipient
+//     as sealed segments (MemberGrafts, KeyGrafts).
+//  2. Graft: Import grafts each recipient's segments and makes them
+//     durable. Segments are handed over in memory: donor and recipients
+//     are services of one process, and the segments share the donor's
+//     immutable tuples, exactly as a checkpoint snapshot does.
+//  3. Cut over: the optional Cut runs (a scale-in donor leaves every
+//     router's join fan-out), Run reads the routers' Cursor, and waits
+//     until the donor's frontier passes it with an empty result
+//     backlog — proof that the donor answered, and delivered, every
+//     probe that only it could answer.
+//  4. Release: the optional Release runs last (a key donor drops the
+//     exported tuples and checkpoints the removal).
 //
-// After Run returns, the engine retires the donor (final checkpoint,
-// queue deletion) knowing nothing can be lost.
+// Until Cut or Release runs nothing is irreversible: the state exists
+// on the donor and, at worst, also on recipients, which is duplicate
+// storage the sink's result dedup absorbs, never a lost tuple.
 package migrate
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+	"slices"
 	"time"
 
-	"bistream/internal/broker"
 	"bistream/internal/checkpoint"
 	"bistream/internal/index"
-	"bistream/internal/metrics"
-	"bistream/internal/topo"
 	"bistream/internal/tuple"
 )
 
-// Peer is the coordinator's view of the donor member. The engine's
-// Donor function re-resolves it on every call, so a donor that is
-// cold-replaced mid-migration is observed through its new incarnation.
+// Peer is the coordinator's view of the donor member. The Move's Donor
+// function re-resolves it on every poll, so a donor that is
+// cold-replaced mid-move is observed through its new incarnation.
 type Peer interface {
 	// ExportIfDrained atomically checks that the member's release
 	// frontier passed minStamp and snapshots its window; it returns an
 	// error while not yet drained.
 	ExportIfDrained(minStamp uint64) (*checkpoint.Snapshot, error)
+	// ExportKeyIfDrained is ExportIfDrained for the stored tuples of one
+	// join key, which stay in the member's window.
+	ExportKeyIfDrained(keyHash, minStamp uint64) ([]*tuple.Tuple, error)
 	// Frontier reports the member's release frontier.
 	Frontier() uint64
 	// RetryBacklog reports how many result publishes are still waiting
@@ -63,423 +59,179 @@ type Peer interface {
 	RetryBacklog() int
 }
 
-// Config parameterizes one migration run.
-type Config struct {
-	// Client is the broker the transfer frames travel over. Required.
-	Client broker.Client
-	// Metrics receives the migration counters under
-	// "migrate.<rel>.<origin>."; nil uses a private registry.
-	Metrics *metrics.Registry
-	// Rel is the relation of the shrinking group.
-	Rel tuple.Relation
-	// Origin is the donor's member id; transferred segments carry it as
-	// their origin so recipient-side identity (origin, id) stays unique.
+// Move parameterizes one state move.
+type Move struct {
+	// Rel and Origin identify the donor; grafted segments carry Origin
+	// so recipient-side identity (origin, id) stays unique.
+	Rel    tuple.Relation
 	Origin int32
-	// Attempt distinguishes retried transfers of the same donor; frames
-	// of a stale attempt can never satisfy a newer one because queue and
-	// routing key include it.
-	Attempt uint64
 	// Donor resolves the donor's current incarnation; nil means the
-	// donor is gone and the migration fails.
+	// donor is gone and the move fails.
 	Donor func() Peer
-	// DrainBarrier is the routers' stamp cursor captured right after the
-	// shrunk layout was pushed: once the donor's frontier passes it, no
-	// store copy routed under the old layout is still in flight to it.
-	DrainBarrier uint64
-	// Cursor reads the routers' current maximum stamp cursor; used after
-	// MarkDead to build the cut-over barrier.
-	Cursor func() uint64
-	// Assign maps a tuple to the surviving member that must store it,
-	// mirroring the router's store-target geometry under the shrunk
-	// layout (so the current generation's join fan-out covers it).
-	Assign func(*tuple.Tuple) int32
+	// Export checks the drain barrier and exports the state to move,
+	// placed per recipient, in one atomic step on the donor; an error
+	// means "not drained yet" and Run polls again.
+	Export func(Peer) (map[int32][]index.Segment, error)
 	// Import grafts sealed foreign segments onto one recipient and makes
-	// them durable; it must be idempotent (the engine's implementation
-	// retries through checkpoint commits and cold replacements).
+	// them durable; it must be idempotent.
 	Import func(member int32, segs []index.Segment) error
-	// MarkDead excludes the donor from every router's join fan-out, past
-	// and future generations alike.
-	MarkDead func() error
+	// Cut, when set, runs after every graft and before the cut-over
+	// cursor is read.
+	Cut func()
+	// Cursor reads the routers' current maximum stamp cursor.
+	Cursor func() uint64
+	// Release, when set, runs once the donor passed the cut-over
+	// barrier; its error fails the move.
+	Release func() error
 	// Timeout bounds the whole run; DefaultTimeout when zero.
 	Timeout time.Duration
-	// Poll paces barrier polling and transfer retransmit checks;
-	// DefaultPoll when zero.
-	Poll time.Duration
 }
 
-// Default pacing for Config.Timeout and Config.Poll.
-const (
-	DefaultTimeout = 30 * time.Second
-	DefaultPoll    = 5 * time.Millisecond
-)
+// DefaultTimeout bounds a Move that sets no Timeout.
+const DefaultTimeout = 30 * time.Second
 
-// Result summarizes a completed migration.
-type Result struct {
-	// Tuples and Segments count the donor state moved to survivors.
-	Tuples   int
-	Segments int
-	// PerMember counts the tuples grafted onto each recipient.
-	PerMember map[int32]int
-	// Retransmits counts transfer frames republished after loss.
-	Retransmits int64
-	// CutoverBarrier is the stamp cursor the donor had to pass after it
-	// was removed from join fan-out.
-	CutoverBarrier uint64
-}
+// poll paces the donor polling of both barrier waits.
+const poll = 5 * time.Millisecond
 
-// frame kinds on the migration exchange: a segment blob or the
-// transfer manifest.
-const (
-	frameSegment  byte = 1
-	frameManifest byte = 2
-)
-
-var manifestMagic = []byte("BMG1")
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// transfer is the in-flight state of one blob transfer.
-type transfer struct {
-	segs  []index.Segment // re-sealed donor segments, id = position+1
-	blobs map[uint64][]byte
-	crcs  map[uint64]uint32
-}
-
-// Run executes one migration to completion or error. On error the
-// engine reinstates the donor; Run itself never mutates engine state
-// except through the provided callbacks.
-func Run(cfg Config) (Result, error) {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultTimeout
+// Run executes one move to completion or error and reports how many
+// tuples it grafted onto recipients. Run itself never mutates engine
+// state except through the Move's callbacks.
+func Run(m Move) (int, error) {
+	if m.Timeout <= 0 {
+		m.Timeout = DefaultTimeout
 	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = DefaultPoll
-	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	prefix := fmt.Sprintf("migrate.%s.%d.", cfg.Rel, cfg.Origin)
-	retransmits := reg.Counter(prefix + "retransmits")
-	corrupt := reg.Counter(prefix + "frames_corrupt")
-	dups := reg.Counter(prefix + "frames_dup")
-	deadline := time.Now().Add(cfg.Timeout)
+	deadline := time.Now().Add(m.Timeout)
 
-	// Phase 1: wait for the donor to drain past the barrier, then
-	// snapshot it atomically.
-	snap, err := waitDrained(cfg, deadline)
+	var grafts map[int32][]index.Segment
+	err := m.await(deadline, "drain", func(p Peer) (err error) {
+		grafts, err = m.Export(p)
+		return err
+	})
 	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
 
-	// Phase 2: re-seal and stream the blobs over the broker.
-	tr := buildTransfer(snap, cfg.Origin)
-	res := Result{PerMember: make(map[int32]int)}
-	if len(tr.segs) > 0 {
-		p := xferParams{cfg.Client, cfg.Rel, cfg.Origin, cfg.Attempt, cfg.Poll}
-		received, err := streamBlobs(p, tr, deadline, retransmits, corrupt, dups)
-		if err != nil {
-			return Result{}, err
+	moved := 0
+	members := make([]int32, 0, len(grafts))
+	for member := range grafts {
+		members = append(members, member)
+	}
+	slices.Sort(members)
+	for _, member := range members {
+		if err := m.Import(member, grafts[member]); err != nil {
+			return 0, fmt.Errorf("migrate: import into member %d: %w", member, err)
 		}
-		// Phase 3: redistribute by the shrunk layout's store geometry.
-		grafts := partition(received, cfg.Origin, cfg.Assign)
-		for member, segs := range grafts {
-			if err := cfg.Import(member, segs); err != nil {
-				return Result{}, fmt.Errorf("migrate: import into member %d: %w", member, err)
-			}
-			n := 0
-			for _, s := range segs {
-				n += len(s.Tuples)
-			}
-			res.PerMember[member] = n
-			res.Tuples += n
-			res.Segments += len(segs)
+		for _, s := range grafts[member] {
+			moved += len(s.Tuples)
 		}
 	}
 
-	// Phase 4: cut the donor out of join fan-out, then prove it has
-	// handled every probe only it could answer. Every join copy stamped
-	// at or below the post-cut cursor may have targeted the donor, so
-	// its frontier must pass the cursor — and its emitted results must
-	// reach the broker — before the engine may retire it.
-	if err := cfg.MarkDead(); err != nil {
-		return Result{}, fmt.Errorf("migrate: mark dead: %w", err)
+	// Every join copy stamped at or below the post-graft cursor may have
+	// been answerable only by the donor, so its frontier must pass the
+	// cursor — and its emitted results must reach the broker — before
+	// the donor may lose anything.
+	if m.Cut != nil {
+		m.Cut()
 	}
-	res.CutoverBarrier = cfg.Cursor()
-	for {
-		p := cfg.Donor()
-		if p == nil {
-			return Result{}, fmt.Errorf("migrate: donor %s-%d disappeared during cut-over", cfg.Rel, cfg.Origin)
+	cursor := m.Cursor()
+	err = m.await(deadline, "cut-over", func(p Peer) error {
+		if f := p.Frontier(); f < cursor {
+			return fmt.Errorf("frontier %d below cut-over barrier %d", f, cursor)
 		}
-		if p.Frontier() >= res.CutoverBarrier && p.RetryBacklog() == 0 {
-			break
+		if n := p.RetryBacklog(); n > 0 {
+			return fmt.Errorf("%d result publishes pending", n)
 		}
-		if time.Now().After(deadline) {
-			return Result{}, fmt.Errorf("migrate: donor %s-%d did not pass the cut-over barrier (frontier %d < %d)",
-				cfg.Rel, cfg.Origin, p.Frontier(), res.CutoverBarrier)
-		}
-		time.Sleep(cfg.Poll)
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	res.Retransmits = retransmits.Value()
-	reg.Counter(prefix + "tuples_moved").Add(int64(res.Tuples))
-	reg.Counter(prefix + "completed").Inc()
-	return res, nil
+	if m.Release != nil {
+		if err := m.Release(); err != nil {
+			return 0, fmt.Errorf("migrate: release at donor %s-%d: %w", m.Rel, m.Origin, err)
+		}
+	}
+	return moved, nil
 }
 
-// waitDrained polls the donor until its frontier passes the drain
-// barrier and the atomic export succeeds.
-func waitDrained(cfg Config, deadline time.Time) (*checkpoint.Snapshot, error) {
+// await polls the donor until ready accepts it, failing when the donor
+// disappears or the deadline passes.
+func (m *Move) await(deadline time.Time, phase string, ready func(Peer) error) error {
 	for {
-		p := cfg.Donor()
+		p := m.Donor()
 		if p == nil {
-			return nil, fmt.Errorf("migrate: donor %s-%d disappeared during drain", cfg.Rel, cfg.Origin)
+			return fmt.Errorf("migrate: donor %s-%d disappeared during %s", m.Rel, m.Origin, phase)
 		}
-		snap, err := p.ExportIfDrained(cfg.DrainBarrier)
+		err := ready(p)
 		if err == nil {
-			return snap, nil
+			return nil
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("migrate: donor %s-%d did not drain past barrier %d (frontier %d): %w",
-				cfg.Rel, cfg.Origin, cfg.DrainBarrier, p.Frontier(), err)
+			return fmt.Errorf("migrate: donor %s-%d stuck in %s (frontier %d): %w",
+				m.Rel, m.Origin, phase, p.Frontier(), err)
 		}
-		time.Sleep(cfg.Poll)
+		time.Sleep(poll)
 	}
 }
 
-// buildTransfer re-seals the donor snapshot for transport: every
-// non-empty segment (including the live one — the donor is drained, so
-// it can never grow again) becomes a sealed segment with the donor as
-// origin and a fresh position-based id. Renumbering keeps ids unique
-// even when the donor's own chain carried grafts from an earlier
-// migration, whose original (origin, id) pairs could collide with
-// segments a recipient already holds.
-func buildTransfer(snap *checkpoint.Snapshot, origin int32) *transfer {
-	tr := &transfer{blobs: make(map[uint64][]byte), crcs: make(map[uint64]uint32)}
+// MemberGrafts places a drained donor's whole window on the survivors:
+// every non-empty segment (including the live one — the donor is
+// drained, so it can never grow again) is renumbered 1..n in order and
+// split by assign, which mirrors the shrunk layout's store geometry,
+// into at most one sealed graft per recipient. Renumbering keeps ids
+// unique even when the donor's own chain carried grafts from an earlier
+// move, whose original (origin, id) pairs could collide with segments a
+// recipient already holds; a given donor leaves the group only once.
+// assign is called in segment and tuple order.
+func MemberGrafts(snap *checkpoint.Snapshot, origin int32, assign func(*tuple.Tuple) int32) map[int32][]index.Segment {
+	out := make(map[int32][]index.Segment)
+	id := uint64(0)
 	for _, seg := range snap.Segments {
 		if len(seg.Tuples) == 0 {
 			continue
 		}
-		id := uint64(len(tr.segs) + 1)
-		out := index.Segment{ID: id, Origin: origin, Sealed: true, Tuples: seg.Tuples}
-		out.MinTS, out.MaxTS = bounds(seg.Tuples)
-		tr.segs = append(tr.segs, out)
-		blob := checkpoint.EncodeSegment(out)
-		tr.blobs[id] = blob
-		tr.crcs[id] = checkpoint.BlobCRC(blob)
-	}
-	return tr
-}
-
-func bounds(ts []*tuple.Tuple) (int64, int64) {
-	minTS, maxTS := ts[0].TS, ts[0].TS
-	for _, t := range ts[1:] {
-		if t.TS < minTS {
-			minTS = t.TS
-		}
-		if t.TS > maxTS {
-			maxTS = t.TS
-		}
-	}
-	return minTS, maxTS
-}
-
-// xferParams is the slice of a migration config the blob transfer
-// needs; whole-member (Run) and key-scoped (RunKey) migrations both
-// stream through it.
-type xferParams struct {
-	client  broker.Client
-	rel     tuple.Relation
-	origin  int32
-	attempt uint64
-	poll    time.Duration
-}
-
-// streamBlobs pushes the transfer through the broker and consumes it
-// back, retransmitting until every blob arrived intact. The queue and
-// routing key are attempt-qualified, so frames from an abandoned
-// attempt can never complete a newer one.
-func streamBlobs(p xferParams, tr *transfer, deadline time.Time,
-	retransmits, corrupt, dups *metrics.Counter) ([]index.Segment, error) {
-	queue := topo.MigrateQueue(p.rel, p.origin, p.attempt)
-	key := topo.MigrateKey(p.rel, p.origin, p.attempt)
-	if err := topo.Declare(p.client); err != nil {
-		return nil, err
-	}
-	if err := p.client.DeclareQueue(queue, broker.QueueOptions{Durable: true}); err != nil {
-		return nil, err
-	}
-	if err := p.client.Bind(queue, topo.MigrateExchange, key); err != nil {
-		return nil, err
-	}
-	defer func() { _ = p.client.DeleteQueue(queue) }()
-	cons, err := p.client.Consume(queue, 4096, true)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = cons.Cancel() }()
-
-	publish := func(body []byte) {
-		// A failed publish (fault injection, partition) is not an error:
-		// the retransmit loop repairs any gap.
-		_ = p.client.Publish(topo.MigrateExchange, key, nil, body)
-	}
-	sendAll := func(only map[uint64]bool) {
-		for id, blob := range tr.blobs {
-			if only != nil && !only[id] {
-				continue
-			}
-			publish(append([]byte{frameSegment}, blob...))
-		}
-		publish(append([]byte{frameManifest}, encodeManifest(p, tr)...))
-	}
-	sendAll(nil)
-
-	got := make(map[uint64]index.Segment, len(tr.segs))
-	manifestSeen := false
-	for {
-		quiet := false
-		select {
-		case d, ok := <-cons.Deliveries():
-			if !ok {
-				return nil, fmt.Errorf("migrate: transfer consumer closed")
-			}
-			if len(d.Body) < 1 {
-				corrupt.Inc()
-				break
-			}
-			switch d.Body[0] {
-			case frameSegment:
-				seg, err := checkpoint.DecodeSegment(d.Body[1:])
-				if err != nil {
-					corrupt.Inc()
-					break
-				}
-				want, ok := tr.crcs[seg.ID]
-				if !ok || want != checkpoint.BlobCRC(d.Body[1:]) || seg.Origin != p.origin {
-					corrupt.Inc()
-					break
-				}
-				if _, dup := got[seg.ID]; dup {
-					dups.Inc()
-					break
-				}
-				got[seg.ID] = seg
-			case frameManifest:
-				if err := checkManifest(p, tr, d.Body[1:]); err != nil {
-					corrupt.Inc()
-					break
-				}
-				manifestSeen = true
-			default:
-				corrupt.Inc()
-			}
-		case <-time.After(p.poll):
-			quiet = true
-		}
-		if manifestSeen && len(got) == len(tr.segs) {
-			out := make([]index.Segment, 0, len(tr.segs))
-			for _, s := range tr.segs {
-				out = append(out, got[s.ID])
-			}
-			return out, nil
-		}
-		if quiet {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("migrate: transfer of %s-%d incomplete (%d/%d blobs, manifest=%v)",
-					p.rel, p.origin, len(got), len(tr.segs), manifestSeen)
-			}
-			// Republish whatever has not arrived yet.
-			missing := make(map[uint64]bool)
-			for id := range tr.blobs {
-				if _, ok := got[id]; !ok {
-					missing[id] = true
-				}
-			}
-			sendAll(missing)
-			retransmits.Add(int64(len(missing)) + 1)
-		}
-	}
-}
-
-// encodeManifest serializes the transfer manifest:
-//
-//	"BMG1" | origin u32 | rel byte | attempt u64 |
-//	uvarint n | n × (id u64 | crc u32 | len u32) | crc u32
-func encodeManifest(p xferParams, tr *transfer) []byte {
-	buf := make([]byte, 0, 32+len(tr.segs)*16)
-	buf = append(buf, manifestMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.origin))
-	buf = append(buf, byte(p.rel))
-	buf = binary.LittleEndian.AppendUint64(buf, p.attempt)
-	buf = binary.AppendUvarint(buf, uint64(len(tr.segs)))
-	for _, s := range tr.segs {
-		buf = binary.LittleEndian.AppendUint64(buf, s.ID)
-		buf = binary.LittleEndian.AppendUint32(buf, tr.crcs[s.ID])
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tr.blobs[s.ID])))
-	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-}
-
-// checkManifest validates a received manifest frame against the locally
-// known transfer.
-func checkManifest(p xferParams, tr *transfer, blob []byte) error {
-	if len(blob) < len(manifestMagic)+4 {
-		return fmt.Errorf("migrate: short manifest")
-	}
-	body, tail := blob[:len(blob)-4], blob[len(blob)-4:]
-	if binary.LittleEndian.Uint32(tail) != crc32.Checksum(body, crcTable) {
-		return fmt.Errorf("migrate: manifest crc mismatch")
-	}
-	if string(body[:len(manifestMagic)]) != string(manifestMagic) {
-		return fmt.Errorf("migrate: bad manifest magic")
-	}
-	b := body[len(manifestMagic):]
-	if len(b) < 13 {
-		return fmt.Errorf("migrate: truncated manifest header")
-	}
-	origin := int32(binary.LittleEndian.Uint32(b))
-	rel := tuple.Relation(b[4])
-	attempt := binary.LittleEndian.Uint64(b[5:13])
-	if origin != p.origin || rel != p.rel || attempt != p.attempt {
-		return fmt.Errorf("migrate: manifest for %s-%d attempt %d, want %s-%d attempt %d",
-			rel, origin, attempt, p.rel, p.origin, p.attempt)
-	}
-	b = b[13:]
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n != uint64(len(tr.segs)) || len(b[sz:]) != int(n)*16 {
-		return fmt.Errorf("migrate: manifest ref count mismatch")
-	}
-	b = b[sz:]
-	for i := uint64(0); i < n; i++ {
-		id := binary.LittleEndian.Uint64(b)
-		crc := binary.LittleEndian.Uint32(b[8:])
-		length := binary.LittleEndian.Uint32(b[12:])
-		if tr.crcs[id] != crc || uint32(len(tr.blobs[id])) != length {
-			return fmt.Errorf("migrate: manifest ref %d mismatch", id)
-		}
-		b = b[16:]
-	}
-	return nil
-}
-
-// partition splits the transferred segments across the surviving
-// members by the shrunk layout's store geometry. Each donor segment
-// yields at most one graft segment per recipient, keeping its id — the
-// per-recipient (origin, id) identity stays unique because a given
-// donor migrates at most once.
-func partition(segs []index.Segment, origin int32, assign func(*tuple.Tuple) int32) map[int32][]index.Segment {
-	out := make(map[int32][]index.Segment)
-	for _, seg := range segs {
+		id++
 		parts := make(map[int32][]*tuple.Tuple)
 		for _, t := range seg.Tuples {
-			m := assign(t)
-			parts[m] = append(parts[m], t)
+			member := assign(t)
+			parts[member] = append(parts[member], t)
 		}
-		for m, ts := range parts {
-			g := index.Segment{ID: seg.ID, Origin: origin, Sealed: true, Tuples: ts}
-			g.MinTS, g.MaxTS = bounds(ts)
-			out[m] = append(out[m], g)
+		for member, ts := range parts {
+			out[member] = append(out[member], sealed(id, origin, ts))
 		}
 	}
 	return out
+}
+
+// KeyGrafts places a key donor's exported pile round-robin across the
+// recipients (which must not include the donor, or its release would
+// delete the grafted copy too), one sealed segment per recipient that
+// receives anything. Ids are attempt<<16 | n for the n-th segment, so a
+// key move never collides with a member move's renumbered segments or
+// with an earlier key move's grafts. recipients must be non-empty.
+func KeyGrafts(tuples []*tuple.Tuple, origin int32, attempt uint64, recipients []int32) map[int32][]index.Segment {
+	parts := make([][]*tuple.Tuple, len(recipients))
+	for i, t := range tuples {
+		parts[i%len(parts)] = append(parts[i%len(parts)], t)
+	}
+	out := make(map[int32][]index.Segment)
+	n := uint64(0)
+	for i, ts := range parts {
+		if len(ts) == 0 {
+			continue
+		}
+		n++
+		out[recipients[i]] = []index.Segment{sealed(attempt<<16|n, origin, ts)}
+	}
+	return out
+}
+
+// sealed builds one non-empty graft segment with its timestamp bounds.
+func sealed(id uint64, origin int32, ts []*tuple.Tuple) index.Segment {
+	s := index.Segment{ID: id, Origin: origin, Sealed: true, Tuples: ts, MinTS: ts[0].TS, MaxTS: ts[0].TS}
+	for _, t := range ts[1:] {
+		s.MinTS = min(s.MinTS, t.TS)
+		s.MaxTS = max(s.MaxTS, t.TS)
+	}
+	return s
 }

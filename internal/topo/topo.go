@@ -32,10 +32,6 @@ const (
 	ResultExchange = "result.exchange"
 	// ResultKey routes every join result.
 	ResultKey = "r"
-
-	// MigrateExchange carries state-migration transfer frames (segment
-	// blobs and manifests) between a scale-in donor and the coordinator.
-	MigrateExchange = "migrate.exchange"
 )
 
 // StoreExchange names the exchange carrying rel tuples to their own
@@ -65,18 +61,6 @@ func JoinQueue(rel tuple.Relation, member int32) string {
 	return fmt.Sprintf("%s.q.%d", JoinExchange(rel.Opposite()), member)
 }
 
-// MigrateKey routes the transfer frames of one migration: rel and
-// origin identify the donor, attempt distinguishes retried transfers so
-// a stale attempt's frames can never satisfy a newer one.
-func MigrateKey(rel tuple.Relation, origin int32, attempt uint64) string {
-	return fmt.Sprintf("mig.%s.%d.%d", rel, origin, attempt)
-}
-
-// MigrateQueue names the consuming queue of one migration transfer.
-func MigrateQueue(rel tuple.Relation, origin int32, attempt uint64) string {
-	return fmt.Sprintf("%s.q.%s.%d.%d", MigrateExchange, rel, origin, attempt)
-}
-
 // Declare creates the shared exchanges and the entry queue. It is
 // idempotent; every service calls it at startup so processes may come
 // up in any order.
@@ -101,8 +85,5 @@ func Declare(client broker.Client) error {
 			return err
 		}
 	}
-	if err := client.DeclareExchange(ResultExchange, broker.Topic); err != nil {
-		return err
-	}
-	return client.DeclareExchange(MigrateExchange, broker.Topic)
+	return client.DeclareExchange(ResultExchange, broker.Topic)
 }
