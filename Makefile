@@ -20,9 +20,10 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Documentation gates: every internal/ package needs a package doc
-# comment (checkpoint/core/migrate/router/sketch additionally document
-# every exported symbol), and every relative markdown link must resolve.
+# Documentation gates: the root package and every internal/ package
+# need a package doc comment (the root bistream façade and
+# checkpoint/core/migrate/router/sketch additionally document every
+# exported symbol), and every relative markdown link must resolve.
 doclint:
 	$(GO) run ./tools/doclint
 

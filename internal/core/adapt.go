@@ -45,9 +45,12 @@ func (e *Engine) migrateKey(rel tuple.Relation, keyHash uint64) (int, error) {
 		return 0, errors.New("core: engine not running")
 	}
 	members := e.memberIDsLocked(rel)
-	subgroups := e.subgroupsLocked(rel)
+	layout, err := e.layoutGroupLocked(rel)
 	routers := append([]*router.Service(nil), e.routers...)
 	e.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
 	if len(members) < 2 {
 		// Scattering across a single member is hash placement; the flip
 		// alone is the whole adaptation.
@@ -60,17 +63,12 @@ func (e *Engine) migrateKey(rel tuple.Relation, keyHash uint64) (int, error) {
 	// store copy hash-routed under the cold regime has landed.
 	barrier := maxCursor(routers)
 
-	// Hash owners of the key under the current layout: the members of
-	// subgroup keyHash%subgroups, i.e. every subgroups-th slot of the
-	// layout starting there (see router.Group's store target and the
-	// mirrored assignFunc in migration.go).
-	sub := 0
-	if subgroups > 1 {
-		sub = int(keyHash % uint64(subgroups))
-	}
-	var donors []int32
-	for i := sub; i < len(members); i += subgroups {
-		donors = append(donors, members[i])
+	// Hash owners of the key under the current layout: the members of its
+	// subgroup, which are the join targets of a group holding that layout
+	// alone.
+	donors, err := layout.JoinTargets(keyHash, true, 0)
+	if err != nil {
+		return 0, err
 	}
 
 	moved := 0

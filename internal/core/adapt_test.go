@@ -150,15 +150,8 @@ func TestEngineAdaptivePinnedKeyMigrates(t *testing.T) {
 }
 
 // TestEngineAdaptiveRoutingValidation rejects the configuration the
-// key migration cannot serve: without the ordering protocol there is
-// no drain barrier.
+// key migration cannot serve.
 func TestEngineAdaptiveRoutingValidation(t *testing.T) {
-	if _, err := New(Config{
-		Predicate: predicate.NewEqui(0, 0), Window: time.Minute,
-		AdaptiveRouting: true, Unordered: true,
-	}); err == nil {
-		t.Error("AdaptiveRouting with Unordered accepted")
-	}
 	// AdaptiveRouting implies ContRand, so it inherits its constraint.
 	if _, err := New(Config{
 		Predicate: predicate.NewBand(0, 0, 1), Window: time.Minute,

@@ -102,6 +102,37 @@ func TestColdCrashWithCheckpointRecoversWindow(t *testing.T) {
 	}
 }
 
+// TestColdCrashOfScaledInMemberStaysSealed cold-crashes a member and
+// scales it in while it is down. The fresh incarnation must take the
+// member's sealed entry, not come back into the active group: a
+// resurrected active member would consume queues that Reap deletes
+// when it retires the sealed entry.
+func TestColdCrashOfScaledInMemberStaysSealed(t *testing.T) {
+	e := startEngine(t, Config{
+		Predicate: predicate.NewEqui(0, 0),
+		Window:    time.Minute,
+		RJoiners:  2,
+	}, newCollector())
+	crashed := make(chan error, 1)
+	go func() { crashed <- e.ColdCrashJoiner(tuple.R, 1, 300*time.Millisecond) }()
+	time.Sleep(50 * time.Millisecond)
+	if err := e.ScaleJoiners(tuple.R, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-crashed; err != nil {
+		t.Fatal(err)
+	}
+	if n := e.NumJoiners(tuple.R); n != 1 {
+		t.Errorf("NumJoiners(R) = %d, want 1", n)
+	}
+	if ids := e.MemberIDs(tuple.R); len(ids) != 1 || ids[0] != 0 {
+		t.Errorf("MemberIDs(R) = %v, want [0]", ids)
+	}
+	if sealed := e.Snapshot().Sealed; sealed != 1 {
+		t.Errorf("Sealed = %d, want 1", sealed)
+	}
+}
+
 // TestEngineExactlyOnceUnderColdCrashesAndTornCheckpoints is the
 // tentpole chaos test: the broker fabric drops, duplicates, delays and
 // reorders (entry only), the checkpoint stores tear and fail writes

@@ -75,12 +75,6 @@ type Config struct {
 	// of tuples each: an application that keeps a sparse subset of
 	// results pins whole chunks, and should copy what it keeps.
 	OnResult func(tuple.JoinResult)
-	// ResultBuffer sizes the Results channel (default 4096). When the
-	// buffer is full the sink blocks, backpressuring joiners.
-	ResultBuffer int
-	// Unordered disables the tuple ordering protocol (for the Figure 8
-	// anomaly experiment only).
-	Unordered bool
 	// ContRand enables frequency-aware routing for partitionable
 	// predicates: keys whose recent traffic share exceeds HotFraction
 	// scatter their stores across the group (restoring balance under
@@ -93,8 +87,7 @@ type Config struct {
 	// controller watches the tracker's promotions and live-migrates
 	// each newly hot key's stored partition from its hash owners to the
 	// scattered owners (metrics under router_adapt_*). Implies
-	// ContRand; incompatible with Unordered, because the key migration
-	// leans on the ordering protocol's drain barriers.
+	// ContRand.
 	AdaptiveRouting bool
 	// Metrics is the registry every tier registers its instruments in
 	// (router.<id>.*, joiner.<rel>.<id>.*, engine.*, broker.* when the
@@ -117,7 +110,7 @@ type Config struct {
 	// Checkpoint, when non-nil, enables checkpointed joiners: each
 	// member checkpoints its window, ordering and dedup state to its own
 	// store from this provider, defers broker acks to checkpoint commits,
-	// and recovers that state on ColdCrashJoiner. Nil runs the engine
+	// and recovers that state on a cold restart. Nil runs the engine
 	// with in-memory joiner state only (warm restarts keep state, cold
 	// restarts lose the window).
 	Checkpoint checkpoint.Provider
@@ -126,10 +119,6 @@ type Config struct {
 	// redelivery burst after a cold crash at the cost of more store
 	// writes (only the live segment is rewritten per round).
 	CheckpointInterval time.Duration
-	// Restart governs supervised service restarts (CrashJoiner,
-	// ColdCrashJoiner, CrashRouter, the Supervisor). Zero-value fields
-	// take the DefaultRetryPolicy defaults.
-	Restart RetryPolicy
 	// MigrationTimeout bounds one donor's state move — a full-history
 	// scale-in or a hot-key move (drain, graft, cut-over); zero uses
 	// migrate.DefaultTimeout.
@@ -176,28 +165,18 @@ func (c *Config) applyDefaults() error {
 	if c.Clock == nil {
 		c.Clock = vclock.Real{}
 	}
-	if c.ResultBuffer <= 0 {
-		c.ResultBuffer = 4096
-	}
 	return nil
 }
+
+// resultChanSize sizes the Results channel. When it is full the sink
+// blocks, backpressuring joiners.
+const resultChanSize = 4096
 
 // sealedJoiner is a scaled-in member draining its window before
 // retirement.
 type sealedJoiner struct {
 	svc      *joiner.Service
 	deadline time.Time
-}
-
-// layoutChange is one entry of a relation's layout history. New routers
-// replay the history so their generation tables match the veterans' —
-// a router that only knew the current layout would fan join copies out
-// to the current members only and miss the draining ones, losing
-// results.
-type layoutChange struct {
-	members   []int32
-	subgroups int
-	atTS      int64
 }
 
 // Engine is the running join-biclique system.
@@ -221,8 +200,7 @@ type Engine struct {
 	// buffer and the broker's at-least-once redelivery can both deliver
 	// a result frame twice, and the (left seq, right seq) pair identifies
 	// each of its results exactly. Touched only by the sink goroutine (dedup.Set is not
-	// concurrency-safe). Nil in Unordered mode, where the Figure 8
-	// experiment measures duplicate anomalies on purpose.
+	// concurrency-safe).
 	resultSeen  *dedup.Set
 	resultDedup *metrics.Counter // engine.result_dedup
 
@@ -239,28 +217,20 @@ type Engine struct {
 	// and emitting until the migration's cut-over barrier passes, so
 	// they appear in allJoinersLocked. migLock serializes migrations end
 	// to end without holding e.mu across the drain and cut-over waits.
-	migrating []*migratingDonor
-	migLock   sync.Mutex
-	// deadJoiners records members removed by migration, per relation.
-	// Routers filter them from old-generation join fan-out (their queues
-	// are deleted); new routers replay the list after the layout history.
-	deadJoiners [2][]int32
-	migAttempt  uint64 // key-move counter, qualifies graft ids (migrate.KeyGrafts)
-	nextRtr     int32
-	nextJid     [2]int32
-	obsSrv      *obs.Server
-	sinkCons    broker.Consumer
-	sinkDone    chan struct{}
-	sinkStop    chan struct{}
+	migrating  []*migratingDonor
+	migLock    sync.Mutex
+	migAttempt uint64 // key-move counter, qualifies graft ids (migrate.KeyGrafts)
+	nextRtr    int32
+	nextJid    [2]int32
+	obsSrv     *obs.Server
+	sinkCons   broker.Consumer
+	sinkDone   chan struct{}
+	sinkStop   chan struct{}
 
 	// state and seq are atomics so Ingest, the per-tuple entry point,
 	// takes no lock; state changes only under mu.
 	state atomic.Int32  // engineNew → engineRunning → engineStopped
 	seq   atomic.Uint64 // last sequence number Ingest assigned
-
-	// layoutHist records every layout change per relation so new
-	// routers can replay it (see layoutChange).
-	layoutHist [2][]layoutChange
 
 	// Counter residue of retired services, so the count-based Quiesce
 	// accounting stays balanced after scale-in.
@@ -296,9 +266,6 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: SSubgroups %d out of range [1,%d]", cfg.SSubgroups, cfg.SJoiners)
 	}
 	if cfg.AdaptiveRouting {
-		if cfg.Unordered {
-			return nil, errors.New("core: AdaptiveRouting needs the ordering protocol's drain barrier (Unordered is set)")
-		}
 		cfg.ContRand = true
 	}
 	e := &Engine{
@@ -325,7 +292,7 @@ func New(cfg Config) (*Engine, error) {
 		e.client = e.ownB
 	}
 	if cfg.OnResult == nil {
-		e.results = make(chan tuple.JoinResult, cfg.ResultBuffer)
+		e.results = make(chan tuple.JoinResult, resultChanSize)
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
@@ -344,9 +311,7 @@ func New(cfg Config) (*Engine, error) {
 	e.resultDedup = e.reg.Counter("engine.result_dedup")
 	e.migrations = e.reg.Counter("engine.migrations")
 	e.migratedTuples = e.reg.Counter("engine.migrated_tuples")
-	if !cfg.Unordered {
-		e.resultSeen = dedup.New(0)
-	}
+	e.resultSeen = dedup.New(0)
 	e.reg.GaugeFunc("engine.routers", func() float64 {
 		e.mu.Lock()
 		defer e.mu.Unlock()
@@ -528,7 +493,6 @@ func (e *Engine) buildJoinerLocked(rel tuple.Relation, id int32) (*joiner.Servic
 		FullHistory:   e.cfg.FullHistory,
 		ArchivePeriod: e.cfg.ArchivePeriod,
 		Shards:        e.cfg.Shards,
-		Unordered:     e.cfg.Unordered,
 		Metrics:       e.reg,
 		Trace:         e.tracer,
 	})
@@ -574,20 +538,18 @@ func (e *Engine) addRouterLocked() error {
 	for _, j := range e.allJoinersLocked() {
 		j.AddRouter(id)
 	}
-	nowTS := e.cfg.Clock.Now().UnixMilli()
-	e.ensureHistoryLocked(nowTS)
-	// Replay the layout history so the new router's generation table
-	// covers every draining membership, not just the current one.
-	for _, rel := range []tuple.Relation{tuple.R, tuple.S} {
-		for _, ch := range e.layoutHist[rel] {
-			if err := svc.SetLayout(rel, ch.members, ch.subgroups, ch.atTS); err != nil {
+	// A router joining a running tier copies a peer's generation table
+	// and dead set, so its join fan-out covers every membership still
+	// draining; the engine keeps no layout history of its own. The first
+	// router gets the current layout.
+	if len(e.routers) > 0 {
+		svc.CopyLayouts(e.routers[0])
+	} else {
+		nowTS := e.cfg.Clock.Now().UnixMilli()
+		for _, rel := range []tuple.Relation{tuple.R, tuple.S} {
+			if err := svc.SetLayout(rel, e.memberIDsLocked(rel), e.subgroupsLocked(rel), nowTS); err != nil {
 				return err
 			}
-		}
-		// Members the replayed generations mention but migration has
-		// since retired: their queues are gone, never fan out to them.
-		for _, dead := range e.deadJoiners[rel] {
-			svc.RetireMember(rel, dead)
 		}
 	}
 	if err := svc.Start(); err != nil {
@@ -595,66 +557,6 @@ func (e *Engine) addRouterLocked() error {
 	}
 	e.routers = append(e.routers, svc)
 	return nil
-}
-
-// ensureHistoryLocked seeds the layout history with the current
-// membership on first use and prunes fully drained entries: an entry is
-// droppable once a successor exists and the successor is itself older
-// than the window (every tuple stored under the entry has expired).
-func (e *Engine) ensureHistoryLocked(nowTS int64) {
-	for _, rel := range []tuple.Relation{tuple.R, tuple.S} {
-		if len(e.layoutHist[rel]) == 0 {
-			e.layoutHist[rel] = append(e.layoutHist[rel], layoutChange{
-				members:   e.memberIDsLocked(rel),
-				subgroups: e.subgroupsLocked(rel),
-				atTS:      nowTS,
-			})
-		}
-		if e.cfg.FullHistory {
-			continue // nothing ever drains
-		}
-		hist := e.layoutHist[rel]
-		cut := 0
-		for cut < len(hist)-1 {
-			// hist[cut] retired at hist[cut+1].atTS; it is drained once
-			// that instant is a full window (+slack) in the past.
-			if nowTS-hist[cut+1].atTS > e.win.SpanMillis()+2000 {
-				cut++
-			} else {
-				break
-			}
-		}
-		if cut > 0 {
-			e.layoutHist[rel] = append(hist[:0:0], hist[cut:]...)
-		}
-	}
-}
-
-// recordLayoutLocked appends a layout change to the history (no-op if
-// identical to the latest entry).
-func (e *Engine) recordLayoutLocked(rel tuple.Relation, nowTS int64) {
-	members := e.memberIDsLocked(rel)
-	subgroups := e.subgroupsLocked(rel)
-	hist := e.layoutHist[rel]
-	if n := len(hist); n > 0 {
-		last := hist[n-1]
-		if last.subgroups == subgroups && equalMembers(last.members, members) {
-			return
-		}
-	}
-	e.layoutHist[rel] = append(hist, layoutChange{members: members, subgroups: subgroups, atTS: nowTS})
-}
-
-func equalMembers(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func (e *Engine) allJoinersLocked() []*joiner.Service {
@@ -665,9 +567,7 @@ func (e *Engine) allJoinersLocked() []*joiner.Service {
 		out = append(out, s.svc)
 	}
 	for _, m := range e.migrating {
-		if m.svc != nil {
-			out = append(out, m.svc)
-		}
+		out = append(out, m.svc)
 	}
 	return out
 }
@@ -813,7 +713,7 @@ func (e *Engine) sinkLoop(cons broker.Consumer) {
 // deliver hands one result pair to the application. It reports false
 // when the engine is shutting down and the result was not taken.
 func (e *Engine) deliver(l, r *tuple.Tuple) bool {
-	if e.resultSeen != nil && e.resultSeen.SeenOrAdd(dedup.Key{l.Seq, r.Seq}) {
+	if e.resultSeen.SeenOrAdd(dedup.Key{l.Seq, r.Seq}) {
 		// The pair already reached the application: a redelivery
 		// after a lost ack, or a joiner retry whose first publish did
 		// land. Settle it without emitting a duplicate.
@@ -866,13 +766,7 @@ func (e *Engine) ScaleJoiners(rel tuple.Relation, n int) error {
 		return errors.New("core: engine not running")
 	}
 	js := e.joinersLocked(rel)
-	shrink := n < len(*js)
-	migrateIn := shrink && e.cfg.FullHistory
-	if migrateIn && e.cfg.Unordered {
-		e.mu.Unlock()
-		return fmt.Errorf("core: scale-in migration needs the ordering protocol's drain barrier (Unordered is set)")
-	}
-	if migrateIn {
+	if n < len(*js) && e.cfg.FullHistory {
 		e.mu.Unlock()
 		return e.scaleInWithMigration(rel, n)
 	}
@@ -923,12 +817,8 @@ func (e *Engine) ScaleRouters(n int) error {
 	return nil
 }
 
-// pushLayoutsLocked propagates the current membership to every router
-// and records it in the history replayed into future routers.
+// pushLayoutsLocked propagates the current membership to every router.
 func (e *Engine) pushLayoutsLocked(nowTS int64) error {
-	e.ensureHistoryLocked(nowTS)
-	e.recordLayoutLocked(tuple.R, nowTS)
-	e.recordLayoutLocked(tuple.S, nowTS)
 	for _, rel := range []tuple.Relation{tuple.R, tuple.S} {
 		if err := router.SetLayouts(e.routers, rel, e.memberIDsLocked(rel), e.subgroupsLocked(rel), nowTS); err != nil {
 			return err
@@ -957,7 +847,7 @@ func (e *Engine) Reap() int {
 	e.sealed = keep
 	var parked []*migratingDonor
 	for _, m := range e.migrating {
-		if m.parked && m.svc != nil {
+		if m.parked {
 			parked = append(parked, m)
 		}
 	}
@@ -1075,19 +965,11 @@ func (e *Engine) quiet() bool {
 // the core is discarded and state comes back only from the checkpoint
 // store and broker redelivery.
 func (e *Engine) CrashJoiner(rel tuple.Relation, idx int, down time.Duration) error {
-	e.mu.Lock()
-	js := *e.joinersLocked(rel)
-	if idx < 0 || idx >= len(js) {
-		e.mu.Unlock()
-		return fmt.Errorf("core: joiner %s[%d] out of range [0,%d)", rel, idx, len(js))
+	svc, err := e.memberAt(rel, idx)
+	if err != nil {
+		return err
 	}
-	svc := js[idx]
-	e.mu.Unlock()
-	svc.Stop()
-	if down > 0 {
-		time.Sleep(down)
-	}
-	return e.cfg.Restart.Run(svc.Start)
+	return e.restartJoiner(rel, svc, false, down)
 }
 
 // ColdCrashJoiner simulates losing a joiner's machine: the member's
@@ -1101,52 +983,94 @@ func (e *Engine) CrashJoiner(rel tuple.Relation, idx int, down time.Duration) er
 // unchanged by the crash. Without a checkpoint provider the fresh core
 // starts empty and every already-acknowledged stored tuple is simply
 // gone — the data-loss mode the checkpoint subsystem exists to close.
+// A member scaled in while it was down comes back where scale-in put it,
+// never into the active group.
 func (e *Engine) ColdCrashJoiner(rel tuple.Relation, idx int, down time.Duration) error {
+	svc, err := e.memberAt(rel, idx)
+	if err != nil {
+		return err
+	}
+	return e.restartJoiner(rel, svc, true, down)
+}
+
+// memberAt returns the active member at layout position idx.
+func (e *Engine) memberAt(rel tuple.Relation, idx int) (*joiner.Service, error) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	js := *e.joinersLocked(rel)
 	if idx < 0 || idx >= len(js) {
-		e.mu.Unlock()
-		return fmt.Errorf("core: joiner %s[%d] out of range [0,%d)", rel, idx, len(js))
+		return nil, fmt.Errorf("core: joiner %s[%d] out of range [0,%d)", rel, idx, len(js))
 	}
-	old := js[idx]
-	id := old.ID()
+	return js[idx], nil
+}
+
+// restartJoiner is the one joiner restart path, behind CrashJoiner,
+// ColdCrashJoiner, ColdCrashDonor and the Supervisor. It refuses a
+// retired member; otherwise it stops svc, waits down and restarts the
+// member. A warm restart starts the same service again, its in-memory
+// core intact. A cold one builds a fresh incarnation with the same id —
+// same queues, metric names and checkpoint store, recovering whatever
+// the provider holds — and installs it wherever svc is by then: scaling
+// may have moved it from the active group to the sealed list or to a
+// migration's donor slot. A member retired while it was down stays
+// retired: the fresh incarnation is stopped again and the restart
+// reports an error.
+func (e *Engine) restartJoiner(rel tuple.Relation, svc *joiner.Service, cold bool, down time.Duration) error {
+	e.mu.Lock()
+	retired := e.slotLocked(rel, svc) == nil
 	e.mu.Unlock()
-	old.Stop()
+	if retired {
+		return fmt.Errorf("core: joiner %s-%d is retired", rel, svc.ID())
+	}
+	svc.Stop()
 	if down > 0 {
 		time.Sleep(down)
 	}
-	e.mu.Lock()
-	svc, err := e.buildJoinerLocked(rel, id)
-	routerIDs := make([]int32, 0, len(e.routers))
-	for _, r := range e.routers {
-		routerIDs = append(routerIDs, r.ID())
+	if !cold {
+		return restart(svc.Start)
 	}
+	e.mu.Lock()
+	fresh, err := e.buildJoinerLocked(rel, svc.ID())
 	e.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	if err := e.cfg.Restart.Run(svc.Start); err != nil {
+	if err := restart(fresh.Start); err != nil {
 		return err
 	}
-	for _, rid := range routerIDs {
-		svc.AddRouter(rid)
-	}
-	// Install the replacement. The slice may have shifted while the
-	// member was down (scaling); match by identity, falling back to the
-	// original position.
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cur := e.joinersLocked(rel)
-	for i, s := range *cur {
-		if s == old {
-			(*cur)[i] = svc
-			return nil
+	slot := e.slotLocked(rel, svc)
+	if slot == nil {
+		fresh.Stop()
+		return fmt.Errorf("core: joiner %s-%d retired while down", rel, svc.ID())
+	}
+	for _, r := range e.routers {
+		fresh.AddRouter(r.ID())
+	}
+	*slot = fresh
+	return nil
+}
+
+// slotLocked finds where svc sits now — an active slot, a sealed entry
+// or a migration donor — by identity. It returns nil once svc is
+// retired.
+func (e *Engine) slotLocked(rel tuple.Relation, svc *joiner.Service) **joiner.Service {
+	js := *e.joinersLocked(rel)
+	for i := range js {
+		if js[i] == svc {
+			return &js[i]
 		}
 	}
-	if idx < len(*cur) {
-		(*cur)[idx] = svc
-	} else {
-		*cur = append(*cur, svc)
+	for i := range e.sealed {
+		if e.sealed[i].svc == svc {
+			return &e.sealed[i].svc
+		}
+	}
+	for _, m := range e.migrating {
+		if m.svc == svc {
+			return &m.svc
+		}
 	}
 	return nil
 }
@@ -1167,7 +1091,7 @@ func (e *Engine) CrashRouter(idx int, down time.Duration) error {
 	if down > 0 {
 		time.Sleep(down)
 	}
-	return e.cfg.Restart.Run(svc.Start)
+	return restart(svc.Start)
 }
 
 // Settle waits until the pipeline's observable progress counters stop

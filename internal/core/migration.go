@@ -11,12 +11,14 @@ package core
 //     donor under the old layout can be stamped above it.
 //  2. migrate.Run drains the donor past the barrier, snapshots it, and
 //     hands its segments in memory to the surviving members chosen by
-//     assignFunc (migrate.MemberGrafts) — the exact store-target
-//     geometry of the shrunk layout, so every future (and past) join
-//     probe's fan-out covers the member now holding each grafted tuple.
+//     assignFunc (migrate.MemberGrafts) — the store target of a
+//     router.Group holding the shrunk layout, so every future (and past)
+//     join probe's fan-out covers the member now holding each grafted
+//     tuple.
 //  3. Cut-over: the donor is marked dead in every router's generation
 //     table (old generations keep its positional slot, so subgroup
-//     geometry is undisturbed), and the donor must pass the
+//     geometry is undisturbed; a router added later copies the mark
+//     from a peer), and the donor must pass the
 //     post-cut-over cursor with an empty result backlog — proving it
 //     answered every probe that was still addressed to it.
 //  4. The donor retires: final checkpoint, queues deleted, its counters
@@ -40,7 +42,7 @@ import (
 )
 
 // migratingDonor tracks one scale-in donor from layout removal to
-// retirement. svc is the donor's current incarnation (ColdCrashDonor
+// retirement. svc is the donor's current incarnation (a cold restart
 // swaps it); cutover is set once MarkDead ran, after which the donor
 // can no longer be reinstated; parked marks a donor whose state is
 // safely migrated but whose cut-over wait timed out — Reap retires it
@@ -122,22 +124,24 @@ func (e *Engine) migrateOneDonor(rel tuple.Relation, n int) (bool, error) {
 	*js = (*js)[:len(*js)-1]
 	d := &migratingDonor{rel: rel, id: donor.ID(), svc: donor}
 	e.migrating = append(e.migrating, d)
-	if err := e.pushLayoutsLocked(e.cfg.Clock.Now().UnixMilli()); err != nil {
+	shrunk, err := e.layoutGroupLocked(rel)
+	if err == nil {
+		err = e.pushLayoutsLocked(e.cfg.Clock.Now().UnixMilli())
+	}
+	if err != nil {
 		*js = append(*js, donor)
 		e.removeMigratingLocked(d)
 		e.mu.Unlock()
 		return false, err
 	}
 	routers := append([]*router.Service(nil), e.routers...)
-	members := e.memberIDsLocked(rel)
-	subgroups := e.subgroupsLocked(rel)
 	e.mu.Unlock()
 
 	// Drain barrier: all routers already route stores by the shrunk
 	// layout, so nothing stamped above this cursor targets the donor's
 	// store stream.
 	barrier := maxCursor(routers)
-	assign := e.assignFunc(members, subgroups)
+	assign := e.assignFunc(shrunk)
 
 	moved, err := migrate.Run(migrate.Move{
 		Rel:     rel,
@@ -147,12 +151,8 @@ func (e *Engine) migrateOneDonor(rel tuple.Relation, n int) (bool, error) {
 			// Re-resolve every call so a cold-replaced donor is observed
 			// through its recovered incarnation.
 			e.mu.Lock()
-			svc := d.svc
-			e.mu.Unlock()
-			if svc == nil {
-				return nil
-			}
-			return svc
+			defer e.mu.Unlock()
+			return d.svc
 		},
 		Export: func(p migrate.Peer) (map[int32][]index.Segment, error) {
 			snap, err := p.ExportIfDrained(barrier)
@@ -165,12 +165,12 @@ func (e *Engine) migrateOneDonor(rel tuple.Relation, n int) (bool, error) {
 			return e.importForeign(rel, member, segs)
 		},
 		Cut: func() {
+			// Under e.mu, so a router added concurrently copies the mark
+			// from a peer (lock order e.mu → coreMu, as in SetLayouts).
 			e.mu.Lock()
+			defer e.mu.Unlock()
 			d.cutover = true
-			e.deadJoiners[rel] = append(e.deadJoiners[rel], d.id)
-			rs := append([]*router.Service(nil), e.routers...)
-			e.mu.Unlock()
-			for _, r := range rs {
+			for _, r := range e.routers {
 				r.RetireMember(rel, d.id)
 			}
 		},
@@ -193,11 +193,8 @@ func (e *Engine) migrateOneDonor(rel tuple.Relation, n int) (bool, error) {
 			return false, fmt.Errorf("core: migration of %s-%d stalled at cut-over (donor parked for reap): %w", rel, d.id, err)
 		}
 		// Nothing irreversible happened: put the donor back.
-		cur := d.svc
 		e.removeMigratingLocked(d)
-		if cur != nil {
-			*e.joinersLocked(rel) = append(*e.joinersLocked(rel), cur)
-		}
+		*e.joinersLocked(rel) = append(*e.joinersLocked(rel), d.svc)
 		perr := e.pushLayoutsLocked(e.cfg.Clock.Now().UnixMilli())
 		e.mu.Unlock()
 		return false, errors.Join(err, perr)
@@ -218,33 +215,26 @@ func (e *Engine) migrateOneDonor(rel tuple.Relation, n int) (bool, error) {
 	return false, nil
 }
 
-// assignFunc returns the migration's redistribution function: the same
-// member choice the routers' store target makes under the shrunk layout
-// (hash to a subgroup, round-robin within it; round-robin across the
-// whole group for non-partitionable predicates), with private
-// round-robin cursors. Hot keys that ContRand scattered re-concentrate
-// onto their hash subgroup, which stays correct because hot-key probes
-// broadcast.
-func (e *Engine) assignFunc(members []int32, subgroups int) func(*tuple.Tuple) int32 {
+// layoutGroupLocked builds a private router.Group holding rel's current
+// layout alone: the routers' own placement geometry (hash to a
+// subgroup, round-robin within it), with round-robin cursors of its own.
+func (e *Engine) layoutGroupLocked(rel tuple.Relation) (*router.Group, error) {
+	g := router.NewGroup(e.win)
+	return g, g.SetLayout(e.memberIDsLocked(rel), e.subgroupsLocked(rel), 0)
+}
+
+// assignFunc returns the migration's redistribution function: the store
+// target of the shrunk layout's group. Hot keys that ContRand scattered
+// re-concentrate onto their hash subgroup, which stays correct because
+// hot-key probes broadcast.
+func (e *Engine) assignFunc(shrunk *router.Group) func(*tuple.Tuple) int32 {
 	part := e.cfg.Predicate.Partitionable()
-	rr := make([]uint64, subgroups+1)
 	return func(t *tuple.Tuple) int32 {
-		if !part {
-			m := members[rr[0]%uint64(len(members))]
-			rr[0]++
-			return m
+		var hash uint64
+		if part {
+			hash = t.Value(e.cfg.Predicate.IndexAttr(t.Rel)).Hash()
 		}
-		hash := t.Value(e.cfg.Predicate.IndexAttr(t.Rel)).Hash()
-		sub := 0
-		if subgroups > 1 {
-			sub = int(hash % uint64(subgroups))
-		}
-		var subM []int32
-		for i := sub; i < len(members); i += subgroups {
-			subM = append(subM, members[i])
-		}
-		m := subM[rr[sub+1]%uint64(len(subM))]
-		rr[sub+1]++
+		m, _ := shrunk.StoreTarget(hash, true, 0) // fails only without a layout
 		return m
 	}
 }
@@ -307,51 +297,16 @@ func (e *Engine) importForeign(rel tuple.Relation, member int32, segs []index.Se
 // result multiset.
 func (e *Engine) ColdCrashDonor(rel tuple.Relation, down time.Duration) error {
 	e.mu.Lock()
-	var d *migratingDonor
+	var svc *joiner.Service
 	for _, m := range e.migrating {
 		if m.rel == rel {
-			d = m
+			svc = m.svc
 			break
 		}
 	}
 	e.mu.Unlock()
-	if d == nil {
+	if svc == nil {
 		return fmt.Errorf("core: no migrating %s donor", rel)
 	}
-	return e.coldReplaceDonor(d, down)
-}
-
-// coldReplaceDonor is the shared donor replacement path of
-// ColdCrashDonor and the supervisor.
-func (e *Engine) coldReplaceDonor(d *migratingDonor, down time.Duration) error {
-	rel := d.rel
-	e.mu.Lock()
-	old := d.svc
-	e.mu.Unlock()
-	if old != nil {
-		old.Stop()
-	}
-	if down > 0 {
-		time.Sleep(down)
-	}
-	e.mu.Lock()
-	svc, err := e.buildJoinerLocked(rel, d.id)
-	routerIDs := make([]int32, 0, len(e.routers))
-	for _, r := range e.routers {
-		routerIDs = append(routerIDs, r.ID())
-	}
-	e.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := e.cfg.Restart.Run(svc.Start); err != nil {
-		return err
-	}
-	for _, rid := range routerIDs {
-		svc.AddRouter(rid)
-	}
-	e.mu.Lock()
-	d.svc = svc
-	e.mu.Unlock()
-	return nil
+	return e.restartJoiner(rel, svc, true, down)
 }

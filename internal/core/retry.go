@@ -5,60 +5,24 @@ import (
 	"time"
 )
 
-// RetryPolicy governs how the engine's supervision paths (CrashJoiner,
-// ColdCrashJoiner, CrashRouter, the Supervisor) retry a service start
-// that races a partition or broker outage: giving up on the first
-// failed declare would turn a transient fault into a permanently
-// missing member. Retries back off exponentially with jitter — the same
-// shape as wire.Client's reconnect policy, so a fleet of members
-// restarting after a shared outage spreads its declare storm instead of
-// thundering in lockstep.
-type RetryPolicy struct {
-	// Deadline bounds the total time spent retrying (default 15s).
-	Deadline time.Duration
-	// InitialBackoff is the first retry delay (default 10ms).
-	InitialBackoff time.Duration
-	// MaxBackoff caps the exponential growth (default 1s).
-	MaxBackoff time.Duration
-}
-
-// DefaultRetryPolicy is the policy used when a zero RetryPolicy is
-// configured.
-var DefaultRetryPolicy = RetryPolicy{
-	Deadline:       15 * time.Second,
-	InitialBackoff: 10 * time.Millisecond,
-	MaxBackoff:     time.Second,
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Deadline <= 0 {
-		p.Deadline = DefaultRetryPolicy.Deadline
-	}
-	if p.InitialBackoff <= 0 {
-		p.InitialBackoff = DefaultRetryPolicy.InitialBackoff
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = DefaultRetryPolicy.MaxBackoff
-	}
-	return p
-}
-
-// Run invokes op until it succeeds or the deadline passes, sleeping a
-// jittered backoff between attempts. The final attempt's error is
-// returned; each delay is drawn uniformly from [backoff/2, backoff)
-// like wire.Client's reconnect jitter.
-func (p RetryPolicy) Run(op func() error) error {
-	p = p.withDefaults()
-	deadline := time.Now().Add(p.Deadline)
-	backoff := p.InitialBackoff
+// restart runs start until it succeeds or 15s have passed, returning
+// the final attempt's error. The engine's restart paths (restartJoiner,
+// CrashRouter) go through it, because a service start can race a
+// partition or broker outage, and giving up on the first failed declare
+// would turn a transient fault into a permanently missing member.
+// Attempts back off exponentially from 10ms to 1s, each delay drawn
+// uniformly from [backoff/2, backoff) like wire.Client's reconnect
+// jitter, so members restarting after a shared outage spread their
+// declare storm instead of thundering in lockstep.
+func restart(start func() error) error {
+	deadline := time.Now().Add(15 * time.Second)
+	backoff := 10 * time.Millisecond
 	for {
-		err := op()
+		err := start()
 		if err == nil || time.Now().After(deadline) {
 			return err
 		}
 		time.Sleep(backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1)))
-		if backoff = 2 * backoff; backoff > p.MaxBackoff {
-			backoff = p.MaxBackoff
-		}
+		backoff = min(2*backoff, time.Second)
 	}
 }

@@ -38,10 +38,10 @@ func (c *SupervisorConfig) applyDefaults() {
 // the member itself — a wedged service cannot be trusted to answer its
 // own health check: a member is stuck when its durable queues hold a
 // backlog (ready or unacked deliveries) while its received counter has
-// not moved for a full Stall period. Replacement goes through
-// ColdCrashJoiner when the engine has a checkpoint provider (fresh
-// core, state recovered from the member's checkpoint store plus queue
-// redelivery) and through the warm CrashJoiner restart otherwise.
+// not moved for a full Stall period. Replacement is the engine's one
+// joiner restart path: cold when the engine has a checkpoint provider
+// (fresh core, state recovered from the member's checkpoint store plus
+// queue redelivery), warm otherwise.
 type Supervisor struct {
 	e    *Engine
 	cfg  SupervisorConfig
@@ -109,23 +109,20 @@ func (s *Supervisor) check(state map[string]supHealth) {
 		return
 	}
 	type member struct {
-		rel   tuple.Relation
-		svc   *joiner.Service
-		donor bool
+		rel tuple.Relation
+		svc *joiner.Service
 	}
 	var members []member
 	for _, svc := range e.rJoiners {
-		members = append(members, member{tuple.R, svc, false})
+		members = append(members, member{tuple.R, svc})
 	}
 	for _, svc := range e.sJoiners {
-		members = append(members, member{tuple.S, svc, false})
+		members = append(members, member{tuple.S, svc})
 	}
 	// Migration donors are supervised too: a wedged donor would stall
 	// the migration's drain or cut-over barrier forever.
 	for _, m := range e.migrating {
-		if m.svc != nil {
-			members = append(members, member{m.rel, m.svc, true})
-		}
+		members = append(members, member{m.rel, m.svc})
 	}
 	e.mu.Unlock()
 
@@ -147,10 +144,12 @@ func (s *Supervisor) check(state map[string]supHealth) {
 		if now.Sub(h.since) < s.cfg.Stall {
 			continue
 		}
-		if m.donor {
-			s.replaceDonor(m.svc)
-		} else {
-			s.replace(m.rel, m.svc)
+		// Cold with a checkpoint provider (fresh core, state recovered from
+		// the store plus redelivery); warm otherwise, since a cold restart
+		// without one would lose the window. restartJoiner finds the member
+		// wherever scaling has moved it since this check began.
+		if e.restartJoiner(m.rel, m.svc, e.cfg.Checkpoint != nil, 0) == nil {
+			s.replacements.Inc()
 		}
 		state[key] = supHealth{received: int64(recv), since: now}
 		if s.cfg.OnReplace != nil {
@@ -179,62 +178,4 @@ func (s *Supervisor) queueBacklog(svc *joiner.Service) int64 {
 		backlog += int64(st.Ready) + int64(st.Unacked)
 	}
 	return backlog
-}
-
-// replace restarts a stuck member, resolving its current group position
-// at the last moment (scaling may have shifted it while the check ran).
-func (s *Supervisor) replace(rel tuple.Relation, svc *joiner.Service) {
-	e := s.e
-	e.mu.Lock()
-	idx := -1
-	for i, cur := range *e.joinersLocked(rel) {
-		if cur == svc {
-			idx = i
-			break
-		}
-	}
-	e.mu.Unlock()
-	if idx < 0 {
-		return // scaled away between check and replace
-	}
-	var err error
-	if e.cfg.Checkpoint != nil {
-		err = e.ColdCrashJoiner(rel, idx, 0)
-	} else {
-		err = e.CrashJoiner(rel, idx, 0)
-	}
-	if err == nil {
-		s.replacements.Inc()
-	}
-}
-
-// replaceDonor restarts a stuck migration donor, resolved by service
-// identity so a parked donor next to an active one is never confused
-// with it. With a checkpoint provider the donor is cold-replaced (the
-// running migration re-resolves it and keeps polling); without one only
-// a warm restart preserves its state.
-func (s *Supervisor) replaceDonor(svc *joiner.Service) {
-	e := s.e
-	e.mu.Lock()
-	var d *migratingDonor
-	for _, m := range e.migrating {
-		if m.svc == svc {
-			d = m
-			break
-		}
-	}
-	e.mu.Unlock()
-	if d == nil {
-		return // migration finished between check and replace
-	}
-	var err error
-	if e.cfg.Checkpoint != nil {
-		err = e.coldReplaceDonor(d, 0)
-	} else {
-		svc.Stop()
-		err = e.cfg.Restart.Run(svc.Start)
-	}
-	if err == nil {
-		s.replacements.Inc()
-	}
 }

@@ -57,13 +57,16 @@ type AdaptConfig struct {
 	// Metrics receives the controller's instruments under
 	// "router_adapt."; nil uses a private registry.
 	Metrics *metrics.Registry
-	// Cooldown is the minimum gap between migration attempts for one
-	// key (default 2s).
-	Cooldown time.Duration
-	// Reconcile paces the sweep that catches dropped events and retries
-	// failed migrations (default 250ms).
-	Reconcile time.Duration
 }
+
+const (
+	// attemptGap is the minimum gap between migration attempts for one
+	// key.
+	attemptGap = 2 * time.Second
+	// sweepEvery paces the sweep that catches dropped events and retries
+	// failed migrations.
+	sweepEvery = 250 * time.Millisecond
+)
 
 // MetricsPrefix is the registry subtree the Adapter's instruments live
 // under (rendered with underscores by the Prometheus exporter, hence
@@ -77,12 +80,6 @@ func NewAdapter(cfg AdaptConfig) (*Adapter, error) {
 	}
 	if cfg.MigrateKey == nil {
 		return nil, fmt.Errorf("router: adapter needs a MigrateKey callback")
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 2 * time.Second
-	}
-	if cfg.Reconcile <= 0 {
-		cfg.Reconcile = 250 * time.Millisecond
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
@@ -155,7 +152,7 @@ func (a *Adapter) Request(keyHash uint64) {
 
 func (a *Adapter) loop() {
 	defer close(a.done)
-	ticker := time.NewTicker(a.cfg.Reconcile)
+	ticker := time.NewTicker(sweepEvery)
 	defer ticker.Stop()
 	for {
 		select {
@@ -203,7 +200,7 @@ func (a *Adapter) scatteredKeys() []uint64 {
 // elapsed since the previous attempt.
 func (a *Adapter) maybeMigrate(keyHash uint64) {
 	a.mu.Lock()
-	if a.migrated[keyHash] || time.Since(a.lastAttempt[keyHash]) < a.cfg.Cooldown {
+	if a.migrated[keyHash] || time.Since(a.lastAttempt[keyHash]) < attemptGap {
 		a.mu.Unlock()
 		return
 	}

@@ -75,12 +75,9 @@ type HotConfig struct {
 	HotFraction float64
 	// Window must match the join window; it sets the demotion drain.
 	Window window.Sliding
-	// SketchWidth/SketchDepth size the count-min sketch (defaults
-	// 4096×4).
-	SketchWidth, SketchDepth int
 }
 
-// NewHotTracker builds a tracker.
+// NewHotTracker builds a tracker over a 4096×4 count-min sketch.
 func NewHotTracker(cfg HotConfig) (*HotTracker, error) {
 	if cfg.HotFraction <= 0 {
 		cfg.HotFraction = 0.01
@@ -88,13 +85,7 @@ func NewHotTracker(cfg HotConfig) (*HotTracker, error) {
 	if cfg.HotFraction >= 1 {
 		return nil, fmt.Errorf("router: hot fraction %v out of range (0,1)", cfg.HotFraction)
 	}
-	if cfg.SketchWidth <= 0 {
-		cfg.SketchWidth = 4096
-	}
-	if cfg.SketchDepth <= 0 {
-		cfg.SketchDepth = 4
-	}
-	cm, err := sketch.New(cfg.SketchWidth, cfg.SketchDepth)
+	cm, err := sketch.New(4096, 4)
 	if err != nil {
 		return nil, err
 	}

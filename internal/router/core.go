@@ -125,12 +125,32 @@ func (c *Core) SetLayout(rel tuple.Relation, members []int32, subgroups int, now
 	if err := c.groups[rel].SetLayout(members, subgroups, nowTS); err != nil {
 		return err
 	}
+	c.addMemberKeys(members)
+	return nil
+}
+
+// CopyLayouts replaces both relations' layout tables with deep copies of
+// from's: every generation still draining, its retirement time, and the
+// dead set, with fresh round-robin cursors. A router joining a running
+// tier copies a peer this way, so its join fan-out covers the same
+// memberships as the veterans'. The copy shares no state with from.
+func (c *Core) CopyLayouts(from *Core) {
+	for rel, g := range from.groups {
+		c.groups[rel] = g.clone()
+		for _, gen := range g.gens {
+			c.addMemberKeys(gen.members)
+		}
+	}
+}
+
+// addMemberKeys builds the routing keys of members the core has not
+// named yet.
+func (c *Core) addMemberKeys(members []int32) {
 	for _, m := range members {
 		if _, ok := c.memberKeys[m]; !ok {
 			c.memberKeys[m] = topo.MemberKey(m)
 		}
 	}
-	return nil
 }
 
 // Members returns the current layout of one relation's group.

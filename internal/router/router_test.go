@@ -1,6 +1,7 @@
 package router
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -356,6 +357,59 @@ func TestCoreMembers(t *testing.T) {
 	}
 	if c.ID() != 1 {
 		t.Errorf("ID = %d", c.ID())
+	}
+}
+
+// TestCopyLayoutsMatchesPeer: a router that copies a peer's layout
+// tables fans out exactly like the peer — both S generations, minus the
+// dead member — owns its copy, and names every member it can route to.
+func TestCopyLayoutsMatchesPeer(t *testing.T) {
+	peer := newEquiCore(t)
+	mustLayout(t, peer, tuple.R, []int32{0, 1}, 2)
+	mustLayout(t, peer, tuple.S, []int32{0, 1, 2}, 3)
+	if err := peer.SetLayout(tuple.S, []int32{0, 1, 2, 3}, 4, 1000); err != nil {
+		t.Fatal(err)
+	}
+	peer.RetireMember(tuple.S, 2)
+
+	cp, err := NewCore(Config{ID: 2, Pred: predicate.NewEqui(0, 0), Window: testWin()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.CopyLayouts(peer)
+	for h := uint64(0); h < 64; h++ {
+		want, _ := peer.groups[tuple.S].JoinTargets(h, true, 1000)
+		got, _ := cp.groups[tuple.S].JoinTargets(h, true, 1000)
+		if !slices.Equal(got, want) {
+			t.Fatalf("hash %d: copy joins %v, peer joins %v", h, got, want)
+		}
+		if slices.Contains(got, 2) {
+			t.Fatalf("hash %d: copy fans out to dead member 2: %v", h, got)
+		}
+	}
+	for _, rel := range []tuple.Relation{tuple.R, tuple.S} {
+		if got, want := cp.groups[rel].Generations(), peer.groups[rel].Generations(); got != want {
+			t.Errorf("%s: copy has %d generations, peer %d", rel, got, want)
+		}
+	}
+
+	for i := 0; i < 64; i++ {
+		dests, err := cp.Route(tuple.New(tuple.R, uint64(i+1), 1000, tuple.Int(int64(i))), at(1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dests {
+			if d.Key == "" {
+				t.Fatalf("destination without a member key: %+v", d)
+			}
+		}
+	}
+
+	if err := cp.SetLayout(tuple.S, []int32{0, 1}, 2, 2000); err != nil {
+		t.Fatal(err)
+	}
+	if n := peer.groups[tuple.S].Generations(); n != 2 {
+		t.Errorf("SetLayout on the copy changed the peer: %d S generations, want 2", n)
 	}
 }
 

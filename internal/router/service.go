@@ -164,6 +164,14 @@ func (s *Service) SetLayout(rel tuple.Relation, members []int32, subgroups int, 
 	return s.core.SetLayout(rel, members, subgroups, nowTS)
 }
 
+// CopyLayouts gives the service a deep copy of from's layout tables
+// (Core.CopyLayouts), read under from's core lock. Call it before Start.
+func (s *Service) CopyLayouts(from *Service) {
+	from.coreMu.Lock()
+	defer from.coreMu.Unlock()
+	s.core.CopyLayouts(from.core)
+}
+
 // SetLayouts installs one relation's layout on every router of an
 // engine as a single step of the stamp order: with every router's core
 // held, the stampers are first advanced to the highest stamp any of

@@ -8,6 +8,7 @@ package router
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"bistream/internal/window"
@@ -88,19 +89,37 @@ func (g *Group) SetLayout(members []int32, subgroups int, nowTS int64) error {
 		}
 		cur.retiredTS = nowTS
 	}
+	g.gens = append(g.gens, newGeneration(members, subgroups, 0))
+	g.prune(nowTS)
+	g.compile()
+	return nil
+}
+
+// newGeneration lays members out into subgroups, with fresh round-robin
+// cursors.
+func newGeneration(members []int32, subgroups int, retiredTS int64) *generation {
 	gen := &generation{
 		members:   append([]int32(nil), members...),
 		subgroups: subgroups,
 		subs:      make([][]int32, subgroups),
 		rr:        make([]uint64, subgroups),
+		retiredTS: retiredTS,
 	}
 	for i, m := range gen.members {
 		gen.subs[i%subgroups] = append(gen.subs[i%subgroups], m)
 	}
-	g.gens = append(g.gens, gen)
-	g.prune(nowTS)
-	g.compile()
-	return nil
+	return gen
+}
+
+// clone deep-copies the group — its generations with their retirement
+// times, and the dead set — with fresh round-robin cursors.
+func (g *Group) clone() *Group {
+	out := &Group{win: g.win, retireSlackMS: g.retireSlackMS, dead: maps.Clone(g.dead)}
+	for _, gen := range g.gens {
+		out.gens = append(out.gens, newGeneration(gen.members, gen.subgroups, gen.retiredTS))
+	}
+	out.compile()
+	return out
 }
 
 // compile rebuilds the join fan-out table from the live generations

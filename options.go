@@ -58,11 +58,6 @@ func WithPunctuationInterval(d time.Duration) Option {
 	return func(c *Config) { c.PunctuationInterval = d }
 }
 
-// WithResultBuffer sizes the Results channel.
-func WithResultBuffer(n int) Option {
-	return func(c *Config) { c.ResultBuffer = n }
-}
-
 // WithOnResult delivers every join result synchronously to fn instead
 // of the Results channel. As on the channel, the result's tuples are
 // carved out of slab chunks shared by hundreds of tuples, so an
@@ -110,10 +105,4 @@ func WithTraceSample(n int) Option {
 // without limit.
 func WithEntryBound(n int) Option {
 	return func(c *Config) { c.EntryBound = n }
-}
-
-// WithUnordered disables the tuple ordering protocol (anomaly
-// demonstrations only).
-func WithUnordered() Option {
-	return func(c *Config) { c.Unordered = true }
 }

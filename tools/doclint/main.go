@@ -1,12 +1,13 @@
 // Command doclint enforces the repository's documentation contract:
 //
-//   - every package under internal/ must carry a package doc comment
-//     (the one-paragraph "why does this package exist" statement that
-//     `go doc` prints first), and
-//   - the packages listed in strictPkgs — the state-durability,
-//     migration, and routing/skew surface, where an undocumented
-//     exported symbol is an operational hazard — must document every
-//     exported top-level declaration.
+//   - the root package and every package under internal/ must carry a
+//     package doc comment (the one-paragraph "why does this package
+//     exist" statement that `go doc` prints first), and
+//   - the packages listed in strictPkgs — the root bistream package,
+//     which is the public façade, and the state-durability, migration,
+//     and routing/skew surface, where an undocumented exported symbol
+//     is an operational hazard — must document every exported top-level
+//     declaration.
 //
 // It is a plain go/parser + go/ast walk with no dependencies, wired
 // into `make check` so CI fails on documentation regressions the same
@@ -27,9 +28,11 @@ import (
 	"strings"
 )
 
-// strictPkgs are internal packages (relative to the repo root) where
-// every exported symbol, not just the package, must be documented.
+// strictPkgs are packages (relative to the repo root; "." is the root
+// package) where every exported symbol, not just the package, must be
+// documented.
 var strictPkgs = map[string]bool{
+	".":                   true,
 	"internal/checkpoint": true,
 	"internal/core":       true,
 	"internal/migrate":    true,
@@ -47,6 +50,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
 		os.Exit(1)
 	}
+	dirs = append([]string{root}, dirs...)
 	var problems []string
 	for _, dir := range dirs {
 		rel, _ := filepath.Rel(root, dir)
