@@ -32,8 +32,10 @@ linkcheck:
 
 # Short fuzz passes over the parsers that face untrusted bytes: broker
 # topic patterns, journal segment records, replication frames, client
-# wire requests and replies, tuple codecs, protocol envelopes. Ten seconds each is enough to catch
-# decoder regressions without stalling the gate; run
+# wire requests and replies, tuple codecs, protocol envelopes — plus the
+# differential check of the dedup set against its two-map reference
+# model. Ten seconds each is enough to catch decoder regressions without
+# stalling the gate; run
 # `go test -fuzz <target> -fuzztime 10m <pkg>` for a real campaign.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTopicMatch$$' -fuzztime $(FUZZTIME) ./internal/broker
@@ -47,12 +49,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalEnvelope$$' -fuzztime $(FUZZTIME) ./internal/protocol
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz '^FuzzSet$$' -fuzztime $(FUZZTIME) ./internal/dedup
 
 # The deterministic perf gate: testing.AllocsPerRun pins on the
 # in-process message path (compiled route lookup 0, publish → deliver →
 # ack on a warm queue <= 2, Core.Route <= 2) and on the result path
 # (emitting and publishing 512 results <= 2, per frame rather than per
-# pair; decoding a 64-pair result frame <= 1), on the probe path (a band
+# pair; decoding a 64-pair result frame <= 1; a warm dedup set's
+# SeenOrAdd allocates nothing, across rotations), on the probe path (a band
 # probe through 16 B+-tree sub-indexes and a point probe through a hash
 # chain allocate nothing), and socket-write counts on
 # the wire path through a write-counting net.Conn (a 128-publication
@@ -62,7 +66,7 @@ fuzz-smoke:
 # CI runner do not, so this is the perf regression CI can actually hold.
 # Run without -race: the detector's own bookkeeping allocates.
 perf-pins:
-	$(GO) test -count=1 -run 'Allocations$$' ./internal/broker ./internal/router ./internal/joiner ./internal/tuple ./internal/index
+	$(GO) test -count=1 -run 'Allocations$$' ./internal/broker ./internal/router ./internal/joiner ./internal/tuple ./internal/index ./internal/dedup
 	$(GO) test -count=1 -run 'SocketWrites$$' ./internal/wire
 
 # The root package's hot-path benches: the engine end to end and the

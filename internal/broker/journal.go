@@ -1,10 +1,8 @@
 package broker
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -25,9 +23,7 @@ import (
 // dir/topics/<queue>, all rolling over at MaxSegmentBytes and stamped
 // with a journal-wide LSN. Fully settled segments are reclaimed online
 // (prefix truncation per topic); the whole log is additionally
-// compacted on open. Earlier versions kept one monolithic
-// dir/broker.journal — openJournal migrates such a file into the
-// segmented layout and removes it.
+// compacted on open.
 //
 // Semantics: at-least-once. A message that was requeued (Nack) and
 // later settled may, across a crash, be redelivered once more —
@@ -53,9 +49,8 @@ var errCorruptRecord = errors.New("broker: corrupt journal record")
 
 // journal names inside the broker data directory.
 const (
-	metaDirName    = "meta"
-	topicsDirName  = "topics"
-	legacyFileName = "broker.journal"
+	metaDirName   = "meta"
+	topicsDirName = "topics"
 )
 
 type journal struct {
@@ -131,8 +126,7 @@ type recBinding struct {
 }
 
 // stateBuilder folds journal records, in log order, into a
-// journalState. Both the segmented replay (records sorted by LSN) and
-// the legacy single-file replay (file order) feed it.
+// journalState. The segmented replay feeds it records sorted by LSN.
 type stateBuilder struct {
 	state   *journalState
 	replays map[string]*qReplay
@@ -260,7 +254,6 @@ func openJournal(dir string, maxSeg int64) (*journal, *journalState, error) {
 	}
 	metaDir := filepath.Join(dir, metaDirName)
 	topicsDir := filepath.Join(dir, topicsDirName)
-	legacyPath := filepath.Join(dir, legacyFileName)
 
 	sb := newStateBuilder()
 	var maxLSN uint64
@@ -304,8 +297,6 @@ func openJournal(dir string, maxSeg int64) (*journal, *journalState, error) {
 		for _, r := range all {
 			sb.apply(r.rec)
 		}
-	} else if err := replayLegacyJournal(legacyPath, sb); err != nil {
-		return nil, nil, err
 	}
 	state := sb.finish()
 
@@ -337,55 +328,8 @@ func openJournal(dir string, maxSeg int64) (*journal, *journalState, error) {
 	for _, bd := range state.binds {
 		j.logBind(bd.queue, bd.exchange, bd.key)
 	}
-	os.Remove(legacyPath) // migration complete; ignore "not exists"
 	return j, state, nil
 }
-
-// replayLegacyJournal parses a pre-segmentation monolithic journal
-// file into sb. Any truncated or undecodable tail — including corrupt
-// length bytes from a torn header — is treated as a clean end-of-log:
-// a crash during append tears exactly the final record, and recovery
-// must keep everything before it.
-func replayLegacyJournal(path string, sb *stateBuilder) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	for {
-		rec, err := readRecord(r)
-		if err != nil {
-			break // io.EOF or a torn tail: clean end of log
-		}
-		sb.apply(rec)
-	}
-	return nil
-}
-
-// readRecord reads one length-prefixed legacy record. A length field
-// that cannot be a real record (zero, or beyond the bound) is reported
-// as io.ErrUnexpectedEOF: torn tail, not fatal corruption.
-func readRecord(r *bufio.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > maxJournalRecord {
-		return nil, io.ErrUnexpectedEOF
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-const maxJournalRecord = 16 << 20
 
 // appendMeta writes one topology record, assigning its LSN, and flushes:
 // topology changes are rare and their callers have no batch to end.

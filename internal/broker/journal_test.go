@@ -266,63 +266,6 @@ func TestDurableTornTailCRCMismatch(t *testing.T) {
 	}
 }
 
-// TestLegacyJournalMigration covers the pre-segmentation format: a
-// monolithic broker.journal — including a torn tail whose length bytes
-// are garbage, which older versions refused to open — is replayed into
-// the segmented layout and removed.
-func TestLegacyJournalMigration(t *testing.T) {
-	dir := t.TempDir()
-	legacy := func(rec []byte) []byte {
-		out := make([]byte, 4+len(rec))
-		out[0] = byte(len(rec)) // records here are < 256 bytes
-		copy(out[4:], rec)
-		return out
-	}
-	var file []byte
-	ex := append(appendString([]byte{recDeclareExchange}, "ex"), byte(Topic))
-	file = append(file, legacy(ex)...)
-	q := appendString([]byte{recDeclareQueue}, "q")
-	q = append(q, 0) // AutoDelete=false
-	q = append(q, 0) // MaxLen=0
-	q = append(q, 0) // MaxRedeliver+1 = 0 (unlimited)
-	file = append(file, legacy(q)...)
-	bind := appendString([]byte{recBind}, "q")
-	bind = appendString(bind, "ex")
-	bind = appendString(bind, "#")
-	file = append(file, legacy(bind)...)
-	enq := appendString([]byte{recEnqueue}, "q")
-	enq = append(enq, 1) // id
-	enq = appendString(enq, "ex")
-	enq = appendString(enq, "k")
-	enq = append(enq, 0) // no headers
-	enq = appendBytes(enq, []byte("keep"))
-	file = append(file, legacy(enq)...)
-	// Torn tail: a length header of garbage followed by partial bytes.
-	// The old readRecord treated this as fatal corruption; it must now
-	// read as a clean end-of-log.
-	file = append(file, 0xff, 0xff, 0xff, 0xff, 0x01, 0x02)
-	if err := os.WriteFile(filepath.Join(dir, "broker.journal"), file, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	b := durableBroker(t, dir)
-	defer b.Close()
-	st, err := b.QueueStats("q")
-	if err != nil {
-		t.Fatalf("legacy queue not migrated: %v", err)
-	}
-	if st.Ready != 1 {
-		t.Errorf("migrated ready = %d, want 1", st.Ready)
-	}
-	c, _ := b.Consume("q", 1, false)
-	if d := drain(t, c, 1, 2*time.Second)[0]; string(d.Body) != "keep" {
-		t.Errorf("migrated body = %q", d.Body)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "broker.journal")); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("legacy journal not removed after migration: %v", err)
-	}
-}
-
 func TestDurableCompactionShrinksJournal(t *testing.T) {
 	dir := t.TempDir()
 	b := durableBroker(t, dir)

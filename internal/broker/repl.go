@@ -173,9 +173,6 @@ func (f *FollowerLog) Reset() error {
 	if err := os.RemoveAll(filepath.Join(f.dir, topicsDirName)); err != nil {
 		return err
 	}
-	// Also clear a stray pre-segmentation journal: the resync defines
-	// the node's entire state.
-	os.Remove(filepath.Join(f.dir, legacyFileName))
 	f.topics = make(map[string]*topicLog)
 	f.dirty = nil
 	f.lastLSN, f.flushed = 0, 0
