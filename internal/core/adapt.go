@@ -90,11 +90,7 @@ func (e *Engine) migrateKey(rel tuple.Relation, keyHash uint64) (int, error) {
 		if attempt >= maxKeyAttempt {
 			return moved, fmt.Errorf("core: key move attempt %d out of range", attempt)
 		}
-		donor := func() *joiner.Service {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return e.joinerByIDLocked(rel, donorID)
-		}
+		donor := func() *joiner.Service { return e.activeSvc(rel, donorID) }
 		// The donor keeps its copies until the release: broadcast probes in
 		// flight may still be answerable only there. Until then a probe can
 		// match both a copy and its graft; the sink's result dedup absorbs

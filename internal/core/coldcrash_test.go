@@ -310,9 +310,7 @@ func TestSupervisorReplacesStuckJoiner(t *testing.T) {
 
 	// Wedge the R member: stop its service outright. Its durable queues
 	// stay bound and keep accumulating; its received counter freezes.
-	e.mu.Lock()
-	stuck := e.rJoiners[0]
-	e.mu.Unlock()
+	stuck := e.activeSvc(tuple.R, 0)
 	stuck.Stop()
 	ingestAll(t, e, all[half:])
 

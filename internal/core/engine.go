@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -172,13 +173,6 @@ func (c *Config) applyDefaults() error {
 // blocks, backpressuring joiners.
 const resultChanSize = 4096
 
-// sealedJoiner is a scaled-in member draining its window before
-// retirement.
-type sealedJoiner struct {
-	svc      *joiner.Service
-	deadline time.Time
-}
-
 // Engine is the running join-biclique system.
 type Engine struct {
 	cfg     Config
@@ -207,17 +201,15 @@ type Engine struct {
 	migrations     *metrics.Counter // engine.migrations
 	migratedTuples *metrics.Counter // engine.migrated_tuples
 
-	mu       sync.Mutex
-	routers  []*router.Service
-	rJoiners []*joiner.Service
-	sJoiners []*joiner.Service
-	sealed   []sealedJoiner
-	// migrating holds scale-in donors whose window is being moved to the
-	// surviving members. They are out of the layout but keep consuming
-	// and emitting until the migration's cut-over barrier passes, so
-	// they appear in allJoinersLocked. migLock serializes migrations end
-	// to end without holding e.mu across the drain and cut-over waits.
-	migrating  []*migratingDonor
+	mu      sync.Mutex
+	routers []*router.Service
+	// members is the membership table: one record per joiner member of
+	// either relation, active, sealed or migrating, until it retires
+	// (member.go). Every record's service consumes and emits; only
+	// active records are in the layout.
+	members []*member
+	// migLock serializes migrations end to end without holding e.mu
+	// across the drain and cut-over waits.
 	migLock    sync.Mutex
 	migAttempt uint64 // key-move counter, qualifies graft ids (migrate.KeyGrafts)
 	nextRtr    int32
@@ -312,31 +304,18 @@ func New(cfg Config) (*Engine, error) {
 	e.migrations = e.reg.Counter("engine.migrations")
 	e.migratedTuples = e.reg.Counter("engine.migrated_tuples")
 	e.resultSeen = dedup.New(0)
-	e.reg.GaugeFunc("engine.routers", func() float64 {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return float64(len(e.routers))
-	})
-	e.reg.GaugeFunc("engine.joiners.R", func() float64 {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return float64(len(e.rJoiners))
-	})
-	e.reg.GaugeFunc("engine.joiners.S", func() float64 {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return float64(len(e.sJoiners))
-	})
-	e.reg.GaugeFunc("engine.sealed", func() float64 {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return float64(len(e.sealed))
-	})
-	e.reg.GaugeFunc("engine.migrating", func() float64 {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return float64(len(e.migrating))
-	})
+	gauge := func(name string, n func() int) {
+		e.reg.GaugeFunc(name, func() float64 {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			return float64(n())
+		})
+	}
+	gauge("engine.routers", func() int { return len(e.routers) })
+	gauge("engine.joiners.R", func() int { return len(e.activeLocked(tuple.R)) })
+	gauge("engine.joiners.S", func() int { return len(e.activeLocked(tuple.S)) })
+	gauge("engine.sealed", func() int { return len(e.filterLocked(isSealed)) })
+	gauge("engine.migrating", func() int { return len(e.filterLocked((*member).migrating)) })
 	if e.ownB != nil {
 		broker.RegisterMetrics(e.ownB, e.reg)
 	}
@@ -402,12 +381,12 @@ func (e *Engine) Start() error {
 
 	// Joiners before routers so layout targets exist.
 	for i := 0; i < e.cfg.RJoiners; i++ {
-		if _, err := e.addJoinerLocked(tuple.R); err != nil {
+		if err := e.addJoinerLocked(tuple.R); err != nil {
 			return err
 		}
 	}
 	for i := 0; i < e.cfg.SJoiners; i++ {
-		if _, err := e.addJoinerLocked(tuple.S); err != nil {
+		if err := e.addJoinerLocked(tuple.S); err != nil {
 			return err
 		}
 	}
@@ -457,25 +436,21 @@ func (e *Engine) reapLoop() {
 	}
 }
 
-func (e *Engine) addJoinerLocked(rel tuple.Relation) (*joiner.Service, error) {
+func (e *Engine) addJoinerLocked(rel tuple.Relation) error {
 	id := e.nextJid[rel]
 	e.nextJid[rel]++
 	svc, err := e.buildJoinerLocked(rel, id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := svc.Start(); err != nil {
-		return nil, err
+		return err
 	}
 	for _, r := range e.routers {
 		svc.AddRouter(r.ID())
 	}
-	if rel == tuple.R {
-		e.rJoiners = append(e.rJoiners, svc)
-	} else {
-		e.sJoiners = append(e.sJoiners, svc)
-	}
-	return svc, nil
+	e.members = append(e.members, &member{rel: rel, id: id, svc: svc})
+	return nil
 }
 
 // buildJoinerLocked constructs (but does not start) a joiner member with
@@ -535,8 +510,8 @@ func (e *Engine) addRouterLocked() error {
 		PunctuationInterval: e.cfg.PunctuationInterval,
 	})
 	// Register the router with every joiner before it can send.
-	for _, j := range e.allJoinersLocked() {
-		j.AddRouter(id)
+	for _, m := range e.members {
+		m.svc.AddRouter(id)
 	}
 	// A router joining a running tier copies a peer's generation table
 	// and dead set, so its join fan-out covers every membership still
@@ -559,31 +534,10 @@ func (e *Engine) addRouterLocked() error {
 	return nil
 }
 
-func (e *Engine) allJoinersLocked() []*joiner.Service {
-	out := make([]*joiner.Service, 0, len(e.rJoiners)+len(e.sJoiners)+len(e.sealed)+len(e.migrating))
-	out = append(out, e.rJoiners...)
-	out = append(out, e.sJoiners...)
-	for _, s := range e.sealed {
-		out = append(out, s.svc)
-	}
-	for _, m := range e.migrating {
-		out = append(out, m.svc)
-	}
-	return out
-}
-
-func (e *Engine) joinersLocked(rel tuple.Relation) *[]*joiner.Service {
-	if rel == tuple.R {
-		return &e.rJoiners
-	}
-	return &e.sJoiners
-}
-
 func (e *Engine) memberIDsLocked(rel tuple.Relation) []int32 {
-	js := *e.joinersLocked(rel)
-	ids := make([]int32, len(js))
-	for i, j := range js {
-		ids[i] = j.ID()
+	var ids []int32
+	for _, m := range e.activeLocked(rel) {
+		ids = append(ids, m.id)
 	}
 	return ids
 }
@@ -592,14 +546,13 @@ func (e *Engine) memberIDsLocked(rel tuple.Relation) []int32 {
 // size, preserving the configured strategy: pure hash stays pure hash
 // as the group grows; fixed subgroup counts are clamped to the size.
 func (e *Engine) subgroupsLocked(rel tuple.Relation) int {
-	js := *e.joinersLocked(rel)
 	cfgd := e.cfg.RSubgroups
 	cfgSize := e.cfg.RJoiners
 	if rel == tuple.S {
 		cfgd = e.cfg.SSubgroups
 		cfgSize = e.cfg.SJoiners
 	}
-	n := len(js)
+	n := len(e.activeLocked(rel))
 	if n == 0 {
 		return 1
 	}
@@ -765,25 +718,23 @@ func (e *Engine) ScaleJoiners(rel tuple.Relation, n int) error {
 		e.mu.Unlock()
 		return errors.New("core: engine not running")
 	}
-	js := e.joinersLocked(rel)
-	if n < len(*js) && e.cfg.FullHistory {
+	active := e.activeLocked(rel)
+	if n < len(active) && e.cfg.FullHistory {
 		e.mu.Unlock()
 		return e.scaleInWithMigration(rel, n)
 	}
 	defer e.mu.Unlock()
-	for len(*js) < n {
-		if _, err := e.addJoinerLocked(rel); err != nil {
+	for i := len(active); i < n; i++ {
+		if err := e.addJoinerLocked(rel); err != nil {
 			return err
 		}
 	}
 	now := e.cfg.Clock.Now()
-	for len(*js) > n {
-		last := (*js)[len(*js)-1]
-		*js = (*js)[:len(*js)-1]
-		e.sealed = append(e.sealed, sealedJoiner{
-			svc:      last,
-			deadline: now.Add(e.cfg.Window + 2*time.Second),
-		})
+	for _, m := range active[min(n, len(active)):] {
+		m.deadline = now.Add(e.cfg.Window + 2*time.Second)
+		if err := e.transitionLocked(m, memberSealed); err != nil {
+			return err
+		}
 	}
 	return e.pushLayoutsLocked(now.UnixMilli())
 }
@@ -831,43 +782,42 @@ func (e *Engine) pushLayoutsLocked(nowTS int64) error {
 // migration donors that were parked at cut-over (state safely moved,
 // donor still catching up to the barrier). It runs on a ticker from
 // Start, is also called from Snapshot, and may be called directly; it
-// returns how many members were retired.
+// returns how many members were retired. A parked donor is checked
+// outside e.mu on a copy of its incarnation and barrier, and retires
+// only if it is still parked with that incarnation afterwards; one a
+// cold restart replaced meanwhile waits for the next tick.
 func (e *Engine) Reap() int {
 	e.mu.Lock()
 	now := e.cfg.Clock.Now()
 	var retire []*joiner.Service
-	keep := e.sealed[:0]
-	for _, s := range e.sealed {
-		if now.After(s.deadline) {
-			retire = append(retire, s.svc)
-		} else {
-			keep = append(keep, s)
-		}
-	}
-	e.sealed = keep
-	var parked []*migratingDonor
-	for _, m := range e.migrating {
-		if m.parked {
-			parked = append(parked, m)
+	var parked []member // copies, read outside e.mu
+	for _, m := range slices.Clone(e.members) {
+		switch {
+		case m.state == memberSealed && now.After(m.deadline):
+			retire = append(retire, m.svc)
+			_ = e.transitionLocked(m, memberRetired) // sealed → retired is legal
+		case m.state == memberParked:
+			parked = append(parked, *m)
 		}
 	}
 	e.mu.Unlock()
-	for _, m := range parked {
-		if m.svc.Frontier() >= m.barrier && m.svc.RetryBacklog() == 0 {
-			retire = append(retire, m.svc)
-			e.mu.Lock()
-			e.removeMigratingLocked(m)
-			e.mu.Unlock()
+	for _, c := range parked {
+		if c.svc.Frontier() < c.barrier || c.svc.RetryBacklog() > 0 {
+			continue
+		}
+		// A record still holding c.svc is still parked: restarts never
+		// change a state, and a parked record can only retire.
+		e.mu.Lock()
+		m := e.memberOfLocked(c.svc) // nil once a restart replaced c.svc
+		retired := m != nil && e.transitionLocked(m, memberRetired) == nil
+		e.mu.Unlock()
+		if retired {
+			retire = append(retire, c.svc)
 			e.migrations.Inc()
 		}
 	}
 	for _, svc := range retire {
-		st := svc.Stats()
 		svc.Retire()
-		e.mu.Lock()
-		e.retiredReceived += st.Received
-		e.retiredResults += st.Results
-		e.mu.Unlock()
 	}
 	return len(retire)
 }
@@ -877,7 +827,7 @@ func (e *Engine) Reap() int {
 func (e *Engine) NumJoiners(rel tuple.Relation) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(*e.joinersLocked(rel))
+	return len(e.activeLocked(rel))
 }
 
 // NumRouters returns the router instance count.
@@ -920,7 +870,7 @@ func (e *Engine) Quiesce(timeout time.Duration) error {
 func (e *Engine) quiet() bool {
 	e.mu.Lock()
 	routers := append([]*router.Service(nil), e.routers...)
-	joiners := e.allJoinersLocked()
+	joiners := services(e.members)
 	routed, fanout := e.retiredRouted, e.retiredFanout
 	received, emitted := e.retiredReceived, e.retiredResults
 	e.mu.Unlock()
@@ -965,11 +915,7 @@ func (e *Engine) quiet() bool {
 // the core is discarded and state comes back only from the checkpoint
 // store and broker redelivery.
 func (e *Engine) CrashJoiner(rel tuple.Relation, idx int, down time.Duration) error {
-	svc, err := e.memberAt(rel, idx)
-	if err != nil {
-		return err
-	}
-	return e.restartJoiner(rel, svc, false, down)
+	return e.restartAt(rel, idx, false, down)
 }
 
 // ColdCrashJoiner simulates losing a joiner's machine: the member's
@@ -986,91 +932,71 @@ func (e *Engine) CrashJoiner(rel tuple.Relation, idx int, down time.Duration) er
 // A member scaled in while it was down comes back where scale-in put it,
 // never into the active group.
 func (e *Engine) ColdCrashJoiner(rel tuple.Relation, idx int, down time.Duration) error {
-	svc, err := e.memberAt(rel, idx)
-	if err != nil {
-		return err
-	}
-	return e.restartJoiner(rel, svc, true, down)
+	return e.restartAt(rel, idx, true, down)
 }
 
-// memberAt returns the active member at layout position idx.
-func (e *Engine) memberAt(rel tuple.Relation, idx int) (*joiner.Service, error) {
+// restartAt restarts the active member at layout position idx.
+func (e *Engine) restartAt(rel tuple.Relation, idx int, cold bool, down time.Duration) error {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	js := *e.joinersLocked(rel)
-	if idx < 0 || idx >= len(js) {
-		return nil, fmt.Errorf("core: joiner %s[%d] out of range [0,%d)", rel, idx, len(js))
+	active := e.activeLocked(rel)
+	if idx < 0 || idx >= len(active) {
+		e.mu.Unlock()
+		return fmt.Errorf("core: joiner %s[%d] out of range [0,%d)", rel, idx, len(active))
 	}
-	return js[idx], nil
+	svc := active[idx].svc
+	e.mu.Unlock()
+	return e.restartJoiner(svc, cold, down)
 }
 
 // restartJoiner is the one joiner restart path, behind CrashJoiner,
-// ColdCrashJoiner, ColdCrashDonor and the Supervisor. It refuses a
-// retired member; otherwise it stops svc, waits down and restarts the
-// member. A warm restart starts the same service again, its in-memory
-// core intact. A cold one builds a fresh incarnation with the same id —
-// same queues, metric names and checkpoint store, recovering whatever
-// the provider holds — and installs it wherever svc is by then: scaling
-// may have moved it from the active group to the sealed list or to a
-// migration's donor slot. A member retired while it was down stays
-// retired: the fresh incarnation is stopped again and the restart
-// reports an error.
-func (e *Engine) restartJoiner(rel tuple.Relation, svc *joiner.Service, cold bool, down time.Duration) error {
+// ColdCrashJoiner, ColdCrashDonor and the Supervisor. It finds svc's
+// record by identity and refuses a retired member, stops svc and waits
+// down. A warm restart starts svc again, its core intact; a cold one
+// swaps a fresh incarnation with the same id into the record — same
+// queues, metric names and checkpoint store, recovering what the
+// provider holds. The record's state never changes. If the member
+// retired while down, or another restart replaced svc, the incarnation
+// started here is retired or stopped again and the restart fails.
+func (e *Engine) restartJoiner(svc *joiner.Service, cold bool, down time.Duration) error {
 	e.mu.Lock()
-	retired := e.slotLocked(rel, svc) == nil
+	m := e.memberOfLocked(svc)
 	e.mu.Unlock()
-	if retired {
-		return fmt.Errorf("core: joiner %s-%d is retired", rel, svc.ID())
+	if m == nil {
+		return fmt.Errorf("core: joiner %s-%d is retired", svc.Rel(), svc.ID())
 	}
 	svc.Stop()
 	if down > 0 {
 		time.Sleep(down)
 	}
-	if !cold {
-		return restart(svc.Start)
+	inc := svc
+	if cold {
+		e.mu.Lock()
+		fresh, err := e.buildJoinerLocked(m.rel, m.id)
+		e.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		inc = fresh
+	}
+	if err := restart(inc.Start); err != nil {
+		return err
 	}
 	e.mu.Lock()
-	fresh, err := e.buildJoinerLocked(rel, svc.ID())
+	retired, replaced := m.state == memberRetired, m.svc != svc
+	if !retired && !replaced && cold {
+		for _, r := range e.routers {
+			inc.AddRouter(r.ID())
+		}
+		m.svc = inc
+	}
 	e.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := restart(fresh.Start); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	slot := e.slotLocked(rel, svc)
-	if slot == nil {
-		fresh.Stop()
-		return fmt.Errorf("core: joiner %s-%d retired while down", rel, svc.ID())
-	}
-	for _, r := range e.routers {
-		fresh.AddRouter(r.ID())
-	}
-	*slot = fresh
-	return nil
-}
-
-// slotLocked finds where svc sits now — an active slot, a sealed entry
-// or a migration donor — by identity. It returns nil once svc is
-// retired.
-func (e *Engine) slotLocked(rel tuple.Relation, svc *joiner.Service) **joiner.Service {
-	js := *e.joinersLocked(rel)
-	for i := range js {
-		if js[i] == svc {
-			return &js[i]
-		}
-	}
-	for i := range e.sealed {
-		if e.sealed[i].svc == svc {
-			return &e.sealed[i].svc
-		}
-	}
-	for _, m := range e.migrating {
-		if m.svc == svc {
-			return &m.svc
-		}
+	switch {
+	case retired:
+		inc.Retire()
+		return fmt.Errorf("core: joiner %s-%d retired while down", m.rel, m.id)
+	case replaced:
+		inc.Stop()
+		return fmt.Errorf("core: joiner %s-%d replaced while down", m.rel, m.id)
 	}
 	return nil
 }
@@ -1108,7 +1034,7 @@ func (e *Engine) Settle(idle, timeout time.Duration) error {
 	sample := func() fingerprint {
 		e.mu.Lock()
 		routers := append([]*router.Service(nil), e.routers...)
-		joiners := e.allJoinersLocked()
+		joiners := services(e.members)
 		e.mu.Unlock()
 		fp := fingerprint{
 			in:          e.tuplesIn.Value(),
@@ -1160,7 +1086,7 @@ func (e *Engine) Stop() error {
 	}
 	e.state.Store(engineStopped)
 	routers := e.routers
-	joiners := e.allJoinersLocked()
+	joiners := services(e.members)
 	sink := e.sinkCons
 	sinkDone := e.sinkDone
 	obsSrv := e.obsSrv

@@ -21,13 +21,16 @@ package core
 //     from a peer), and the donor must pass the
 //     post-cut-over cursor with an empty result backlog — proving it
 //     answered every probe that was still addressed to it.
-//  4. The donor retires: final checkpoint, queues deleted, its counters
-//     folded into the engine's retired residue.
+//  4. The donor retires: its record's move to retired folds its
+//     counters into the engine's retired residue, then its service
+//     takes a final checkpoint and its queues are deleted.
 //
-// On any failure before cut-over the donor is reinstated into the
-// layout unharmed. After cut-over its state is already safe on the
-// survivors, so a stalled donor is parked and Reap retires it once its
-// frontier catches up.
+// The donor's record moves active → donor (step 1) → cut (step 3) →
+// retired (step 4). On any failure before cut-over it moves back to
+// active, unharmed, at its old place in the table. After cut-over its
+// state is already safe on the survivors, so a stalled donor is parked
+// and Reap retires it once its frontier passes the barrier with an
+// empty result backlog.
 
 import (
 	"errors"
@@ -40,39 +43,6 @@ import (
 	"bistream/internal/router"
 	"bistream/internal/tuple"
 )
-
-// migratingDonor tracks one scale-in donor from layout removal to
-// retirement. svc is the donor's current incarnation (a cold restart
-// swaps it); cutover is set once MarkDead ran, after which the donor
-// can no longer be reinstated; parked marks a donor whose state is
-// safely migrated but whose cut-over wait timed out — Reap retires it
-// once its frontier passes barrier.
-type migratingDonor struct {
-	rel     tuple.Relation
-	id      int32
-	svc     *joiner.Service
-	barrier uint64
-	cutover bool
-	parked  bool
-}
-
-func (e *Engine) removeMigratingLocked(d *migratingDonor) {
-	for i, m := range e.migrating {
-		if m == d {
-			e.migrating = append(e.migrating[:i], e.migrating[i+1:]...)
-			return
-		}
-	}
-}
-
-func (e *Engine) joinerByIDLocked(rel tuple.Relation, id int32) *joiner.Service {
-	for _, s := range *e.joinersLocked(rel) {
-		if s.ID() == id {
-			return s
-		}
-	}
-	return nil
-}
 
 // maxCursor is the highest stamp cursor over rs. Stamp-before-publish
 // makes it a hard line: every tuple those routers published so far is
@@ -115,22 +85,21 @@ func (e *Engine) migrateOneDonor(rel tuple.Relation, n int) (bool, error) {
 		e.mu.Unlock()
 		return true, errors.New("core: engine not running")
 	}
-	js := e.joinersLocked(rel)
-	if len(*js) <= n {
+	active := e.activeLocked(rel)
+	if len(active) <= n {
 		e.mu.Unlock()
 		return true, nil
 	}
-	donor := (*js)[len(*js)-1]
-	*js = (*js)[:len(*js)-1]
-	d := &migratingDonor{rel: rel, id: donor.ID(), svc: donor}
-	e.migrating = append(e.migrating, d)
+	// Every move of d below is legal by construction: only this
+	// migration moves a record out of donor or cut.
+	d := active[len(active)-1]
+	_ = e.transitionLocked(d, memberDonor)
 	shrunk, err := e.layoutGroupLocked(rel)
 	if err == nil {
 		err = e.pushLayoutsLocked(e.cfg.Clock.Now().UnixMilli())
 	}
 	if err != nil {
-		*js = append(*js, donor)
-		e.removeMigratingLocked(d)
+		_ = e.transitionLocked(d, memberActive)
 		e.mu.Unlock()
 		return false, err
 	}
@@ -169,7 +138,7 @@ func (e *Engine) migrateOneDonor(rel tuple.Relation, n int) (bool, error) {
 			// from a peer (lock order e.mu → coreMu, as in SetLayouts).
 			e.mu.Lock()
 			defer e.mu.Unlock()
-			d.cutover = true
+			_ = e.transitionLocked(d, memberCut)
 			for _, r := range e.routers {
 				r.RetireMember(rel, d.id)
 			}
@@ -184,17 +153,16 @@ func (e *Engine) migrateOneDonor(rel tuple.Relation, n int) (bool, error) {
 	})
 	if err != nil {
 		e.mu.Lock()
-		if d.cutover {
+		if d.state == memberCut {
 			// The state is already on the survivors and the donor is out
 			// of all fan-out; only the cut-over wait failed. Park it —
 			// Reap retires it once its frontier passes the barrier.
-			d.parked = true
+			_ = e.transitionLocked(d, memberParked)
 			e.mu.Unlock()
 			return false, fmt.Errorf("core: migration of %s-%d stalled at cut-over (donor parked for reap): %w", rel, d.id, err)
 		}
 		// Nothing irreversible happened: put the donor back.
-		e.removeMigratingLocked(d)
-		*e.joinersLocked(rel) = append(*e.joinersLocked(rel), d.svc)
+		_ = e.transitionLocked(d, memberActive)
 		perr := e.pushLayoutsLocked(e.cfg.Clock.Now().UnixMilli())
 		e.mu.Unlock()
 		return false, errors.Join(err, perr)
@@ -202,14 +170,9 @@ func (e *Engine) migrateOneDonor(rel tuple.Relation, n int) (bool, error) {
 
 	e.mu.Lock()
 	cur := d.svc
-	e.removeMigratingLocked(d)
+	_ = e.transitionLocked(d, memberRetired)
 	e.mu.Unlock()
-	st := cur.Stats()
 	cur.Retire()
-	e.mu.Lock()
-	e.retiredReceived += st.Received
-	e.retiredResults += st.Results
-	e.mu.Unlock()
 	e.migrations.Inc()
 	e.migratedTuples.Add(int64(moved))
 	return false, nil
@@ -250,9 +213,7 @@ func (e *Engine) importForeign(rel tuple.Relation, member int32, segs []index.Se
 		if try > 0 {
 			time.Sleep(10 * time.Millisecond)
 		}
-		e.mu.Lock()
-		svc := e.joinerByIDLocked(rel, member)
-		e.mu.Unlock()
+		svc := e.activeSvc(rel, member)
 		if svc == nil {
 			lastErr = fmt.Errorf("core: migration recipient %s-%d not in layout", rel, member)
 			continue
@@ -265,10 +226,7 @@ func (e *Engine) importForeign(rel tuple.Relation, member int32, segs []index.Se
 		// core; check identity before committing, and again after — a
 		// replacement recovers from the committed checkpoint, so only a
 		// commit observed by the same incarnation proves durability.
-		e.mu.Lock()
-		same := e.joinerByIDLocked(rel, member) == svc
-		e.mu.Unlock()
-		if !same {
+		if e.activeSvc(rel, member) != svc {
 			lastErr = fmt.Errorf("core: recipient %s-%d replaced mid-import", rel, member)
 			continue
 		}
@@ -276,10 +234,7 @@ func (e *Engine) importForeign(rel tuple.Relation, member int32, segs []index.Se
 			lastErr = err
 			continue
 		}
-		e.mu.Lock()
-		same = e.joinerByIDLocked(rel, member) == svc
-		e.mu.Unlock()
-		if same {
+		if e.activeSvc(rel, member) == svc {
 			return nil
 		}
 		lastErr = fmt.Errorf("core: recipient %s-%d replaced during import commit", rel, member)
@@ -298,8 +253,8 @@ func (e *Engine) importForeign(rel tuple.Relation, member int32, segs []index.Se
 func (e *Engine) ColdCrashDonor(rel tuple.Relation, down time.Duration) error {
 	e.mu.Lock()
 	var svc *joiner.Service
-	for _, m := range e.migrating {
-		if m.rel == rel {
+	for _, m := range e.members {
+		if m.rel == rel && m.migrating() {
 			svc = m.svc
 			break
 		}
@@ -308,5 +263,5 @@ func (e *Engine) ColdCrashDonor(rel tuple.Relation, down time.Duration) error {
 	if svc == nil {
 		return fmt.Errorf("core: no migrating %s donor", rel)
 	}
-	return e.restartJoiner(rel, svc, true, down)
+	return e.restartJoiner(svc, true, down)
 }

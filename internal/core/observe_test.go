@@ -69,12 +69,89 @@ func TestIngestContextCancelUnderBackpressure(t *testing.T) {
 
 // TestSnapshotMatchesMetrics ingests a known workload and checks the
 // structured Snapshot, the legacy Stats shim, and the /metrics
-// exposition agree on the same numbers.
+// exposition agree on the same numbers. It then walks members through
+// their life cycle — a windowed scale-in and its reap, a full-history
+// migration — and checks the membership gauges and Snapshot.Sealed at
+// every step.
 func TestSnapshotMatchesMetrics(t *testing.T) {
+	type step struct {
+		name string
+		do   func(*Engine) error
+		want gauges
+	}
+	scaleInR := func(e *Engine) error { return e.ScaleJoiners(tuple.R, 1) }
+	reap := func(e *Engine) error {
+		// The sealed member's deadline is Window + 2s; Snapshot reaps.
+		deadline := time.Now().Add(10 * time.Second)
+		for e.Snapshot().Sealed != 0 {
+			if time.Now().After(deadline) {
+				return errors.New("sealed member never reaped")
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name        string
+		window      time.Duration
+		fullHistory bool
+		steps       []step
+	}{
+		{name: "windowed", window: 100 * time.Millisecond, steps: []step{
+			{"scale-in", scaleInR, gauges{r: 1, s: 2, sealed: 1}},
+			{"reap", reap, gauges{r: 1, s: 2}},
+		}},
+		{name: "full-history", fullHistory: true, steps: []step{
+			{"migrate", scaleInR, gauges{r: 1, s: 2, migrations: 1}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := checkSnapshotMatchesMetrics(t, tc.window, tc.fullHistory)
+			checkGauges(t, e, "start", gauges{r: 2, s: 2})
+			for _, st := range tc.steps {
+				if err := st.do(e); err != nil {
+					t.Fatalf("%s: %v", st.name, err)
+				}
+				checkGauges(t, e, st.name, st.want)
+			}
+		})
+	}
+}
+
+// gauges are the expected membership gauges after a life-cycle step;
+// sealed is also Snapshot.Sealed.
+type gauges struct{ r, s, sealed, migrating, migrations float64 }
+
+// checkGauges compares the membership gauges and Snapshot.Sealed with
+// want after one life-cycle step.
+func checkGauges(t *testing.T, e *Engine, step string, want gauges) {
+	t.Helper()
+	reg := e.Metrics()
+	for name, w := range map[string]float64{
+		"engine.joiners.R":  want.r,
+		"engine.joiners.S":  want.s,
+		"engine.sealed":     want.sealed,
+		"engine.migrating":  want.migrating,
+		"engine.migrations": want.migrations,
+	} {
+		if v, _ := reg.Value(name); v != w {
+			t.Errorf("%s: %s = %v, want %v", step, name, v, w)
+		}
+	}
+	if got := e.Snapshot().Sealed; float64(got) != want.sealed {
+		t.Errorf("%s: Snapshot.Sealed = %d, want %v", step, got, want.sealed)
+	}
+}
+
+// checkSnapshotMatchesMetrics starts an engine, runs the known
+// workload and checks Snapshot against /metrics.
+func checkSnapshotMatchesMetrics(t *testing.T, window time.Duration, fullHistory bool) *Engine {
+	t.Helper()
 	col := newCollector()
 	e := startEngine(t, Config{
 		Predicate:   predicate.NewEqui(0, 0),
-		Window:      time.Minute,
+		Window:      window,
+		FullHistory: fullHistory,
 		Routers:     2,
 		RJoiners:    2,
 		SJoiners:    2,
@@ -151,6 +228,7 @@ func TestSnapshotMatchesMetrics(t *testing.T) {
 	if routedTotal != snap.TuplesIn {
 		t.Errorf("routers routed %d of %d ingested", routedTotal, snap.TuplesIn)
 	}
+	return e
 }
 
 // TestScaleUnregistersMetrics checks retired members disappear from the

@@ -56,7 +56,7 @@ func (e *Engine) Snapshot() Snapshot {
 	e.Reap()
 	e.mu.Lock()
 	routers := append([]*router.Service(nil), e.routers...)
-	sealed := len(e.sealed)
+	sealed := len(e.filterLocked(isSealed))
 	e.mu.Unlock()
 	snap := Snapshot{
 		SchemaVersion: SnapshotSchemaVersion,
@@ -82,11 +82,11 @@ func (e *Engine) Snapshot() Snapshot {
 // (each Stats call takes the member service's own lock).
 func (e *Engine) memberSnapshots(rel tuple.Relation) []MemberView {
 	e.mu.Lock()
-	js := append([]*joiner.Service(nil), *e.joinersLocked(rel)...)
+	svcs := services(e.activeLocked(rel))
 	e.mu.Unlock()
-	out := make([]MemberView, len(js))
-	for i, j := range js {
-		out[i] = MemberView{ID: j.ID(), Stats: j.Stats()}
+	out := make([]MemberView, len(svcs))
+	for i, svc := range svcs {
+		out[i] = MemberView{ID: svc.ID(), Stats: svc.Stats()}
 	}
 	return out
 }

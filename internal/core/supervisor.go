@@ -108,34 +108,26 @@ func (s *Supervisor) check(state map[string]supHealth) {
 		e.mu.Unlock()
 		return
 	}
-	type member struct {
-		rel tuple.Relation
-		svc *joiner.Service
-	}
-	var members []member
-	for _, svc := range e.rJoiners {
-		members = append(members, member{tuple.R, svc})
-	}
-	for _, svc := range e.sJoiners {
-		members = append(members, member{tuple.S, svc})
-	}
 	// Migration donors are supervised too: a wedged donor would stall
 	// the migration's drain or cut-over barrier forever.
-	for _, m := range e.migrating {
-		members = append(members, member{m.rel, m.svc})
+	var svcs []*joiner.Service
+	for _, m := range e.members {
+		if m.state == memberActive || m.migrating() {
+			svcs = append(svcs, m.svc)
+		}
 	}
 	e.mu.Unlock()
 
 	now := time.Now()
-	seen := make(map[string]struct{}, len(members))
-	for _, m := range members {
-		id := m.svc.ID()
-		key := fmt.Sprintf("%s-%d", m.rel, id)
+	seen := make(map[string]struct{}, len(svcs))
+	for _, svc := range svcs {
+		rel, id := svc.Rel(), svc.ID()
+		key := fmt.Sprintf("%s-%d", rel, id)
 		seen[key] = struct{}{}
 		// Progress is read from the registry (atomic counters shared by
 		// every incarnation of the member id), never from the service.
-		recv, _ := e.reg.Value(m.svc.Core().MetricsPrefix() + "received")
-		backlog := s.queueBacklog(m.svc)
+		recv, _ := e.reg.Value(svc.Core().MetricsPrefix() + "received")
+		backlog := s.queueBacklog(svc)
 		h, known := state[key]
 		if !known || int64(recv) != h.received || backlog == 0 {
 			state[key] = supHealth{received: int64(recv), since: now}
@@ -148,12 +140,12 @@ func (s *Supervisor) check(state map[string]supHealth) {
 		// the store plus redelivery); warm otherwise, since a cold restart
 		// without one would lose the window. restartJoiner finds the member
 		// wherever scaling has moved it since this check began.
-		if e.restartJoiner(m.rel, m.svc, e.cfg.Checkpoint != nil, 0) == nil {
+		if e.restartJoiner(svc, e.cfg.Checkpoint != nil, 0) == nil {
 			s.replacements.Inc()
 		}
 		state[key] = supHealth{received: int64(recv), since: now}
 		if s.cfg.OnReplace != nil {
-			s.cfg.OnReplace(m.rel, id)
+			s.cfg.OnReplace(rel, id)
 		}
 	}
 	// Forget members that scaled away so their ids can return cleanly.
