@@ -89,16 +89,24 @@ bench:
 	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem .
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json), run the
-# way the benchmark driver runs it: every workload once, end to end,
-# result multiset verified against the reference join. Fails when any
-# run reports "correct":false. Builds into .bench_build/.
+# way the benchmark driver runs it: every workload once per seed, end to
+# end, result multiset verified against the reference join. Each run's
+# full stdout stays in .bench_build/e2e-<workload>-seed<n>.txt; a run
+# that reports "correct":false has its "== ... INVALID: ..." line
+# printed, which says whether pairs went missing or the generator ran
+# late. Fails, after every run, when any run was not correct.
 BENCH_WORKLOADS ?= equi_inproc band_inproc equi_zipf_adaptive equi_wire_quorum2
+BENCH_SEEDS ?= 1
 bench-e2e:
-	@for w in $(BENCH_WORKLOADS); do \
-		line=$$(sh bench/run.sh --workload $$w --seed 1 --seconds 13 --trace 0 | tail -n 1) || exit 1; \
-		echo "$$w $$line"; \
-		case "$$line" in *'"correct":true'*) ;; *) echo "bench-e2e: $$w is not correct"; exit 1;; esac; \
-	done
+	@mkdir -p .bench_build; fail=0; \
+	for w in $(BENCH_WORKLOADS); do for s in $(BENCH_SEEDS); do \
+		out=.bench_build/e2e-$$w-seed$$s.txt; \
+		sh bench/run.sh --workload $$w --seed $$s --seconds 13 --trace 0 > $$out || { echo "bench-e2e: $$w seed $$s failed, output in $$out"; exit 1; }; \
+		line=$$(tail -n 1 $$out); \
+		echo "$$w seed=$$s $$line"; \
+		case "$$line" in *'"correct":true'*) ;; \
+		*) grep '^== ' $$out; echo "bench-e2e: $$w seed $$s is not correct, output in $$out"; fail=1;; esac; \
+	done; done; exit $$fail
 
 # Paired measurement of a performance claim against BASE (a commit-ish,
 # default the parent commit): builds BASE's benchmark in a git worktree

@@ -23,7 +23,6 @@ import (
 	"bistream/internal/index"
 	"bistream/internal/joiner"
 	"bistream/internal/migrate"
-	"bistream/internal/router"
 	"bistream/internal/tuple"
 )
 
@@ -46,7 +45,6 @@ func (e *Engine) migrateKey(rel tuple.Relation, keyHash uint64) (int, error) {
 	}
 	members := e.memberIDsLocked(rel)
 	layout, err := e.layoutGroupLocked(rel)
-	routers := append([]*router.Service(nil), e.routers...)
 	e.mu.Unlock()
 	if err != nil {
 		return 0, err
@@ -61,7 +59,7 @@ func (e *Engine) migrateKey(rel tuple.Relation, keyHash uint64) (int, error) {
 	// before the Adapter invoked us; today's cursor is therefore at or
 	// above the flip point, so a donor frontier past it proves every
 	// store copy hash-routed under the cold regime has landed.
-	barrier := maxCursor(routers)
+	barrier := e.stampCursor()
 
 	// Hash owners of the key under the current layout: the members of its
 	// subgroup, which are the join targets of a group holding that layout

@@ -286,7 +286,7 @@ func runKeyMigrationChaos(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	stores.Disable()
-	if err := e.Settle(300*time.Millisecond, 30*time.Second); err != nil {
+	if err := e.Quiesce(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	verifyExactlyOnce(t, col.snapshot(), refJoin(rs, ss, pred, int64(1)<<62), "key-migration-chaos")

@@ -46,7 +46,7 @@ func TestColdCrashWithoutCheckpointLosesResults(t *testing.T) {
 		ss = append(ss, tuple.New(tuple.S, uint64(1000+i), int64(i)*5+1, tuple.Int(int64(i%8))))
 	}
 	ingestAll(t, e, ss)
-	if err := e.Settle(200*time.Millisecond, 15*time.Second); err != nil {
+	if err := e.Quiesce(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	want := refJoin(rs, ss, pred, 60_000)
@@ -91,7 +91,7 @@ func TestColdCrashWithCheckpointRecoversWindow(t *testing.T) {
 		ss = append(ss, tuple.New(tuple.S, uint64(1000+i), int64(i)*5+1, tuple.Int(int64(i%8))))
 	}
 	ingestAll(t, e, ss)
-	if err := e.Settle(200*time.Millisecond, 15*time.Second); err != nil {
+	if err := e.Quiesce(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	verifyExactlyOnce(t, col.snapshot(), refJoin(rs, ss, pred, 60_000), "cold-crash-recovered")
@@ -240,7 +240,7 @@ func runColdCrashChaos(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	stores.Disable()
-	if err := e.Settle(300*time.Millisecond, 30*time.Second); err != nil {
+	if err := e.Quiesce(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	verifyExactlyOnce(t, col.snapshot(), refJoin(rs, ss, pred, 60_000), "cold-crash-chaos")
@@ -333,7 +333,7 @@ func TestSupervisorReplacesStuckJoiner(t *testing.T) {
 	if replaced.Load() == 0 {
 		t.Fatal("supervisor did not replace the wedged member")
 	}
-	if err := e.Settle(300*time.Millisecond, 30*time.Second); err != nil {
+	if err := e.Quiesce(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	verifyExactlyOnce(t, col.snapshot(), refJoin(rs, ss, pred, 60_000), "supervisor-replace")

@@ -125,15 +125,13 @@ func runCrashChaos(t *testing.T, seed int64) {
 		}
 	}
 
-	// Heal: stop injecting, flush held reordered messages, and wait for
-	// the counters to stop moving. Quiesce's exact equalities are
-	// unusable here — duplicated deliveries inflate routed past
-	// tuples_in permanently.
+	// Heal: stop injecting and flush held reordered messages, so no
+	// publish is held outside the broker, then drain.
 	f.Disable()
 	if err := f.Settle(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Settle(300*time.Millisecond, 30*time.Second); err != nil {
+	if err := e.Quiesce(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	verifyExactlyOnce(t, col.snapshot(), refJoin(rs, ss, pred, 60_000), "crash-chaos")
@@ -227,7 +225,7 @@ func TestEngineExactlyOnceAcrossBrokerRestart(t *testing.T) {
 	}
 	// Recovery budget: the pipeline must settle — reconnected, replayed,
 	// redelivered, deduped — well within the suite's patience.
-	if err := e.Settle(300*time.Millisecond, 30*time.Second); err != nil {
+	if err := e.Quiesce(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	verifyExactlyOnce(t, col.snapshot(), refJoin(rs, ss, pred, 60_000), "broker-restart")
@@ -302,7 +300,7 @@ func TestEngineExactlyOnceUnderMidBatchPublishFailures(t *testing.T) {
 				}
 			}
 			f.Disable()
-			if err := e.Settle(300*time.Millisecond, 30*time.Second); err != nil {
+			if err := e.Quiesce(30 * time.Second); err != nil {
 				t.Fatal(err)
 			}
 			verifyExactlyOnce(t, col.snapshot(), refJoin(rs, ss, pred, 60_000), "mid-batch")
@@ -376,7 +374,7 @@ func TestEngineExactlyOnceUnderCommitGateFailures(t *testing.T) {
 			gateMu.Lock()
 			failing = false
 			gateMu.Unlock()
-			if err := e.Settle(300*time.Millisecond, 30*time.Second); err != nil {
+			if err := e.Quiesce(30 * time.Second); err != nil {
 				t.Fatal(err)
 			}
 			verifyExactlyOnce(t, col.snapshot(), refJoin(rs, ss, pred, 60_000), "commit-gate")

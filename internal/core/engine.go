@@ -19,6 +19,7 @@ import (
 	"bistream/internal/dedup"
 	"bistream/internal/joiner"
 	"bistream/internal/metrics"
+	"bistream/internal/migrate"
 	"bistream/internal/obs"
 	"bistream/internal/predicate"
 	"bistream/internal/router"
@@ -169,6 +170,9 @@ func (c *Config) applyDefaults() error {
 	return nil
 }
 
+// sinkQueue is the durable queue the result sink consumes.
+const sinkQueue = topo.ResultExchange + ".sink"
+
 // resultChanSize sizes the Results channel. When it is full the sink
 // blocks, backpressuring joiners.
 const resultChanSize = 4096
@@ -219,17 +223,15 @@ type Engine struct {
 	sinkDone   chan struct{}
 	sinkStop   chan struct{}
 
+	// cursorFloor is the highest stamp cursor of a router ScaleRouters
+	// removed (its tombstone's counter). stampCursor never reads below
+	// it, so a barrier still covers every copy a removed router published.
+	cursorFloor uint64
+
 	// state and seq are atomics so Ingest, the per-tuple entry point,
 	// takes no lock; state changes only under mu.
 	state atomic.Int32  // engineNew → engineRunning → engineStopped
 	seq   atomic.Uint64 // last sequence number Ingest assigned
-
-	// Counter residue of retired services, so the count-based Quiesce
-	// accounting stays balanced after scale-in.
-	retiredRouted   int64 // TuplesRouted of removed routers
-	retiredFanout   int64 // JoinFanout of removed routers
-	retiredReceived int64 // Received of retired joiners
-	retiredResults  int64 // Results of retired joiners
 }
 
 // The engine's run states.
@@ -363,14 +365,13 @@ func (e *Engine) Start() error {
 	// and consumption manual-ack so results survive a broker restart and
 	// a sink crash between delivery and handoff redelivers instead of
 	// losing the pair.
-	const sinkQ = topo.ResultExchange + ".sink"
-	if err := e.client.DeclareQueue(sinkQ, broker.QueueOptions{Durable: true}); err != nil {
+	if err := e.client.DeclareQueue(sinkQueue, broker.QueueOptions{Durable: true}); err != nil {
 		return err
 	}
-	if err := e.client.Bind(sinkQ, topo.ResultExchange, topo.ResultKey); err != nil {
+	if err := e.client.Bind(sinkQueue, topo.ResultExchange, topo.ResultKey); err != nil {
 		return err
 	}
-	cons, err := e.client.Consume(sinkQ, 2*maxSinkBatch, false)
+	cons, err := e.client.Consume(sinkQueue, 2*maxSinkBatch, false)
 	if err != nil {
 		return err
 	}
@@ -594,9 +595,7 @@ func (e *Engine) IngestContext(ctx context.Context, t *tuple.Tuple) error {
 		err = e.client.Publish(topo.EntryExchange, topo.EntryKey, nil, tuple.Marshal(t))
 	}
 	if err == nil {
-		// Counted only on success so Quiesce's routed==ingested
-		// accounting ignores cancelled publishes.
-		e.tuplesIn.Inc()
+		e.tuplesIn.Inc() // a cancelled publish was never ingested
 	}
 	return err
 }
@@ -761,9 +760,7 @@ func (e *Engine) ScaleRouters(n int) error {
 		// already sent, so joiners unregister its frontier exactly when
 		// its last envelope has been processed.
 		last.Retire()
-		st := last.Stats()
-		e.retiredRouted += st.TuplesRouted
-		e.retiredFanout += st.JoinFanout
+		e.cursorFloor = max(e.cursorFloor, last.StampCursor())
 	}
 	return nil
 }
@@ -802,7 +799,7 @@ func (e *Engine) Reap() int {
 	}
 	e.mu.Unlock()
 	for _, c := range parked {
-		if c.svc.Frontier() < c.barrier || c.svc.RetryBacklog() > 0 {
+		if migrate.Passed(c.svc, c.barrier) != nil {
 			continue
 		}
 		// A record still holding c.svc is still parked: restarts never
@@ -846,61 +843,75 @@ func (e *Engine) MemberIDs(rel tuple.Relation) []int32 {
 	return e.memberIDsLocked(rel)
 }
 
-// Quiesce blocks until every queue is drained and every joiner's
-// reorder buffer is empty, or the timeout elapses. Punctuation keeps
-// flowing on the wall clock, so buffered envelopes eventually release.
+// Quiesce is the engine's drain barrier: it blocks until every result
+// of every tuple whose Ingest returned before the call has reached the
+// application, or fails after timeout. It polls every 2ms through four
+// steps:
+//
+//  1. The entry queue holds no ready or unacked message: every such
+//     tuple is stamped, its copies published, its delivery acked. No
+//     joiner lock is taken before this passes, so polling never slows
+//     the routers while they still route.
+//  2. It reads the barrier cursor (stampCursor): the last stamp or
+//     punctuation any router issued, or a removed router's tombstone.
+//  3. Every member in the table, in any state, has passed the cursor
+//     (migrate.Passed): its frontier is at or past it and its result
+//     backlog is empty, so every result of a tuple stamped at or below
+//     the cursor is at the broker. Punctuation goes to every bound
+//     joiner queue, so sealed, cut and parked members advance too.
+//  4. The result queue holds no ready or unacked message: the sink acks
+//     a frame only after its pairs went to OnResult or the Results
+//     channel.
+//
+// The barrier counts nothing, so a duplicated delivery cannot stall it
+// and a dead-lettered message has left its queue. Call it only when no
+// publish is held outside the broker: a faults.Client must first
+// release the publishes it holds back (Settle), or a tuple whose Ingest
+// returned may still be unpublished when step 1 passes.
 func (e *Engine) Quiesce(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for {
-		if e.quiet() {
-			return nil
+	await := func(what string, ready func() error) error {
+		for {
+			err := ready()
+			if err == nil {
+				return nil
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("core: quiesce timed out after %v waiting for %s: %w", timeout, what, err)
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: quiesce timed out after %v", timeout)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
+	if err := await("routing", func() error { return e.drained(topo.EntryQueue) }); err != nil {
+		return err
+	}
+	cursor := e.stampCursor()
+	if err := await("joiners", func() error { return e.passed(cursor) }); err != nil {
+		return err
+	}
+	return await("the sink", func() error { return e.drained(sinkQueue) })
 }
 
-// quiet checks drain by counting rather than by queue emptiness,
-// because punctuation signals keep queues momentarily non-empty at all
-// times: the system is quiet when every ingested tuple has been routed,
-// every routed copy has reached a joiner, no joiner is buffering, and
-// every emitted result has reached the sink.
-func (e *Engine) quiet() bool {
+// drained reports whether queue holds no ready or unacked message.
+func (e *Engine) drained(queue string) error {
+	st, err := e.client.QueueStats(queue)
+	if err == nil && st.Ready+st.Unacked > 0 {
+		err = fmt.Errorf("%s holds %d ready, %d unacked", queue, st.Ready, st.Unacked)
+	}
+	return err
+}
+
+// passed reports whether every member in the table passed cursor.
+func (e *Engine) passed(cursor uint64) error {
 	e.mu.Lock()
-	routers := append([]*router.Service(nil), e.routers...)
-	joiners := services(e.members)
-	routed, fanout := e.retiredRouted, e.retiredFanout
-	received, emitted := e.retiredReceived, e.retiredResults
+	svcs := services(e.members)
 	e.mu.Unlock()
-	tuplesIn := e.tuplesIn.Value()
-	resultsN := e.resultsN.Value()
-	for _, r := range routers {
-		st := r.Stats()
-		routed += st.TuplesRouted
-		fanout += st.JoinFanout
+	for _, svc := range svcs {
+		if err := migrate.Passed(svc, cursor); err != nil {
+			return fmt.Errorf("joiner %s-%d: %w", svc.Rel(), svc.ID(), err)
+		}
 	}
-	if routed != tuplesIn {
-		return false
-	}
-	var pending int
-	for _, j := range joiners {
-		st := j.Stats()
-		received += st.Received
-		emitted += st.Results
-		pending += st.Pending
-	}
-	if pending > 0 {
-		return false
-	}
-	if received != routed+fanout {
-		return false
-	}
-	// During a migration's overlap the donor and a recipient can both
-	// emit the same result pair; the sink counts the first in resultsN
-	// and the second in resultDedup, so the sum is the emit count.
-	return emitted == resultsN+e.resultDedup.Value()
+	return nil
 }
 
 // CrashJoiner simulates a *warm* crash/restart of one joiner member
@@ -1018,61 +1029,6 @@ func (e *Engine) CrashRouter(idx int, down time.Duration) error {
 		time.Sleep(down)
 	}
 	return restart(svc.Start)
-}
-
-// Settle waits until the pipeline's observable progress counters stop
-// changing for idle, or fails after timeout. Unlike Quiesce it does not
-// rely on exact count equalities (routed == ingested and the like),
-// which fault injection breaks: a duplicated delivery inflates routed
-// past tuples_in forever. Stability plus empty reorder/retry buffers is
-// the strongest drain signal that survives duplicates and dead letters.
-func (e *Engine) Settle(idle, timeout time.Duration) error {
-	type fingerprint struct {
-		in, out, routed, fanout, received, emitted, deduped, resultDedup int64
-		pending, backlog                                                 int
-	}
-	sample := func() fingerprint {
-		e.mu.Lock()
-		routers := append([]*router.Service(nil), e.routers...)
-		joiners := services(e.members)
-		e.mu.Unlock()
-		fp := fingerprint{
-			in:          e.tuplesIn.Value(),
-			out:         e.resultsN.Value(),
-			resultDedup: e.resultDedup.Value(),
-		}
-		for _, r := range routers {
-			st := r.Stats()
-			fp.routed += st.TuplesRouted
-			fp.fanout += st.JoinFanout
-		}
-		for _, j := range joiners {
-			st := j.Stats()
-			fp.received += st.Received
-			fp.emitted += st.Results
-			fp.deduped += st.Deduped
-			fp.pending += st.Pending
-			fp.backlog += j.RetryBacklog()
-		}
-		return fp
-	}
-	deadline := time.Now().Add(timeout)
-	last := sample()
-	lastChange := time.Now()
-	for {
-		time.Sleep(5 * time.Millisecond)
-		cur := sample()
-		if cur != last {
-			last = cur
-			lastChange = time.Now()
-		} else if cur.pending == 0 && cur.backlog == 0 && time.Since(lastChange) >= idle {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: settle timed out after %v (pending=%d backlog=%d)",
-				timeout, cur.pending, cur.backlog)
-		}
-	}
 }
 
 // Stop halts all services. Buffered envelopes are flushed through the

@@ -23,7 +23,7 @@ const (
 	memberCut                        // out of every router's fan-out; cannot be reinstated
 	memberParked                     // migrated, but the cut-over wait timed out
 	memberSealed                     // windowed scale-in: draining until its deadline
-	memberRetired                    // counters folded, record gone from the table
+	memberRetired                    // record gone from the table
 )
 
 // String names the state, as transitionLocked's errors do.
@@ -61,19 +61,14 @@ func (m *member) migrating() bool {
 func isSealed(m *member) bool { return m.state == memberSealed }
 
 // transitionLocked moves m to state to, or rejects a move the life
-// cycle does not allow and leaves m as it was. Retiring folds m's final
-// counters into the retired residue — the one place that does — and
-// drops the record from the table; the caller retires the service
-// itself outside e.mu.
+// cycle does not allow and leaves m as it was. Retiring drops the record
+// from the table; the caller retires the service itself outside e.mu.
 func (e *Engine) transitionLocked(m *member, to memberState) error {
 	if legalMoves[m.state]&(1<<to) == 0 {
 		return fmt.Errorf("core: joiner %s-%d cannot move from %s to %s", m.rel, m.id, m.state, to)
 	}
 	m.state = to
 	if to == memberRetired {
-		st := m.svc.Stats()
-		e.retiredReceived += st.Received
-		e.retiredResults += st.Results
 		e.members = slices.DeleteFunc(e.members, func(x *member) bool { return x == m })
 	}
 	return nil

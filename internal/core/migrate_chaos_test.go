@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -97,10 +98,11 @@ func runMigrationChaos(t *testing.T, seed int64) {
 	}
 
 	// Shrink R 3 -> 2 with the fabric still faulty; cold-kill the donor
-	// mid-migration and partition the network on top.
+	// mid-migration, as soon as it is draining, and partition the
+	// network on top.
 	scaleDone := make(chan error, 1)
 	go func() { scaleDone <- e.ScaleJoiners(tuple.R, 2) }()
-	time.Sleep(10 * time.Millisecond)
+	awaitDonor(t, e, tuple.R)
 	if err := e.ColdCrashDonor(tuple.R, 20*time.Millisecond); err != nil {
 		// The migration may already have completed; the kill is then moot.
 		t.Logf("donor cold-kill skipped: %v", err)
@@ -122,7 +124,7 @@ func runMigrationChaos(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	stores.Disable()
-	if err := e.Settle(300*time.Millisecond, 30*time.Second); err != nil {
+	if err := e.Quiesce(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	verifyExactlyOnce(t, col.snapshot(), refJoin(rs, ss, pred, int64(1)<<62), "migration-chaos")
@@ -148,6 +150,25 @@ func runMigrationChaos(t *testing.T, seed int64) {
 	t.Logf("migrations=%d migrated_tuples=%d grafted_seen=%d store_tear=%d",
 		counter("engine.migrations"), counter("engine.migrated_tuples"),
 		grafted, counter("faults.store_tear"))
+}
+
+// awaitDonor polls the membership table until one of rel's records is a
+// draining donor: out of the layout, not yet cut over.
+func awaitDonor(t *testing.T, e *Engine, rel tuple.Relation) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		e.mu.Lock()
+		draining := slices.ContainsFunc(e.members, func(m *member) bool {
+			return m.rel == rel && m.state == memberDonor
+		})
+		e.mu.Unlock()
+		if draining {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s member became a donor", rel)
+		}
+	}
 }
 
 // TestEngineReapTickerRetiresSealed is the regression test for the

@@ -21,8 +21,7 @@ package core
 //     from a peer), and the donor must pass the
 //     post-cut-over cursor with an empty result backlog — proving it
 //     answered every probe that was still addressed to it.
-//  4. The donor retires: its record's move to retired folds its
-//     counters into the engine's retired residue, then its service
+//  4. The donor retires: its record leaves the table, then its service
 //     takes a final checkpoint and its queues are deleted.
 //
 // The donor's record moves active → donor (step 1) → cut (step 3) →
@@ -44,23 +43,20 @@ import (
 	"bistream/internal/tuple"
 )
 
-// maxCursor is the highest stamp cursor over rs. Stamp-before-publish
-// makes it a hard line: every tuple those routers published so far is
-// stamped at or below it, which is what every migration barrier needs.
-func maxCursor(rs []*router.Service) uint64 {
-	var c uint64
+// stampCursor is the highest stamp cursor over the router tier, never
+// below a removed router's tombstone. Stamp-before-publish makes it a
+// hard line: every tuple routed so far is stamped at or below it, which
+// is what every barrier needs. A later read is only higher, so a
+// barrier may read it after the event it must follow.
+func (e *Engine) stampCursor() uint64 {
+	e.mu.Lock()
+	rs := append([]*router.Service(nil), e.routers...)
+	c := e.cursorFloor
+	e.mu.Unlock()
 	for _, r := range rs {
 		c = max(c, r.StampCursor())
 	}
 	return c
-}
-
-// stampCursor is maxCursor over the current router tier.
-func (e *Engine) stampCursor() uint64 {
-	e.mu.Lock()
-	rs := append([]*router.Service(nil), e.routers...)
-	e.mu.Unlock()
-	return maxCursor(rs)
 }
 
 // scaleInWithMigration shrinks rel's group to n members, migrating one
@@ -103,13 +99,12 @@ func (e *Engine) migrateOneDonor(rel tuple.Relation, n int) (bool, error) {
 		e.mu.Unlock()
 		return false, err
 	}
-	routers := append([]*router.Service(nil), e.routers...)
 	e.mu.Unlock()
 
 	// Drain barrier: all routers already route stores by the shrunk
 	// layout, so nothing stamped above this cursor targets the donor's
 	// store stream.
-	barrier := maxCursor(routers)
+	barrier := e.stampCursor()
 	assign := e.assignFunc(shrunk)
 
 	moved, err := migrate.Run(migrate.Move{

@@ -164,7 +164,7 @@ func (g *parkedRig) checkExact(t *testing.T) {
 		tp.TS += 1000
 	}
 	ingestAll(t, g.e, all)
-	if err := g.e.Settle(300*time.Millisecond, 30*time.Second); err != nil {
+	if err := g.e.Quiesce(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	want := refJoin(append(g.rs, rs...), append(g.ss, ss...), predicate.NewEqui(0, 0), int64(1)<<62)

@@ -187,7 +187,7 @@ func runReplicaFailoverChaos(t *testing.T, seed int64) {
 	if err := f.Settle(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Settle(300*time.Millisecond, 45*time.Second); err != nil {
+	if err := e.Quiesce(45 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// Nothing may have been dead-lettered, and the entry queue must have

@@ -20,9 +20,10 @@
 //     immutable tuples, exactly as a checkpoint snapshot does.
 //  3. Cut over: the optional Cut runs (a scale-in donor leaves every
 //     router's join fan-out), Run reads the routers' Cursor, and waits
-//     until the donor's frontier passes it with an empty result
-//     backlog — proof that the donor answered, and delivered, every
-//     probe that only it could answer.
+//     until the donor has Passed it: frontier at or past the cursor,
+//     result backlog empty — proof that the donor answered, and
+//     delivered, every probe that only it could answer. The engine's
+//     reap of parked donors and its drain barrier ask the same Passed.
 //  4. Release: the optional Release runs last (a key donor drops the
 //     exported tuples and checkpoints the removal).
 //
@@ -134,15 +135,7 @@ func Run(m Move) (int, error) {
 		m.Cut()
 	}
 	cursor := m.Cursor()
-	err = m.await(deadline, "cut-over", func(p Peer) error {
-		if f := p.Frontier(); f < cursor {
-			return fmt.Errorf("frontier %d below cut-over barrier %d", f, cursor)
-		}
-		if n := p.RetryBacklog(); n > 0 {
-			return fmt.Errorf("%d result publishes pending", n)
-		}
-		return nil
-	})
+	err = m.await(deadline, "cut-over", func(p Peer) error { return Passed(p, cursor) })
 	if err != nil {
 		return 0, err
 	}
@@ -152,6 +145,23 @@ func Run(m Move) (int, error) {
 		}
 	}
 	return moved, nil
+}
+
+// Passed reports whether member p has answered everything stamped at
+// or below c: nil once its release frontier reached c and its result
+// backlog is empty, otherwise what is still missing. A member reads its
+// frontier under the same hold that publishes a batch's results, so a
+// frontier at c means every result of those envelopes is at the broker
+// or in the backlog. Run's cut-over wait, the engine's reap of parked
+// donors and its drain barrier all ask this one question.
+func Passed(p Peer, c uint64) error {
+	if f := p.Frontier(); f < c {
+		return fmt.Errorf("frontier %d below barrier %d", f, c)
+	}
+	if n := p.RetryBacklog(); n > 0 {
+		return fmt.Errorf("%d result publishes pending", n)
+	}
+	return nil
 }
 
 // await polls the donor until ready accepts it, failing when the donor
