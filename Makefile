@@ -50,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzSet$$' -fuzztime $(FUZZTIME) ./internal/dedup
+	$(GO) test -run '^$$' -fuzz '^FuzzHash$$' -fuzztime $(FUZZTIME) ./internal/index
 
 # The deterministic perf gate: testing.AllocsPerRun pins on the
 # in-process message path (compiled route lookup 0, publish → deliver →
@@ -58,7 +59,9 @@ fuzz-smoke:
 # pair; decoding a 64-pair result frame <= 1; a warm dedup set's
 # SeenOrAdd allocates nothing, across rotations), on the probe path (a band
 # probe through 16 B+-tree sub-indexes and a point probe through a hash
-# chain allocate nothing), and socket-write counts on
+# chain allocate nothing; 4 096 inserts into a fresh hash sub-index cost
+# <= 0.05 allocations each), on the encoders (tuple.Marshal and
+# Envelope.Marshal allocate exactly once), and socket-write counts on
 # the wire path through a write-counting net.Conn (a 128-publication
 # PublishBatch and a 512-tag AckBatch are one client write and one reply
 # write each, 512 queued deliveries reach the client in <= 8 writes).
@@ -66,7 +69,7 @@ fuzz-smoke:
 # CI runner do not, so this is the perf regression CI can actually hold.
 # Run without -race: the detector's own bookkeeping allocates.
 perf-pins:
-	$(GO) test -count=1 -run 'Allocations$$' ./internal/broker ./internal/router ./internal/joiner ./internal/tuple ./internal/index ./internal/dedup
+	$(GO) test -count=1 -run 'Allocations$$' ./internal/broker ./internal/router ./internal/joiner ./internal/tuple ./internal/protocol ./internal/index ./internal/dedup
 	$(GO) test -count=1 -run 'SocketWrites$$' ./internal/wire
 
 # The root package's hot-path benches: the engine end to end and the

@@ -75,7 +75,11 @@ type Envelope struct {
 
 // Marshal encodes the envelope for a broker message body.
 func (e Envelope) Marshal() []byte {
-	buf := make([]byte, 0, 32)
+	n := 13
+	if e.Kind == KindTuple {
+		n += 1 + tuple.EncodedLen(e.Tuple)
+	}
+	buf := make([]byte, 0, n)
 	buf = append(buf, byte(e.Kind))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.RouterID))
 	buf = binary.LittleEndian.AppendUint64(buf, e.Counter)

@@ -45,6 +45,31 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
+var sinkBody []byte
+
+// TestEnvelopeMarshalAllocations pins Marshal at one allocation for a
+// tuple envelope of every value kind, a traced one and a punctuation:
+// the buffer is sized exactly up front.
+func TestEnvelopeMarshalAllocations(t *testing.T) {
+	traced := tuple.New(tuple.R, 5, 6, tuple.Int(7), tuple.Int(8))
+	traced.TraceNS = 1_700_000_000_000_000_001
+	envs := map[string]Envelope{
+		"int":         {Kind: KindTuple, Stream: StreamStore, Tuple: tuple.New(tuple.R, 1, 2, tuple.Int(3), tuple.Int(4))},
+		"float":       {Kind: KindTuple, Stream: StreamJoin, Tuple: tuple.New(tuple.S, 1, 2, tuple.Float(0.5))},
+		"string":      {Kind: KindTuple, Stream: StreamJoin, Tuple: tuple.New(tuple.S, 1, 2, tuple.String("héllo"))},
+		"traced":      {Kind: KindTuple, Stream: StreamStore, Tuple: traced},
+		"punctuation": punct(3, 9),
+	}
+	for name, e := range envs {
+		if a := testing.AllocsPerRun(100, func() { sinkBody = e.Marshal() }); a != 1 {
+			t.Errorf("%s: Marshal allocates %.1f times, want 1", name, a)
+		}
+		if len(sinkBody) != cap(sinkBody) {
+			t.Errorf("%s: %d-byte envelope in a %d-byte buffer", name, len(sinkBody), cap(sinkBody))
+		}
+	}
+}
+
 func TestEnvelopeCorrupt(t *testing.T) {
 	good := tupEnv(1, 1, StreamStore).Marshal()
 	cases := [][]byte{

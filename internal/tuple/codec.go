@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Binary tuple encoding, used by the TCP wire protocol and by the broker
@@ -61,10 +62,32 @@ func AppendBinary(dst []byte, t *Tuple) []byte {
 	return dst
 }
 
-// Marshal returns the binary encoding of t.
+// Marshal returns the binary encoding of t in one allocation.
 func Marshal(t *Tuple) []byte {
-	return AppendBinary(make([]byte, 0, 17+len(t.Values)*9), t)
+	return AppendBinary(make([]byte, 0, EncodedLen(t)), t)
 }
+
+// EncodedLen returns the exact length of t's binary encoding, so an
+// encoder can size its buffer once.
+func EncodedLen(t *Tuple) int {
+	n := 17 + uvarintLen(uint64(len(t.Values)))
+	if t.TraceNS != 0 {
+		n += 8
+	}
+	for _, v := range t.Values {
+		n++
+		switch v.kind {
+		case KindInt, KindFloat:
+			n += 8
+		case KindString:
+			n += uvarintLen(uint64(len(v.s))) + len(v.s)
+		}
+	}
+	return n
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // Unmarshal decodes a tuple previously produced by Marshal/AppendBinary.
 func Unmarshal(data []byte) (*Tuple, error) {

@@ -42,7 +42,11 @@ func FuzzUnmarshal(f *testing.F) {
 		if err != nil {
 			return
 		}
-		tp2, err := Unmarshal(Marshal(tp))
+		body := Marshal(tp)
+		if n := EncodedLen(tp); n != len(body) {
+			t.Fatalf("EncodedLen = %d, encoding is %d bytes", n, len(body))
+		}
+		tp2, err := Unmarshal(body)
 		if err != nil {
 			t.Fatalf("re-encoded tuple does not decode: %v", err)
 		}

@@ -245,6 +245,34 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// encodeShapes are the tuple shapes the encoder pins cover: int,
+// float, string (one long enough for a two-byte length) and traced.
+func encodeShapes() map[string]*Tuple {
+	traced := New(R, 5, 6, Int(7), Int(8))
+	traced.TraceNS = 1_700_000_000_000_000_001
+	return map[string]*Tuple{
+		"int":    New(R, 1, 2, Int(3), Int(4)),
+		"float":  New(S, 1, 2, Float(math.Pi), Float(-0.5)),
+		"string": New(S, 1, 2, String("héllo"), String(strings.Repeat("x", 200))),
+		"traced": traced,
+	}
+}
+
+var sinkBytes []byte
+
+// TestMarshalAllocations pins Marshal at one allocation: EncodedLen
+// sizes the buffer exactly, so AppendBinary never grows it.
+func TestMarshalAllocations(t *testing.T) {
+	for name, tp := range encodeShapes() {
+		if a := testing.AllocsPerRun(100, func() { sinkBytes = Marshal(tp) }); a != 1 {
+			t.Errorf("%s: Marshal allocates %.1f times, want 1", name, a)
+		}
+		if n := EncodedLen(tp); len(sinkBytes) != n || cap(sinkBytes) != n {
+			t.Errorf("%s: EncodedLen %d, encoding len %d cap %d", name, n, len(sinkBytes), cap(sinkBytes))
+		}
+	}
+}
+
 func TestCodecRoundTripQuick(t *testing.T) {
 	f := func(seq uint64, ts int64, i int64, fl float64, s string) bool {
 		in := New(S, seq, ts, Int(i), Float(fl), String(s))
