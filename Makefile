@@ -56,7 +56,9 @@ fuzz-smoke:
 # in-process message path (compiled route lookup 0, publish → deliver →
 # ack on a warm queue <= 2, Core.Route <= 2) and on the result path
 # (emitting and publishing 512 results <= 2, per frame rather than per
-# pair; decoding a 64-pair result frame <= 1; a warm dedup set's
+# pair; encoding a 512-pair hot-key result frame through a warm
+# FrameEncoder allocates nothing, TestResultFrameEncodeAllocations;
+# decoding a 64-pair result frame <= 1; a warm dedup set's
 # SeenOrAdd allocates nothing, across rotations), on the probe path (a band
 # probe through 16 B+-tree sub-indexes and a point probe through a hash
 # chain allocate nothing; 4 096 inserts into a fresh hash sub-index cost

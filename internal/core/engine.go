@@ -629,6 +629,7 @@ func (e *Engine) sinkLoop(cons broker.Consumer) {
 		batch, open = broker.Drain(ch, d, batch)
 		tags = tags[:0]
 		stopping := false
+		var results, dups int64
 		for i := range batch {
 			var err error
 			if pairs, err = dec.AppendPairs(pairs[:0], batch[i].Body); err != nil {
@@ -639,7 +640,17 @@ func (e *Engine) sinkLoop(cons broker.Consumer) {
 				continue
 			}
 			for j := 0; j < len(pairs) && !stopping; j += 2 {
-				stopping = !e.deliver(pairs[j], pairs[j+1])
+				l, r := pairs[j], pairs[j+1]
+				if e.resultSeen.SeenOrAdd(dedup.Key{l.Seq, r.Seq}) {
+					// The pair already reached the application: a
+					// redelivery after a lost ack, or a joiner retry whose
+					// first publish did land. Settle it without emitting a
+					// duplicate.
+					dups++
+					continue
+				}
+				results++
+				stopping = !e.deliver(l, r)
 			}
 			if stopping {
 				// The frame stays unacked; on redelivery the dedup
@@ -649,6 +660,14 @@ func (e *Engine) sinkLoop(cons broker.Consumer) {
 			tags = append(tags, batch[i].Tag)
 		}
 		clear(pairs[:cap(pairs)]) // drop the tuple references
+		// Count once per batch, before the ack: when Quiesce sees the
+		// sink queue drained, Snapshot().Results holds every pair.
+		if results > 0 {
+			e.resultsN.Add(results)
+		}
+		if dups > 0 {
+			e.resultDedup.Add(dups)
+		}
 		// Ack only after the results reached the application; a crash
 		// before this point redelivers the pairs and the sink's dedup
 		// keeps the redelivery from duplicating them. A failed ack
@@ -662,18 +681,10 @@ func (e *Engine) sinkLoop(cons broker.Consumer) {
 	}
 }
 
-// deliver hands one result pair to the application. It reports false
-// when the engine is shutting down and the result was not taken.
+// deliver hands one new result pair to the application. It reports
+// false when the engine is shutting down and the result was not taken.
 func (e *Engine) deliver(l, r *tuple.Tuple) bool {
-	if e.resultSeen.SeenOrAdd(dedup.Key{l.Seq, r.Seq}) {
-		// The pair already reached the application: a redelivery
-		// after a lost ack, or a joiner retry whose first publish did
-		// land. Settle it without emitting a duplicate.
-		e.resultDedup.Inc()
-		return true
-	}
 	jr := tuple.NewJoinResult(l, r)
-	e.resultsN.Inc()
 	// e2e latency runs from the later-ingested parent's stamp.
 	// With sampled tracing usually only one parent is stamped;
 	// a stamp on the older parent (event time as the tiebreak)

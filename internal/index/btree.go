@@ -152,6 +152,11 @@ func (b *BTree) firstLeaf() *bLeaf {
 // Probe implements SubIndex: leaf-chain range scan. A point probe is the
 // range [Key, Key]; an invalid bound is unbounded.
 func (b *BTree) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) bool {
+	return b.probe(&plan, emit)
+}
+
+// probe is Probe without copying the plan.
+func (b *BTree) probe(plan *predicate.Plan, emit func(*tuple.Tuple) bool) bool {
 	lo, hi, loInc, hiInc := plan.Lo, plan.Hi, plan.LoInc, plan.HiInc
 	switch plan.Kind {
 	case predicate.ProbePoint:

@@ -139,6 +139,11 @@ func (h *Hash) Insert(t *tuple.Tuple) {
 // range probes (which should not normally reach a hash sub-index) and
 // full scans walk everything.
 func (h *Hash) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) bool {
+	return h.probe(&plan, emit)
+}
+
+// probe is Probe without copying the plan.
+func (h *Hash) probe(plan *predicate.Plan, emit func(*tuple.Tuple) bool) bool {
 	if plan.Kind != predicate.ProbePoint || h.attr < 0 {
 		for _, t := range h.all {
 			if !emit(t) {

@@ -224,11 +224,25 @@ func (c *Chained) Expire(oppTS int64) int {
 // candidates; returning false stops the scan, and Probe returns false.
 func (c *Chained) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) bool {
 	for _, cs := range c.archived {
-		if !cs.sub.Probe(plan, emit) {
+		if !probeSub(cs.sub, &plan, emit) {
 			return false
 		}
 	}
-	return c.active.sub.Probe(plan, emit)
+	return probeSub(c.active.sub, &plan, emit)
+}
+
+// probeSub runs plan over one sub-index. The package's own sub-index
+// types are called directly, so a probe through a chain copies its plan
+// once, not once per sub-index, and the plan does not escape through
+// the SubIndex interface.
+func probeSub(sub SubIndex, plan *predicate.Plan, emit func(*tuple.Tuple) bool) bool {
+	switch s := sub.(type) {
+	case *Hash:
+		return s.probe(plan, emit)
+	case *BTree:
+		return s.probe(plan, emit)
+	}
+	return sub.Probe(*plan, emit)
 }
 
 // Len returns the number of live tuples across all sub-indexes.

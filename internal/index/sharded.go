@@ -84,7 +84,7 @@ func (x *Sharded) ShardFor(t *tuple.Tuple) int {
 
 // ProbeShard returns the single shard a point probe for key needs to
 // visit, or -1 when the plan must fan out to every shard.
-func (x *Sharded) ProbeShard(plan predicate.Plan) int {
+func (x *Sharded) ProbeShard(plan *predicate.Plan) int {
 	if len(x.shards) == 1 {
 		return 0
 	}
@@ -103,7 +103,7 @@ func (x *Sharded) Insert(t *tuple.Tuple) {
 // other plan fans out across all shards. Iteration stops early when
 // emit returns false, and Probe then returns false.
 func (x *Sharded) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) bool {
-	if s := x.ProbeShard(plan); s >= 0 {
+	if s := x.ProbeShard(&plan); s >= 0 {
 		return x.shards[s].Probe(plan, emit)
 	}
 	for _, c := range x.shards {

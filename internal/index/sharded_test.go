@@ -36,7 +36,7 @@ func TestShardedEveryKeyOnExactlyOneShard(t *testing.T) {
 	}
 	for k := 0; k < keys; k++ {
 		plan := predicate.Plan{Kind: predicate.ProbePoint, Key: tuple.Int(int64(k))}
-		owner := x.ProbeShard(plan)
+		owner := x.ProbeShard(&plan)
 		if owner < 0 {
 			t.Fatalf("key %d: point probe did not resolve to one shard", k)
 		}
@@ -97,7 +97,7 @@ func TestShardedRestoreAcrossShardCountChange(t *testing.T) {
 				}
 				// The invariant itself: after the resize every key is
 				// wholly inside its (new) owner shard.
-				owner := restored.ProbeShard(plan)
+				owner := restored.ProbeShard(&plan)
 				for i := 0; i < restored.NumShards(); i++ {
 					if i == owner {
 						continue

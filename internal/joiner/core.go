@@ -93,10 +93,11 @@ type Core struct {
 	seen *dedup.Set
 
 	// Batch-processing scratch, reused across HandleBatch calls so the
-	// steady state allocates nothing: the reorderer's release buffer and
-	// one shardRun per shard holding that shard's op list for the
-	// current batch.
+	// steady state allocates nothing: the reorderer's release buffer,
+	// the current batch's probe plans, and one shardRun per shard
+	// holding that shard's op list for the current batch.
 	releaseBuf []protocol.Envelope
+	plans      []predicate.Plan
 	runs       []*shardRun
 
 	// Dedup watermark pruning: seen entries are only needed while the
@@ -282,12 +283,16 @@ func clearEnvelopes(envs []protocol.Envelope) {
 const parallelBatchMin = 32
 
 // shardOp is one unit of work bound for a shard: a store of t into the
-// shard, or a probe of plan against it.
+// shard, or a probe of t's plan against it. Plans live in Core.plans,
+// built once per probe and shared by the shards a probe fans out to,
+// so an op stays two words and a store carries no plan.
 type shardOp struct {
-	t     *tuple.Tuple
-	probe bool
-	plan  predicate.Plan
+	t    *tuple.Tuple
+	plan int32 // index into Core.plans; storeOp for a store
 }
+
+// storeOp is a shardOp's plan index for a store.
+const storeOp = -1
 
 // shardRun is a shard's slice of the current batch plus everything its
 // worker needs without touching shared state: the op list built by the
@@ -330,15 +335,16 @@ func (r *shardRun) visitOne(stored *tuple.Tuple) bool {
 // accumulating stale sub-indexes. A shard never expires past the probe
 // in hand, and every candidate is still checked with Window.Contains.
 func (r *shardRun) run(maxProbeTS int64, hasProbe bool) {
+	plans := r.core.plans
 	for i := range r.ops {
 		op := &r.ops[i]
-		if !op.probe {
+		if op.plan == storeOp {
 			r.shard.Insert(op.t)
 			continue
 		}
 		r.expired += int64(r.shard.Expire(op.t.TS))
 		r.cur = op.t
-		r.shard.Probe(op.plan, r.visit)
+		r.shard.Probe(plans[op.plan], r.visit)
 	}
 	if hasProbe {
 		r.expired += int64(r.shard.Expire(maxProbeTS))
@@ -387,24 +393,25 @@ func (c *Core) processReleased(released []protocol.Envelope, emit func(tuple.Joi
 				continue // misrouted; a store copy must be our own relation
 			}
 			r := c.runs[c.idx.ShardFor(t)]
-			r.ops = append(r.ops, shardOp{t: t})
+			r.ops = append(r.ops, shardOp{t: t, plan: storeOp})
 			storedN++
 			c.cfg.Trace.Observe(metrics.StageStore, t.TraceNS)
 		case protocol.StreamJoin:
 			if t.Rel != c.cfg.Rel.Opposite() {
 				continue
 			}
-			plan := c.cfg.Pred.Plan(t)
-			if s := c.idx.ProbeShard(plan); s >= 0 {
+			op := shardOp{t: t, plan: int32(len(c.plans))}
+			c.plans = append(c.plans, c.cfg.Pred.Plan(t))
+			if s := c.idx.ProbeShard(&c.plans[op.plan]); s >= 0 {
 				r := c.runs[s]
-				r.ops = append(r.ops, shardOp{t: t, probe: true, plan: plan})
+				r.ops = append(r.ops, op)
 			} else {
 				// Non-partitionable probe: every shard holds candidate
 				// tuples, so the probe op replicates into each shard's
 				// list. Each replica only scans its own shard, so the
 				// total candidate work matches the unsharded scan.
 				for _, r := range c.runs {
-					r.ops = append(r.ops, shardOp{t: t, probe: true, plan: plan})
+					r.ops = append(r.ops, op)
 				}
 			}
 			probedN++
@@ -450,11 +457,11 @@ func (c *Core) processReleased(released []protocol.Envelope, emit func(tuple.Joi
 			r.results[i] = tuple.JoinResult{} // drop tuple pointers
 		}
 		r.results = r.results[:0]
-		for i := range r.ops {
-			r.ops[i] = shardOp{}
-		}
+		clear(r.ops)
 		r.ops = r.ops[:0]
 	}
+	clear(c.plans) // drop key strings
+	c.plans = c.plans[:0]
 	if dedupedN > 0 {
 		c.deduped.Add(dedupedN)
 	}

@@ -39,9 +39,10 @@ type Service struct {
 	wg        sync.WaitGroup
 	started   bool
 	// frame is the open result frame: the pairs emitted since the last
-	// seal, encoded back to back (tuple.AppendPair). Sealing copies it
-	// into out as one publication and reuses the buffer.
-	frame []byte
+	// seal, each distinct tuple written once (tuple.FrameEncoder).
+	// Sealing copies it into out as one publication and resets the
+	// encoder, so every frame decodes on its own.
+	frame tuple.FrameEncoder
 	// out holds the sealed result frames of the current hold of mu, in
 	// emit order; publishLocked seals the open frame and moves them to
 	// the broker in one batch before mu is released, so out, frame and
@@ -90,10 +91,10 @@ func (s *Service) ackBatch(cons broker.Consumer, tags []uint64) {
 }
 
 // retryBacklogBytes bounds the buffered result frames during a broker
-// outage (2 MiB, about 32k small result pairs); beyond it the oldest
-// frames are dropped and their pairs counted, trading bounded memory
-// for completeness exactly like the window state a crashed joiner
-// loses.
+// outage (2 MiB: about 39k pairs of one-integer tuples, up to 72k when
+// the pairs share their probe tuple); beyond it the oldest frames are
+// dropped and their pairs counted, trading bounded memory for
+// completeness exactly like the window state a crashed joiner loses.
 const retryBacklogBytes = 2 << 20
 
 // retryInterval paces background republish attempts of buffered
@@ -614,9 +615,9 @@ const maxResultFrame = 32 << 10
 // emit appends a join result to the open result frame for
 // publishLocked. Called with s.mu held.
 func (s *Service) emit(jr tuple.JoinResult) {
-	s.frame = tuple.AppendPair(s.frame, jr.Left, jr.Right)
+	s.frame.AppendPair(jr.Left, jr.Right)
 	s.buffered++
-	if len(s.frame) >= maxResultFrame {
+	if s.frame.Len() >= maxResultFrame {
 		s.sealFrame()
 	}
 	if s.buffered >= maxEmitBatch {
@@ -626,16 +627,16 @@ func (s *Service) emit(jr tuple.JoinResult) {
 
 // sealFrame moves the open result frame into out as one publication.
 // The body is a copy: the broker keeps it for as long as the message
-// lives, while the frame buffer is reused for the next frame.
+// lives, while the encoder's buffer is reused for the next frame.
 func (s *Service) sealFrame() {
-	if len(s.frame) == 0 {
+	if s.frame.Len() == 0 {
 		return
 	}
 	s.out = append(s.out, broker.Publication{
 		Exchange: topo.ResultExchange, RoutingKey: topo.ResultKey,
-		Body: append([]byte(nil), s.frame...),
+		Body: append([]byte(nil), s.frame.Bytes()...),
 	})
-	s.frame = s.frame[:0]
+	s.frame.Reset()
 }
 
 // publishLocked publishes the results emitted under this hold of s.mu,

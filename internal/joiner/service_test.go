@@ -2,6 +2,7 @@ package joiner
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"bistream/internal/protocol"
 	"bistream/internal/topo"
 	"bistream/internal/tuple"
+	"bistream/internal/window"
 )
 
 func startService(t *testing.T, rel tuple.Relation) (*broker.Broker, *Service) {
@@ -244,6 +246,12 @@ func (f *flakyResults) Publish(exchange, key string, h map[string]string, body [
 // handle runs one batch under the lock a consume loop would hold.
 func handDriven(t *testing.T, b *broker.Broker, client broker.Client) (svc *Service, handle func(protocol.Source, ...protocol.Envelope)) {
 	t.Helper()
+	return handDrivenCore(t, b, client, mustCore(t, tuple.R, 0))
+}
+
+// handDrivenCore is handDriven around a given core.
+func handDrivenCore(t *testing.T, b *broker.Broker, client broker.Client, core *Core) (svc *Service, handle func(protocol.Source, ...protocol.Envelope)) {
+	t.Helper()
 	if err := topo.Declare(client); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +261,7 @@ func handDriven(t *testing.T, b *broker.Broker, client broker.Client) (svc *Serv
 	if err := b.Bind("sink", topo.ResultExchange, topo.ResultKey); err != nil {
 		t.Fatal(err)
 	}
-	svc = NewService(mustCore(t, tuple.R, 0), client)
+	svc = NewService(core, client)
 	svc.AddRouter(1)
 	return svc, func(src protocol.Source, envs ...protocol.Envelope) {
 		svc.mu.Lock()
@@ -304,13 +312,14 @@ func TestServiceResultBatchFailureKeepsOrder(t *testing.T) {
 	client := &flakyResults{Client: b}
 	svc, handle := handDriven(t, b, client)
 	// One stored R tuple; every S probe of the key yields one result.
-	// The large attributes make a pair about 12 KiB, so a frame seals
-	// after three pairs.
+	// A frame writes the stored tuple's 6 KiB attribute once and each
+	// probe's 12 KiB one per pair, so it seals after three pairs (18,
+	// 30, 42 KiB).
 	big := strings.Repeat("x", 6<<10)
 	handle(protocol.SourceStore, storeEnv(1, tuple.New(tuple.R, 1, 0, tuple.Int(7), tuple.String(big))), punctEnv(1))
 	handle(protocol.SourceJoin, punctEnv(1))
 	probe := func(counter, seq uint64) protocol.Envelope {
-		return joinEnv(counter, tuple.New(tuple.S, seq, 0, tuple.Int(7), tuple.String(big)))
+		return joinEnv(counter, tuple.New(tuple.S, seq, 0, tuple.Int(7), tuple.String(big+big)))
 	}
 	published := func() int64 {
 		st, err := b.QueueStats("sink")
@@ -373,7 +382,9 @@ func TestServiceHotKeyBatchSpansFrames(t *testing.T) {
 	b := broker.New(nil)
 	defer b.Close()
 	_, handle := handDriven(t, b, b)
-	const stored = 2000
+	// The probe is written once per frame, so a pair adds its stored
+	// tuple and a back-reference: 4 000 of them still span four frames.
+	const stored = 4000
 	var batch []protocol.Envelope
 	for i := uint64(1); i <= stored; i++ {
 		batch = append(batch, storeEnv(i, tuple.New(tuple.R, i, 0, tuple.Int(7))))
@@ -434,4 +445,67 @@ func TestEmitAndPublishAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(100, run); got > 2 {
 		t.Errorf("emitting and publishing %d results allocates %v times, want at most 2 (per frame, not per pair)", len(results), got)
 	}
+}
+
+// TestServiceZipfFramesShareTuples counts what back-references save on
+// a fixed skewed run: 40 000 tuples, keys zipf(1.1) over 100 000, 50
+// per millisecond against a 16 ms window, through one R joiner in
+// batches of 256 stores and 256 probes. Every pair arrives once, and
+// the frames are shorter than the plain encoding of the same pairs
+// because a probe and its hot partners are written once per frame.
+// Run with -v for the exact counts.
+func TestServiceZipfFramesShareTuples(t *testing.T) {
+	b := broker.New(nil)
+	defer b.Close()
+	core, err := NewCore(Config{Rel: tuple.R, Pred: predicate.NewEqui(0, 0), Window: window.Sliding{Span: 16 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, handle := handDrivenCore(t, b, b, core)
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, 99_999)
+	const tuples, perBatch = 40_000, 512
+	var stores, probes []protocol.Envelope
+	for i := uint64(1); i <= tuples; i++ {
+		tp := tuple.New(tuple.Relation(i%2), i, int64(i/50), tuple.Int(int64(zipf.Uint64())))
+		if tp.Rel == tuple.R {
+			stores = append(stores, storeEnv(i, tp))
+		} else {
+			probes = append(probes, joinEnv(i, tp))
+		}
+		if i%perBatch == 0 || i == tuples {
+			handle(protocol.SourceStore, append(stores, punctEnv(i))...)
+			handle(protocol.SourceJoin, append(probes, punctEnv(i))...)
+			stores, probes = stores[:0], probes[:0]
+		}
+	}
+	pairs := int(svc.Stats().Results)
+	frames, got := sinkFrames(t, b, pairs)
+	if len(got) != 2*pairs {
+		t.Fatalf("sink got %d pairs, the joiner emitted %d", len(got)/2, pairs)
+	}
+	seen := map[[2]uint64]bool{}
+	plainBytes, frameBytes, encoded := 0, 0, 0
+	var dec tuple.Decoder
+	for _, f := range frames {
+		frameBytes += len(f)
+		ts, err := dec.AppendPairs(nil, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := map[*tuple.Tuple]bool{}
+		for i := 0; i < len(ts); i += 2 {
+			plainBytes += len(tuple.AppendPair(nil, ts[i], ts[i+1]))
+			distinct[ts[i]], distinct[ts[i+1]] = true, true
+			seen[[2]uint64{ts[i].Seq, ts[i+1].Seq}] = true
+		}
+		encoded += len(distinct)
+	}
+	if len(seen) != pairs {
+		t.Fatalf("%d distinct pairs of %d", len(seen), pairs)
+	}
+	if frameBytes >= plainBytes {
+		t.Fatalf("frames hold %d bytes, no fewer than the plain encoding's %d", frameBytes, plainBytes)
+	}
+	t.Logf("%d pairs in %d frames: %.3f tuple encodings per pair (plain 2), %.2f result bytes per pair (plain %.2f)",
+		pairs, len(frames), float64(encoded)/float64(pairs), float64(frameBytes)/float64(pairs), float64(plainBytes)/float64(pairs))
 }

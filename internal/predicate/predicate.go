@@ -67,7 +67,7 @@ type Plan struct {
 
 // HashOfKey returns the point-probe key's hash, using the precomputed
 // KeyHash when present.
-func (p Plan) HashOfKey() uint64 {
+func (p *Plan) HashOfKey() uint64 {
 	if p.KeyHash != 0 {
 		return p.KeyHash
 	}

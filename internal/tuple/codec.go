@@ -26,6 +26,13 @@ import (
 //
 // The encoding is self-describing (no schema needed to decode), compact,
 // and allocation-light on the encode path.
+//
+// A result frame (frame.go) is join-result pairs back to back, each
+// tuple in this layout at its first appearance in the frame and as a
+// back-reference after that:
+//
+//	byte    0x7F (never a relation byte)
+//	uvarint index into the frame's distinct tuples, first-appearance order
 
 // ErrCorrupt is returned when a byte slice cannot be decoded as a tuple.
 var ErrCorrupt = errors.New("tuple: corrupt encoding")
@@ -99,32 +106,6 @@ func Unmarshal(data []byte) (*Tuple, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
 	}
 	return t, nil
-}
-
-// AppendPair appends one join result — the left tuple's encoding
-// followed by the right's — to dst. A result frame is one or more such
-// pairs back to back, so a one-pair frame is exactly the body
-// UnmarshalPair decodes.
-func AppendPair(dst []byte, l, r *Tuple) []byte {
-	return AppendBinary(AppendBinary(dst, l), r)
-}
-
-// UnmarshalPair decodes two concatenated tuples, the encoding joiners
-// use for join results (left tuple followed by right tuple): a result
-// frame of exactly one pair.
-func UnmarshalPair(data []byte) (*Tuple, *Tuple, error) {
-	a, rest, err := consume(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	b, rest, err := consume(rest)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(rest) != 0 {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes after pair", ErrCorrupt, len(rest))
-	}
-	return a, b, nil
 }
 
 func consume(data []byte) (*Tuple, []byte, error) {

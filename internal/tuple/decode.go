@@ -19,6 +19,9 @@ import "fmt"
 type Decoder struct {
 	tuples []Tuple // current tuple chunk; grows to cap, then replaced
 	values []Value // current value slab; grows to cap, then replaced
+	// refs is AppendPairs' scratch list of the open frame's distinct
+	// tuples, which back-references index; empty between frames.
+	refs []*Tuple
 }
 
 // Slab sizing: one tuple chunk holds a consume batch comfortably, and
@@ -44,36 +47,6 @@ func (d *Decoder) Unmarshal(data []byte) (*Tuple, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// AppendPairs decodes a result frame — one or more AppendPair pairs
-// back to back — and appends its tuples to dst as left, right, left,
-// right, ... The whole frame is parsed before AppendPairs returns, so a
-// frame is taken in full or not at all: an empty frame, a corrupt or
-// truncated tuple anywhere in it, or an odd tuple count returns dst
-// unchanged with an error, and the slab slots the frame used are handed
-// back.
-func (d *Decoder) AppendPairs(dst []*Tuple, frame []byte) ([]*Tuple, error) {
-	if len(frame) == 0 {
-		return dst, fmt.Errorf("%w: empty result frame", ErrCorrupt)
-	}
-	tuples, values, n := d.tuples, d.values, len(dst)
-	var err error
-	for len(frame) > 0 && err == nil {
-		t := d.slot()
-		if frame, err = parseInto(t, frame, d); err == nil {
-			dst = append(dst, t)
-		}
-	}
-	if err == nil && (len(dst)-n)%2 != 0 {
-		err = fmt.Errorf("%w: odd tuple count %d in result frame", ErrCorrupt, len(dst)-n)
-	}
-	if err != nil {
-		d.tuples, d.values = tuples, values
-		clear(dst[n:])
-		return dst[:n], err
-	}
-	return dst, nil
 }
 
 // slot returns the next tuple slot of the current chunk, starting a new

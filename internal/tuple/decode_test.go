@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -185,12 +186,21 @@ func TestResultFrameRejectsMalformed(t *testing.T) {
 		good = AppendPair(good, pairs[i], pairs[i+1])
 	}
 	one := Marshal(pairs[0])
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	// good holds six distinct tuples, so back-references 0 to 5 are in
+	// range after it and 6 is not.
 	cases := map[string][]byte{
-		"empty":               nil,
-		"odd":                 append(append([]byte{}, good...), one...),
-		"single tuple":        one,
-		"truncated last pair": good[:len(good)-3],
-		"truncated header":    append(append([]byte{}, good...), one[:5]...),
+		"empty":                    nil,
+		"odd":                      cat(good, one),
+		"single tuple":             one,
+		"truncated last pair":      good[:len(good)-3],
+		"truncated header":         cat(good, one[:5]),
+		"back-reference at start":  cat([]byte{backRef, 0}, one),
+		"back-reference past end":  cat(good, one, []byte{backRef, 7}),
+		"back-reference to itself": cat(good, []byte{backRef, 6}, one),
+		"truncated back-reference": cat(good, one, []byte{backRef}),
+		"unterminated uvarint":     cat(good, one, []byte{backRef, 0x80}),
+		"overlong uvarint":         cat(good, one, []byte{backRef}, bytes.Repeat([]byte{0xff}, 10), []byte{1}),
 	}
 	var d Decoder
 	// Take a slab slot first so the decoder's chunks are live.
@@ -201,8 +211,8 @@ func TestResultFrameRejectsMalformed(t *testing.T) {
 		tuples, values := len(d.tuples), len(d.values)
 		dst := []*Tuple{pairs[0]}
 		got, err := d.AppendPairs(dst, frame)
-		if err == nil {
-			t.Errorf("%s: malformed frame decoded", name)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: malformed frame decoded with error %v, want ErrCorrupt", name, err)
 			continue
 		}
 		if len(got) != 1 || got[0] != pairs[0] {

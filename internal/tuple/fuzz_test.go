@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -77,8 +78,9 @@ func FuzzUnmarshalPair(f *testing.F) {
 }
 
 // FuzzResultFrame does the same for multi-pair result frames through
-// the slab decoder, and checks a rejected frame leaves the decoder's
-// slabs and the caller's slice as they were.
+// the slab decoder, in the plain encoding and through a FrameEncoder,
+// and checks a rejected frame leaves the decoder's slabs and the
+// caller's slice as they were.
 func FuzzResultFrame(f *testing.F) {
 	l, r := New(R, 1, 2, Int(3)), New(S, 4, 5, Int(3), String("s"))
 	r.TraceNS = 6
@@ -86,6 +88,15 @@ func FuzzResultFrame(f *testing.F) {
 	f.Add(AppendPair(AppendPair(nil, l, r), r, l))
 	f.Add(Marshal(l))
 	f.Add([]byte{})
+	var e FrameEncoder
+	e.AppendPair(l, r)
+	e.AppendPair(New(R, 7, 8, Int(3)), r)
+	e.AppendPair(l, r)
+	f.Add(bytes.Clone(e.Bytes()))                                // back-references to 0 and 1
+	f.Add(append(AppendPair(nil, l, r), backRef, 1, backRef, 0)) // a reversed pair
+	f.Add([]byte{backRef, 0})                                    // back-reference at the start
+	f.Add(append(AppendPair(nil, l, r), backRef, 2, backRef, 0)) // index past the tuples so far
+	f.Add(append(AppendPair(nil, l, r), backRef, 0x80))          // truncated uvarint
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var d Decoder
 		// A live slab for a rejected frame to leak into.
@@ -115,6 +126,32 @@ func FuzzResultFrame(f *testing.F) {
 			if !sameTuple(got[i], got2[i]) {
 				t.Fatalf("tuple %d: semantic round-trip mismatch", i)
 			}
+		}
+		// Through the encoder: the same tuples, and a tuple shared by
+		// several positions stays shared, and only such a one.
+		var e FrameEncoder
+		for i := 0; i < len(got); i += 2 {
+			e.AppendPair(got[i], got[i+1])
+		}
+		got3, err := d.AppendPairs(nil, e.Bytes())
+		if err != nil {
+			t.Fatalf("frame encoder output does not decode: %v", err)
+		}
+		if len(got3) != len(got) {
+			t.Fatalf("frame encoder output has %d tuples, want %d", len(got3), len(got))
+		}
+		first := map[*Tuple]*Tuple{}
+		for i := range got {
+			if !sameTuple(got[i], got3[i]) {
+				t.Fatalf("tuple %d: frame encoder round-trip mismatch", i)
+			}
+			if p, ok := first[got3[i]]; ok && p != got[i] {
+				t.Fatalf("tuple %d: distinct tuples decoded to one *Tuple", i)
+			}
+			first[got3[i]] = got[i]
+		}
+		if len(first) != len(e.tuples) {
+			t.Fatalf("%d distinct decoded tuples, the encoder wrote %d", len(first), len(e.tuples))
 		}
 	})
 }
