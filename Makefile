@@ -51,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzSet$$' -fuzztime $(FUZZTIME) ./internal/dedup
 	$(GO) test -run '^$$' -fuzz '^FuzzHash$$' -fuzztime $(FUZZTIME) ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzSorted$$' -fuzztime $(FUZZTIME) ./internal/index
 
 # The deterministic perf gate: testing.AllocsPerRun pins on the
 # in-process message path (compiled route lookup 0, publish → deliver →
@@ -60,9 +61,11 @@ fuzz-smoke:
 # FrameEncoder allocates nothing, TestResultFrameEncodeAllocations;
 # decoding a 64-pair result frame <= 1; a warm dedup set's
 # SeenOrAdd allocates nothing, across rotations), on the probe path (a band
-# probe through 16 B+-tree sub-indexes and a point probe through a hash
-# chain allocate nothing; 4 096 inserts into a fresh hash sub-index cost
-# <= 0.05 allocations each), on the encoders (tuple.Marshal and
+# probe through 16 ordered sub-indexes and a point probe through a hash
+# chain allocate nothing; 4 096 inserts into a fresh hash sub-index,
+# TestHashInsertAllocations, or of uniform keys into a fresh ordered
+# sub-index, TestSortedInsertAllocations, cost <= 0.05 allocations
+# each), on the encoders (tuple.Marshal and
 # Envelope.Marshal allocate exactly once), and socket-write counts on
 # the wire path through a write-counting net.Conn (a 128-publication
 # PublishBatch and a 512-tag AckBatch are one client write and one reply

@@ -37,11 +37,12 @@ func TestExportImportPreservesProbesAndExpiry(t *testing.T) {
 		factory Factory
 	}{
 		{"hash", func() SubIndex { return NewHash(0) }},
-		// "skiplist" names the case that covered the skip list before the
-		// B+-tree replaced it; it now takes the ordered sub-index through
-		// the planner, as a band-join joiner does.
+		// "skiplist" and "btree" name the cases that covered the skip
+		// list and the B+-tree before Sorted replaced them; "skiplist"
+		// takes the ordered sub-index through the planner, as a band-join
+		// joiner does, and "btree" builds it directly.
 		{"skiplist", ForPredicate(predicate.NewBand(0, 0, 1), tuple.R)},
-		{"btree", func() SubIndex { return NewBTree(0) }},
+		{"btree", func() SubIndex { return NewSorted(0) }},
 	}
 	plans := []predicate.Plan{
 		{Kind: predicate.ProbeAll},

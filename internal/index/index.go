@@ -1,9 +1,9 @@
 // Package index provides the joiners' in-memory storage: a hash
-// sub-index for equi-joins, an ordered (B+-tree) sub-index for
-// non-equi joins, and the chained in-memory index of the source text's
-// Figure 5, which partitions the stream by discrete time intervals
-// (the archive period P) and discards stale data a whole sub-index at a
-// time instead of tuple by tuple.
+// sub-index for equi-joins, an ordered sub-index (a sorted run of
+// fixed-capacity blocks) for non-equi joins, and the chained in-memory
+// index of the source text's Figure 5, which partitions the stream by
+// discrete time intervals (the archive period P) and discards stale
+// data a whole sub-index at a time instead of tuple by tuple.
 package index
 
 import (
@@ -38,9 +38,9 @@ type SubIndex interface {
 // Factory builds empty sub-indexes. ForPredicate picks the right one.
 type Factory func() SubIndex
 
-// ForPredicate selects a hash sub-index for point probes and a B+-tree
-// otherwise, mirroring the text's "HashMap for equi-join and
-// BinarySearchTree for non-equi-join predicates".
+// ForPredicate selects a hash sub-index for point probes and the
+// ordered Sorted sub-index otherwise, mirroring the text's "HashMap for
+// equi-join and BinarySearchTree for non-equi-join predicates".
 func ForPredicate(pred predicate.Predicate, rel tuple.Relation) Factory {
 	attr := pred.IndexAttr(rel)
 	if attr < 0 {
@@ -51,7 +51,7 @@ func ForPredicate(pred predicate.Predicate, rel tuple.Relation) Factory {
 	if pred.Partitionable() {
 		return func() SubIndex { return NewHash(attr) }
 	}
-	return func() SubIndex { return NewBTree(attr) }
+	return func() SubIndex { return NewSorted(attr) }
 }
 
 // IDAlloc hands out segment ids. One allocator can be shared by several
@@ -239,7 +239,7 @@ func probeSub(sub SubIndex, plan *predicate.Plan, emit func(*tuple.Tuple) bool) 
 	switch s := sub.(type) {
 	case *Hash:
 		return s.probe(plan, emit)
-	case *BTree:
+	case *Sorted:
 		return s.probe(plan, emit)
 	}
 	return sub.Probe(*plan, emit)

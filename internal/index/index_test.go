@@ -80,11 +80,12 @@ func TestHashNoAttrStoresAndScans(t *testing.T) {
 }
 
 // The TestSkipList* cases were written for the skip list that used to
-// be the ordered sub-index. The B+-tree replaced it, and the cases keep
-// their names while pinning the same range semantics on the B+-tree.
+// be the ordered sub-index. The B+-tree and then Sorted replaced it, and
+// the cases keep their names while pinning the same range semantics on
+// Sorted.
 
 func TestSkipListOrderedRange(t *testing.T) {
-	b := NewBTree(0)
+	b := NewSorted(0)
 	perm := rand.New(rand.NewSource(1)).Perm(200)
 	for i, v := range perm {
 		b.Insert(tuple.New(tuple.R, uint64(i), 0, tuple.Int(int64(v))))
@@ -107,7 +108,7 @@ func TestSkipListOrderedRange(t *testing.T) {
 }
 
 func TestSkipListBoundsExclusive(t *testing.T) {
-	b := NewBTree(0)
+	b := NewSorted(0)
 	for v := 0; v < 10; v++ {
 		b.Insert(tuple.New(tuple.R, uint64(v), 0, tuple.Int(int64(v))))
 	}
@@ -133,7 +134,7 @@ func TestSkipListBoundsExclusive(t *testing.T) {
 }
 
 func TestSkipListUnboundedSides(t *testing.T) {
-	b := NewBTree(0)
+	b := NewSorted(0)
 	for v := 0; v < 10; v++ {
 		b.Insert(tuple.New(tuple.R, uint64(v), 0, tuple.Int(int64(v))))
 	}
@@ -152,7 +153,7 @@ func TestSkipListUnboundedSides(t *testing.T) {
 }
 
 func TestSkipListDuplicateKeys(t *testing.T) {
-	b := NewBTree(0)
+	b := NewSorted(0)
 	for i := 0; i < 30; i++ {
 		b.Insert(tuple.New(tuple.R, uint64(i), 0, tuple.Int(int64(i%3))))
 	}
@@ -164,7 +165,7 @@ func TestSkipListDuplicateKeys(t *testing.T) {
 
 func TestSkipListMatchesReferenceModel(t *testing.T) {
 	f := func(vals []int16, lo, hi int8) bool {
-		b := NewBTree(0)
+		b := NewSorted(0)
 		for i, v := range vals {
 			b.Insert(tuple.New(tuple.R, uint64(i), 0, tuple.Int(int64(v))))
 		}
@@ -355,11 +356,11 @@ func TestForPredicate(t *testing.T) {
 	if _, ok := ForPredicate(predicate.NewEqui(0, 0), tuple.R)().(*Hash); !ok {
 		t.Error("equi should get a hash index")
 	}
-	if _, ok := ForPredicate(predicate.NewBand(0, 0, 1), tuple.R)().(*BTree); !ok {
-		t.Error("band should get a B+-tree")
+	if _, ok := ForPredicate(predicate.NewBand(0, 0, 1), tuple.R)().(*Sorted); !ok {
+		t.Error("band should get the ordered sub-index")
 	}
-	if _, ok := ForPredicate(predicate.NewTheta(0, 0, predicate.LT), tuple.S)().(*BTree); !ok {
-		t.Error("theta should get a B+-tree")
+	if _, ok := ForPredicate(predicate.NewTheta(0, 0, predicate.LT), tuple.S)().(*Sorted); !ok {
+		t.Error("theta should get the ordered sub-index")
 	}
 	fn := predicate.NewFunc("x", func(r, s *tuple.Tuple) bool { return true })
 	if _, ok := ForPredicate(fn, tuple.R)().(*Hash); !ok {

@@ -11,13 +11,13 @@ import (
 )
 
 // bandChain builds the chain of band_inproc's shape: a 200 ms window at
-// the default W/16 archive period (about 16 B+-tree sub-indexes) holding
+// the default W/16 archive period (about 16 ordered sub-indexes) holding
 // 5 000 tuples whose Int keys are uniform over [0, 100 000), their
 // timestamps spread evenly across the window.
 func bandChain(tb testing.TB) *Chained {
 	tb.Helper()
 	win := window.Sliding{Span: 200 * time.Millisecond}
-	c, err := NewChained(func() SubIndex { return NewBTree(0) }, win.SpanMillis()/16, win)
+	c, err := NewChained(func() SubIndex { return NewSorted(0) }, win.SpanMillis()/16, win)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func bandProbes(n int) []*tuple.Tuple {
 func TestProbeStopsWhenEmitDeclines(t *testing.T) {
 	win := testWindow()
 	hash := func() SubIndex { return NewHash(0) }
-	btree := func() SubIndex { return NewBTree(0) }
+	sorted := func() SubIndex { return NewSorted(0) }
 	chain := func(f Factory) *Chained {
 		c, err := NewChained(f, 100, win)
 		if err != nil {
@@ -76,18 +76,20 @@ func TestProbeStopsWhenEmitDeclines(t *testing.T) {
 	}
 	point := predicate.Plan{Kind: predicate.ProbePoint, Key: tuple.Int(7)}
 	band := predicate.Plan{Kind: predicate.ProbeRange, Lo: tuple.Int(3), Hi: tuple.Int(12), LoInc: true}
+	// The "btree" cases, named before Sorted replaced the B+-tree, are
+	// the ordered sub-index.
 	cases := []struct {
 		name string
 		idx  prober
 		plan predicate.Plan
 	}{
-		{"btree/range", NewBTree(0), band},
+		{"btree/range", NewSorted(0), band},
 		{"hash/point", NewHash(0), point},
 		{"hash/all", NewHash(0), predicate.Plan{Kind: predicate.ProbeAll}},
-		{"chained-btree/range", chain(btree), band},
+		{"chained-btree/range", chain(sorted), band},
 		{"chained-hash/point", chain(hash), point},
-		{"sharded-btree/range", sharded(btree), band},
-		{"sharded-btree/all", sharded(btree), predicate.Plan{Kind: predicate.ProbeAll}},
+		{"sharded-btree/range", sharded(sorted), band},
+		{"sharded-btree/all", sharded(sorted), predicate.Plan{Kind: predicate.ProbeAll}},
 		{"sharded-hash/point", sharded(hash), point},
 	}
 	for _, tc := range cases {
@@ -114,7 +116,7 @@ func TestProbeStopsWhenEmitDeclines(t *testing.T) {
 }
 
 // TestChainedProbeAllocations pins the probe path at zero allocations:
-// a band probe over a chain of 16 B+-tree sub-indexes and a point probe
+// a band probe over a chain of 16 ordered sub-indexes and a point probe
 // over a chain of hash sub-indexes. A per-probe closure around emit, or
 // a plan that escapes to the heap on its way through the SubIndex
 // interface, fails here before any timing moves.
@@ -131,7 +133,7 @@ func TestChainedProbeAllocations(t *testing.T) {
 		band.Probe(plan, emit)
 		i++
 	}); a != 0 {
-		t.Errorf("band probe over %d B+-tree sub-indexes: %.2f allocs, want 0", band.NumSubIndexes(), a)
+		t.Errorf("band probe over %d ordered sub-indexes: %.2f allocs, want 0", band.NumSubIndexes(), a)
 	}
 
 	equi := newChainedHash(t, 100)

@@ -291,7 +291,7 @@ func TestShardedGraftSplitsAndStaysIdempotent(t *testing.T) {
 // index does.
 func TestShardedRangeProbeMatchesSingleShard(t *testing.T) {
 	win := window.Sliding{Span: 10_000 * 1_000_000}
-	factory := func() SubIndex { return NewBTree(0) }
+	factory := func() SubIndex { return NewSorted(0) }
 	multi, err := NewSharded(factory, 500, win, 0, 4)
 	if err != nil {
 		t.Fatal(err)
