@@ -32,7 +32,8 @@ linkcheck:
 
 # Short fuzz passes over the parsers that face untrusted bytes: broker
 # topic patterns, journal segment records, replication frames, client
-# wire requests and replies, tuple codecs, protocol envelopes — plus the
+# wire requests and replies, tuple codecs, protocol envelopes and
+# envelope frames — plus the
 # differential check of the dedup set against its two-map reference
 # model. Ten seconds each is enough to catch decoder regressions without
 # stalling the gate; run
@@ -47,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalPair$$' -fuzztime $(FUZZTIME) ./internal/tuple
 	$(GO) test -run '^$$' -fuzz '^FuzzResultFrame$$' -fuzztime $(FUZZTIME) ./internal/tuple
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalEnvelope$$' -fuzztime $(FUZZTIME) ./internal/protocol
+	$(GO) test -run '^$$' -fuzz '^FuzzEnvelopeFrame$$' -fuzztime $(FUZZTIME) ./internal/protocol
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzSet$$' -fuzztime $(FUZZTIME) ./internal/dedup
@@ -55,9 +57,13 @@ fuzz-smoke:
 
 # The deterministic perf gate: testing.AllocsPerRun pins on the
 # in-process message path (compiled route lookup 0, publish → deliver →
-# ack on a warm queue <= 2, Core.Route <= 2) and on the result path
-# (emitting and publishing 512 results <= 2, per frame rather than per
-# pair; encoding a 512-pair hot-key result frame through a warm
+# ack on a warm queue <= 2, Core.Route <= 2; a 128-tuple equi route
+# batch over 2+2 joiners is exactly one message per destination queue,
+# eight, at <= 1.1 allocations per frame,
+# TestRouteBatchFrameAllocations; decoding a 64-envelope frame through
+# a warm tuple.Decoder <= 1, TestFrameDecodeAllocations) and on the
+# result path (emitting and publishing 512 results <= 2, per frame
+# rather than per pair; encoding a 512-pair hot-key result frame through a warm
 # FrameEncoder allocates nothing, TestResultFrameEncodeAllocations;
 # decoding a 64-pair result frame <= 1; a warm dedup set's
 # SeenOrAdd allocates nothing, across rotations), on the probe path (a band

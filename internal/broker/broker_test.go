@@ -104,9 +104,23 @@ func TestCompetingConsumersPartitionAndPreserveOrder(t *testing.T) {
 	if err := b.Bind("group", "ex", "k"); err != nil {
 		t.Fatal(err)
 	}
-	c1, _ := b.Consume("group", 4, true)
-	c2, _ := b.Consume("group", 4, true)
+	// Manual acks and a prefetch of 4: a consumer holds at most four
+	// unacknowledged messages, so once both windows are full — before
+	// any collector runs — each member is bound to get a share, however
+	// the dispatcher goroutines are scheduled.
+	const prefetch = 4
+	c1, _ := b.Consume("group", prefetch, false)
+	c2, _ := b.Consume("group", prefetch, false)
 	const n = 400
+	for i := 0; i < n; i++ {
+		if err := b.Publish("ex", "k", nil, []byte(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		st, _ := b.QueueStats("group")
+		return st.Unacked == 2*prefetch
+	})
 	var got1, got2 []int
 	var received atomic.Int64
 	var wg sync.WaitGroup
@@ -117,20 +131,15 @@ func TestCompetingConsumersPartitionAndPreserveOrder(t *testing.T) {
 			fmt.Sscan(string(d.Body), &v)
 			*out = append(*out, v)
 			received.Add(1)
+			if err := c.Ack(d.Tag); err != nil {
+				t.Error(err)
+			}
 		}
 	}
 	wg.Add(2)
 	go collect(c1, &got1)
 	go collect(c2, &got2)
-	for i := 0; i < n; i++ {
-		if err := b.Publish("ex", "k", nil, []byte(fmt.Sprint(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Wait for the collectors to have read everything, not just for the
-	// auto-acks (counted at dispatch): a delivery still buffered in a
-	// consumer channel when Cancel runs would be requeued, not received.
-	waitFor(t, time.Second, func() bool {
+	waitFor(t, 5*time.Second, func() bool {
 		st, _ := b.QueueStats("group")
 		return st.Acked == n && received.Load() == n
 	})

@@ -79,12 +79,7 @@ func TestHashNoAttrStoresAndScans(t *testing.T) {
 	}
 }
 
-// The TestSkipList* cases were written for the skip list that used to
-// be the ordered sub-index. The B+-tree and then Sorted replaced it, and
-// the cases keep their names while pinning the same range semantics on
-// Sorted.
-
-func TestSkipListOrderedRange(t *testing.T) {
+func TestSortedRangeInKeyOrder(t *testing.T) {
 	b := NewSorted(0)
 	perm := rand.New(rand.NewSource(1)).Perm(200)
 	for i, v := range perm {
@@ -107,7 +102,7 @@ func TestSkipListOrderedRange(t *testing.T) {
 	}
 }
 
-func TestSkipListBoundsExclusive(t *testing.T) {
+func TestSortedBoundInclusivity(t *testing.T) {
 	b := NewSorted(0)
 	for v := 0; v < 10; v++ {
 		b.Insert(tuple.New(tuple.R, uint64(v), 0, tuple.Int(int64(v))))
@@ -133,7 +128,7 @@ func TestSkipListBoundsExclusive(t *testing.T) {
 	}
 }
 
-func TestSkipListUnboundedSides(t *testing.T) {
+func TestSortedUnboundedSides(t *testing.T) {
 	b := NewSorted(0)
 	for v := 0; v < 10; v++ {
 		b.Insert(tuple.New(tuple.R, uint64(v), 0, tuple.Int(int64(v))))
@@ -152,7 +147,7 @@ func TestSkipListUnboundedSides(t *testing.T) {
 	}
 }
 
-func TestSkipListDuplicateKeys(t *testing.T) {
+func TestSortedPointProbeDuplicateKeys(t *testing.T) {
 	b := NewSorted(0)
 	for i := 0; i < 30; i++ {
 		b.Insert(tuple.New(tuple.R, uint64(i), 0, tuple.Int(int64(i%3))))
@@ -163,7 +158,7 @@ func TestSkipListDuplicateKeys(t *testing.T) {
 	}
 }
 
-func TestSkipListMatchesReferenceModel(t *testing.T) {
+func TestSortedMatchesReferenceModel(t *testing.T) {
 	f := func(vals []int16, lo, hi int8) bool {
 		b := NewSorted(0)
 		for i, v := range vals {

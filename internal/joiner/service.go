@@ -466,22 +466,23 @@ func (s *Service) consumeLoop(cons broker.Consumer, src protocol.Source) {
 	}
 }
 
-// decodeDelivery decodes one delivery into the batch buffers. Poison
-// messages are rejected without requeue, which routes them to the
-// dead-letter queue for inspection.
+// decodeDelivery decodes one delivery — a router's frame of envelopes
+// or a lone envelope — into the batch buffers, with one tag however
+// many envelopes it carried. Poison messages, a frame with any corrupt
+// entry included, are rejected whole without requeue, which routes them
+// to the dead-letter queue for inspection.
 func (s *Service) decodeDelivery(cons broker.Consumer, d *broker.Delivery, dec *tuple.Decoder, envs *[]protocol.Envelope, tags *[]uint64) {
 	if d.Redelivered {
 		s.redelivered.Inc()
 	}
-	env, err := protocol.DecodeEnvelope(d.Body, dec)
-	if err != nil {
+	var err error
+	if *envs, err = protocol.AppendEnvelopes(*envs, d.Body, dec); err != nil {
 		s.poison.Inc()
 		if err := cons.Nack(d.Tag, false); err != nil {
 			s.ackErrors.Inc()
 		}
 		return
 	}
-	*envs = append(*envs, env)
 	*tags = append(*tags, d.Tag)
 }
 

@@ -47,6 +47,9 @@ func (f *failNth) Publish(exchange, key string, h map[string]string, body []byte
 // queueLog is what one joiner queue received, decoded, in order.
 type queueLog []protocol.Envelope
 
+// readQueue reads n messages from queue — frames and lone envelopes,
+// decoded through the frame decoder — and checks that no further
+// message follows them.
 func readQueue(t *testing.T, b *broker.Broker, queue string, n int) queueLog {
 	t.Helper()
 	cons, err := b.Consume(queue, n+1, true)
@@ -54,23 +57,29 @@ func readQueue(t *testing.T, b *broker.Broker, queue string, n int) queueLog {
 		t.Fatal(err)
 	}
 	defer cons.Cancel()
-	var log queueLog
-	for len(log) < n {
-		select {
-		case d := <-cons.Deliveries():
-			env, err := protocol.UnmarshalEnvelope(d.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			log = append(log, env)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: %d of %d envelopes arrived", queue, len(log), n)
-		}
-	}
+	log := readMessages(t, cons, queue, n)
 	select {
 	case d := <-cons.Deliveries():
-		t.Fatalf("%s: unexpected extra envelope %x", queue, d.Body)
+		t.Fatalf("%s: unexpected extra message %x", queue, d.Body)
 	case <-time.After(20 * time.Millisecond):
+	}
+	return log
+}
+
+// readMessages decodes the next n messages of cons.
+func readMessages(t *testing.T, cons broker.Consumer, queue string, n int) queueLog {
+	t.Helper()
+	var log queueLog
+	for i := 0; i < n; i++ {
+		select {
+		case d := <-cons.Deliveries():
+			var err error
+			if log, err = protocol.AppendEnvelopes(log, d.Body, nil); err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: %d of %d messages arrived", queue, i, n)
+		}
 	}
 	return log
 }
@@ -110,17 +119,29 @@ func (log queueLog) seqs() []uint64 {
 	return out
 }
 
-// TestRouteMidBatchPublishFailure pins what a publish error in the
-// middle of a router batch may and may not do, over a client without
-// the batch capability (faults.Client, driven one Publish at a time):
-// tuples whose copies all landed are acknowledged once; the failing
-// tuple and every later one return to the entry queue in arrival order;
-// their unpublished envelopes are never sent under the old stamps, so
-// nothing stamped at or below an already-sent punctuation arrives after
-// it; and the retry completes every fan-out.
-func TestRouteMidBatchPublishFailure(t *testing.T) {
+// keysByMember returns one equi key per member of a two-member hash
+// layout: keys[m] routes to member m.
+func keysByMember() [2]tuple.Value {
+	var keys [2]tuple.Value
+	found := [2]bool{}
+	for v := int64(0); !found[0] || !found[1]; v++ {
+		k := tuple.Int(v)
+		if m := k.Hash() % 2; !found[m] {
+			keys[m], found[m] = k, true
+		}
+	}
+	return keys
+}
+
+// newFaultedRouter builds a router over a two-member hash layout per
+// relation whose store and join publishes go one at a time through
+// failNth (faults.Client has no PublishBatch), with every joiner
+// queue declared, and n R tuples queued on the entry queue: key(seq)
+// chooses each one's key.
+func newFaultedRouter(t *testing.T, n int, key func(seq uint64) tuple.Value) (*broker.Broker, *failNth, *Service, broker.Consumer) {
+	t.Helper()
 	b := broker.New(nil)
-	defer b.Close()
+	t.Cleanup(func() { b.Close() })
 	inner := &failNth{Client: b}
 	client := faults.Wrap(inner, faults.Config{}) // no rules: a pass-through without PublishBatch
 	core, err := NewCore(Config{ID: 0, Pred: predicate.NewEqui(0, 0), Window: testWin()})
@@ -131,17 +152,16 @@ func TestRouteMidBatchPublishFailure(t *testing.T) {
 	if err := topo.Declare(client); err != nil {
 		t.Fatal(err)
 	}
-	declareJoinerQueues(t, b)
+	for _, m := range []int32{0, 1} {
+		declareMemberQueues(t, b, m)
+	}
 	for _, rel := range []tuple.Relation{tuple.R, tuple.S} {
-		if err := svc.SetLayout(rel, []int32{0}, 1, 0); err != nil {
+		if err := svc.SetLayout(rel, []int32{0, 1}, 2, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Six R tuples, two copies each: Rstore.q.0 and the S joiner's join
-	// queue (Rjoin.exchange.q.0). Publication 8 is tuple 4's join copy.
-	const n = 6
-	for seq := uint64(1); seq <= n; seq++ {
-		body := tuple.Marshal(tuple.New(tuple.R, seq, int64(seq), tuple.Int(int64(seq))))
+	for seq := uint64(1); seq <= uint64(n); seq++ {
+		body := tuple.Marshal(tuple.New(tuple.R, seq, int64(seq), key(seq)))
 		if err := b.Publish(topo.EntryExchange, topo.EntryKey, nil, body); err != nil {
 			t.Fatal(err)
 		}
@@ -150,24 +170,46 @@ func TestRouteMidBatchPublishFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cons.Cancel()
-	receive := func(k int) []broker.Delivery {
-		t.Helper()
-		var batch []broker.Delivery
-		for len(batch) < k {
-			select {
-			case d := <-cons.Deliveries():
-				batch = append(batch, d)
-			case <-time.After(5 * time.Second):
-				t.Fatalf("entry queue delivered %d of %d", len(batch), k)
-			}
+	t.Cleanup(func() { cons.Cancel() })
+	return b, inner, svc, cons
+}
+
+// receive takes the next k deliveries of the entry queue.
+func receive(t *testing.T, cons broker.Consumer, k int) []broker.Delivery {
+	t.Helper()
+	var batch []broker.Delivery
+	for len(batch) < k {
+		select {
+		case d := <-cons.Deliveries():
+			batch = append(batch, d)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("entry queue delivered %d of %d", len(batch), k)
 		}
-		return batch
 	}
+	return batch
+}
+
+// TestRouteMidBatchPublishFailure pins what a publish error in the
+// middle of a router batch may and may not do, over a client without
+// the batch capability (faults.Client, driven one Publish at a time):
+// tuples whose frames all landed are acknowledged once; the first tuple
+// of the failing frame and every later one return to the entry queue in
+// arrival order; their unpublished envelopes are never sent under the
+// old stamps, so nothing stamped at or below an already-sent
+// punctuation arrives after it; and the retry completes every fan-out.
+func TestRouteMidBatchPublishFailure(t *testing.T) {
+	// Six R tuples over two members per relation: tuples 1-3 route to
+	// member 0, 4-6 to member 1, so the batch is four frames, store
+	// frames first — Rstore member 0 (1-3), Rstore member 1 (4-6), then
+	// the S joiners' join queues, member 0 (1-3) and member 1 (4-6).
+	// Publication 4 is the join frame whose first tuple is the 4th.
+	const n = 6
+	keys := keysByMember()
+	b, inner, svc, cons := newFaultedRouter(t, n, func(seq uint64) tuple.Value { return keys[(seq-1)/3] })
 
 	var rb routeBatch
-	inner.arm(8)
-	if svc.route(cons, receive(n), &rb) {
+	inner.arm(4)
+	if svc.route(cons, receive(t, cons, n), &rb) {
 		t.Fatal("route reported success across an injected publish failure")
 	}
 	st, _ := b.QueueStats(topo.EntryQueue)
@@ -176,7 +218,7 @@ func TestRouteMidBatchPublishFailure(t *testing.T) {
 	}
 	svc.publishPunctuation() // covers every stamp issued so far, burned ones included
 
-	retry := receive(3)
+	retry := receive(t, cons, 3)
 	for i, d := range retry {
 		tp, err := tuple.Unmarshal(d.Body)
 		if err != nil {
@@ -193,21 +235,99 @@ func TestRouteMidBatchPublishFailure(t *testing.T) {
 		t.Fatalf("entry queue after retry: %+v, want %d acked once each and nothing left", st, n)
 	}
 
-	// Store queue: tuples 1-4 (4's store copy landed before its join copy
-	// failed), the punctuation, then 4-6 under fresh stamps. Join queue:
-	// 1-3, the punctuation, 4-6.
-	store := readQueue(t, b, topo.StoreQueue(tuple.R, 0), 4+1+3)
-	join := readQueue(t, b, topo.JoinQueue(tuple.S, 0), 3+1+3)
-	store.checkOrder(t, "store")
-	join.checkOrder(t, "join")
-	if got := store.seqs(); !slices.Equal(got, []uint64{1, 2, 3, 4, 4, 5, 6}) {
-		t.Fatalf("store queue saw seqs %v", got)
+	// Store queues: member 0 got 1-3 and the punctuation; member 1 got
+	// 4-6 (their store frame landed before the join frame failed), the
+	// punctuation, then 4-6 under fresh stamps. Join queues: member 0
+	// got 1-3 and the punctuation, member 1 the punctuation and 4-6.
+	store := append(readQueue(t, b, topo.StoreQueue(tuple.R, 0), 1+1), readQueue(t, b, topo.StoreQueue(tuple.R, 1), 1+1+1)...)
+	join := append(readQueue(t, b, topo.JoinQueue(tuple.S, 0), 1+1), readQueue(t, b, topo.JoinQueue(tuple.S, 1), 1+1)...)
+	store[:4].checkOrder(t, "store 0")
+	store[4:].checkOrder(t, "store 1")
+	join[:4].checkOrder(t, "join 0")
+	join[4:].checkOrder(t, "join 1")
+	if got := store.seqs(); !slices.Equal(got, []uint64{1, 2, 3, 4, 5, 6, 4, 5, 6}) {
+		t.Fatalf("store queues saw seqs %v", got)
 	}
 	if got := join.seqs(); !slices.Equal(got, []uint64{1, 2, 3, 4, 5, 6}) {
-		t.Fatalf("join queue saw seqs %v", got)
+		t.Fatalf("join queues saw seqs %v", got)
 	}
 	if st := svc.Stats(); st.TuplesRouted != n+3 {
 		t.Errorf("routed %d, want %d (three tuples stamped twice)", st.TuplesRouted, n+3)
+	}
+}
+
+// TestRouteStoreFramesPrecedeJoinFrames fails each publication of one
+// route batch in turn. Whichever fails, every join envelope that landed
+// has its store envelope landed under the same stamp — a probe without
+// its store would be followed, on the retry, by a store under a later
+// stamp whose probe the joiner drops as a redelivery — and the
+// requeued tuples are exactly those from the first tuple missing a
+// copy onward.
+func TestRouteStoreFramesPrecedeJoinFrames(t *testing.T) {
+	const n = 12
+	keys := keysByMember()
+	key := func(seq uint64) tuple.Value { return keys[seq*7%11%2] }
+	for fail := 1; ; fail++ {
+		b, inner, svc, cons := newFaultedRouter(t, n, key)
+		var rb routeBatch
+		inner.arm(fail)
+		if svc.route(cons, receive(t, cons, n), &rb) {
+			if fail-1 != 4 {
+				t.Fatalf("the batch was %d publications, want 4: a store and a join frame per member", fail-1)
+			}
+			return // every publication position has failed once
+		}
+		type copyID struct{ seq, stamp uint64 }
+		stored := map[copyID]bool{}
+		var joined []copyID
+		hasStore, hasJoin := map[uint64]bool{}, map[uint64]bool{}
+		for _, m := range []int32{0, 1} {
+			for _, q := range []string{topo.StoreQueue(tuple.R, m), topo.JoinQueue(tuple.S, m)} {
+				st, err := b.QueueStats(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, env := range readQueue(t, b, q, st.Ready) {
+					id := copyID{env.Tuple.Seq, env.Counter}
+					if env.Stream == protocol.StreamStore {
+						stored[id], hasStore[id.seq] = true, true
+					} else {
+						joined, hasJoin[id.seq] = append(joined, id), true
+					}
+				}
+			}
+		}
+		for _, id := range joined {
+			if !stored[id] {
+				t.Fatalf("publication %d failed: seq %d's join copy landed under stamp %d without its store copy", fail, id.seq, id.stamp)
+			}
+		}
+		done := 0
+		for done < n && hasStore[uint64(done+1)] && hasJoin[uint64(done+1)] {
+			done++
+		}
+		st, _ := b.QueueStats(topo.EntryQueue)
+		if st.Acked != int64(done) || st.Ready+st.Unacked != n-done {
+			t.Fatalf("publication %d failed: acked %d, requeued %d; tuples 1-%d have every copy, so want %d and %d",
+				fail, st.Acked, st.Ready+st.Unacked, done, done, n-done)
+		}
+		// The consumer stays attached while route requeues, so its
+		// dispatcher may take a requeued tuple before the next one is
+		// back: compare the redelivered set, not its order.
+		var requeued, want []uint64
+		for _, d := range receive(t, cons, n-done) {
+			tp, err := tuple.Unmarshal(d.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requeued = append(requeued, tp.Seq)
+		}
+		for seq := uint64(done + 1); seq <= n; seq++ {
+			want = append(want, seq)
+		}
+		if slices.Sort(requeued); !slices.Equal(requeued, want) {
+			t.Fatalf("publication %d failed: requeued seqs %v, want %v", fail, requeued, want)
+		}
 	}
 }
 
@@ -408,5 +528,79 @@ func TestSetLayoutsOrdersStampsAcrossRouters(t *testing.T) {
 	}
 	if got := svcs[1].core.Members(tuple.R); !slices.Equal(got, []int32{0}) {
 		t.Fatalf("router 1 layout = %v", got)
+	}
+}
+
+// frameSink is a client that keeps the publications of its last
+// PublishBatch and discards them, so an allocation count sees the
+// router's costs alone.
+type frameSink struct {
+	broker.Client
+	last []broker.Publication
+}
+
+func (c *frameSink) PublishBatch(_ context.Context, pubs []broker.Publication) (int, error) {
+	c.last = append(c.last[:0], pubs...)
+	return len(pubs), nil
+}
+
+// nopConsumer settles nothing: route's acks go nowhere.
+type nopConsumer struct{ broker.Consumer }
+
+func (nopConsumer) Ack(uint64) error                   { return nil }
+func (nopConsumer) Nack(uint64, bool) error            { return nil }
+func (nopConsumer) AckBatch([]uint64) error            { return nil }
+func (nopConsumer) Deliveries() <-chan broker.Delivery { return nil }
+
+// TestRouteBatchFrameAllocations pins the route batch's message count
+// and cost: a 128-tuple equi batch over 2+2 joiners publishes exactly
+// one message per destination queue it addresses — every store and
+// join queue of the four members here, eight messages for 256
+// envelopes — and allocates about once per frame, the sealed body.
+func TestRouteBatchFrameAllocations(t *testing.T) {
+	const n = maxRouteBatch
+	core, err := NewCore(Config{ID: 0, Pred: predicate.NewEqui(0, 0), Window: testWin()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &frameSink{}
+	svc := NewService(core, sink, nil, ServiceConfig{})
+	for _, rel := range []tuple.Relation{tuple.R, tuple.S} {
+		if err := svc.SetLayout(rel, []int32{0, 1}, 2, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := make([]broker.Delivery, n)
+	for i := range batch {
+		seq := uint64(i + 1)
+		batch[i] = broker.Delivery{Tag: seq, Message: broker.Message{Body: tuple.Marshal(tuple.New(tuple.Relation(seq%2), seq, int64(seq), tuple.Int(int64(seq/2%50))))}}
+	}
+	var (
+		rb   routeBatch
+		cons broker.Consumer = nopConsumer{}
+	)
+	route := func() {
+		if !svc.route(cons, batch, &rb) {
+			t.Fatal("route failed")
+		}
+	}
+	route()
+	queues := map[[2]string]bool{}
+	envs := 0
+	for _, p := range sink.last {
+		queues[[2]string{p.Exchange, p.RoutingKey}] = true
+		got, err := protocol.AppendEnvelopes(nil, p.Body, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs += len(got)
+	}
+	if len(sink.last) != 8 || len(queues) != 8 || envs != 2*n {
+		t.Fatalf("%d tuples went out as %d messages to %d queues carrying %d envelopes, want 8, 8 and %d",
+			n, len(sink.last), len(queues), envs, 2*n)
+	}
+	const maxAllocsPerFrame = 1.1
+	if got := testing.AllocsPerRun(200, route) / 8; got > maxAllocsPerFrame {
+		t.Errorf("a route batch allocates %.3f times per frame, want at most %v", got, maxAllocsPerFrame)
 	}
 }

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"bistream/internal/metrics"
@@ -173,6 +174,13 @@ func (c *Core) StampCursor() uint64 { return c.stamper.Current() }
 // joiner that may hold matches. now is the current (virtual) time used
 // for rate tracking and layout pruning.
 func (c *Core) Route(t *tuple.Tuple, now time.Time) ([]Destination, error) {
+	return c.appendRoute(nil, t, now)
+}
+
+// appendRoute is Route appending the destinations to dst, so the route
+// loop can reuse one slice across a batch: the store copy first, then
+// the join copies.
+func (c *Core) appendRoute(dst []Destination, t *tuple.Tuple, now time.Time) ([]Destination, error) {
 	part := c.cfg.Pred.Partitionable()
 	nowTS := now.UnixMilli()
 	var hash, stamp uint64
@@ -192,11 +200,11 @@ func (c *Core) Route(t *tuple.Tuple, now time.Time) ([]Destination, error) {
 	}
 	storeMember, err := c.groups[t.Rel].StoreTarget(hash, storePart, nowTS)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	joinMembers, err := c.groups[t.Rel.Opposite()].JoinTargets(hash, joinPart, nowTS)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if !tracked {
 		stamp = c.stamper.Next()
@@ -205,18 +213,18 @@ func (c *Core) Route(t *tuple.Tuple, now time.Time) ([]Destination, error) {
 		Kind: protocol.KindTuple, RouterID: c.cfg.ID, Counter: stamp,
 		Stream: protocol.StreamStore, Tuple: t,
 	}
-	dests := make([]Destination, 1+len(joinMembers))
-	dests[0] = Destination{Exchange: c.storeEx[t.Rel], Key: c.memberKeys[storeMember], Env: env}
+	dst = slices.Grow(dst, 1+len(joinMembers))
+	dst = append(dst, Destination{Exchange: c.storeEx[t.Rel], Key: c.memberKeys[storeMember], Env: env})
 	env.Stream = protocol.StreamJoin
-	for i, m := range joinMembers {
-		dests[1+i] = Destination{Exchange: c.joinEx[t.Rel], Key: c.memberKeys[m], Env: env}
+	for _, m := range joinMembers {
+		dst = append(dst, Destination{Exchange: c.joinEx[t.Rel], Key: c.memberKeys[m], Env: env})
 	}
 	c.tuplesRouted.Inc()
-	c.msgsOut.Add(int64(len(dests)))
+	c.msgsOut.Add(int64(1 + len(joinMembers)))
 	c.joinFanout.Add(int64(len(joinMembers)))
 	c.meter.Observe(now, 1)
 	c.cfg.Trace.Observe(metrics.StageRoute, t.TraceNS)
-	return dests, nil
+	return dst, nil
 }
 
 // Punctuate emits the periodic punctuation signal (§3.3) to every

@@ -1,13 +1,16 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"bistream/internal/broker"
 	"bistream/internal/metrics"
+	"bistream/internal/protocol"
 	"bistream/internal/topo"
 	"bistream/internal/tuple"
 	"bistream/internal/vclock"
@@ -257,9 +260,59 @@ func (s *Service) routeLoop(cons broker.Consumer, stop <-chan struct{}, done cha
 type routeBatch struct {
 	dec    tuple.Decoder
 	tuples []*tuple.Tuple
-	tags   []uint64 // tags[i] is tuples[i]'s delivery
+	tags   []uint64      // tags[i] is tuples[i]'s delivery
+	dests  []Destination // one tuple's destinations
+	// frames holds one frame per destination queue the batch addresses,
+	// in order of first appearance; a frame's buffer outlives the batch
+	// and is reused by whichever queue takes its slot next time.
+	frames []frame
+	byDest map[destKey]int // index into frames
 	pubs   []broker.Publication
-	ends   []int // ends[i]: len(pubs) once tuples[i]'s copies were added
+	firsts []int // firsts[i] is pubs[i]'s frame's first tuple
+}
+
+// frame is one destination queue's run of envelopes in a route batch.
+type frame struct {
+	exchange, key string
+	join          bool
+	first         int // index into tuples of the frame's first tuple
+	buf           []byte
+}
+
+type destKey struct{ exchange, key string }
+
+// frameFor returns d's frame, opening it — with tuple first as its
+// first entry's tuple — if the batch has not addressed d's queue yet.
+func (rb *routeBatch) frameFor(d *Destination, join bool, first int) *frame {
+	k := destKey{d.Exchange, d.Key}
+	if i, ok := rb.byDest[k]; ok {
+		return &rb.frames[i]
+	}
+	if rb.byDest == nil {
+		rb.byDest = make(map[destKey]int)
+	}
+	rb.byDest[k] = len(rb.frames)
+	rb.frames = slices.Grow(rb.frames, 1)[:len(rb.frames)+1]
+	f := &rb.frames[len(rb.frames)-1]
+	f.exchange, f.key, f.join, f.first = d.Exchange, d.Key, join, first
+	f.buf = protocol.AppendFrameHeader(f.buf[:0], d.Env.RouterID)
+	return f
+}
+
+// seal appends the batch's frames to pubs as publications, every store
+// frame before every join frame, each body a copy of exactly its
+// frame: the broker keeps it for as long as the message lives, while
+// the frame's buffer is reused next batch.
+func (rb *routeBatch) seal() {
+	for _, join := range []bool{false, true} {
+		for i := range rb.frames {
+			if f := &rb.frames[i]; f.join == join {
+				rb.pubs = append(rb.pubs, broker.Publication{
+					Exchange: f.exchange, RoutingKey: f.key, Body: bytes.Clone(f.buf)})
+				rb.firsts = append(rb.firsts, f.first)
+			}
+		}
+	}
 }
 
 // route stamps and publishes one batch of entry deliveries, in arrival
@@ -269,25 +322,34 @@ type routeBatch struct {
 // punctuation carrying value P promises that every tuple stamped <= P
 // has already been published (pairwise FIFO then delivers it first), so
 // neither a stamp nor its publish may interleave with a punctuation
-// publish. The batch's envelopes are marshaled and handed to the broker
-// in stamp order, so every destination queue receives them in stamp
-// order.
+// publish. The batch's envelopes travel as frames, one broker message
+// per destination queue, each holding that queue's envelopes in stamp
+// order, so every destination queue receives them in stamp order.
+//
+// Every store frame is published before every join frame. A batch
+// publish lands a prefix of its publications, so a join copy that
+// landed always has its store copy landed under the same stamp. Were a
+// join copy to land alone, the tuple would be probed under its first
+// stamp and stored only on the retry under a second; the joiner drops
+// the second probe as a redelivery, so a partner stamped between the
+// two would never be joined with it.
 //
 // Failure handling: a delivery is acknowledged only after every copy of
 // its fan-out was published. When a publish fails mid-batch (or no
-// layout is installed yet), the tuples whose copies all landed are
-// acknowledged; the failing tuple and every later one are nack-requeued
-// in arrival order and retried — by this router, a sibling, or a
-// restart. Their envelopes are dropped, never sent later: the retry
-// stamps them afresh, the burned stamps stay gaps (the joiners' reorder
-// buffers release by frontier, not by contiguity), and copies of the
-// failing tuple that did land repeat under the new stamp for joiner
-// dedup to suppress. The coarsest case is a replicated broker's commit
-// gate failing: the whole batch was enqueued but none of it is
-// confirmed, PublishBatch reports zero, and up to maxRouteBatch tuples
-// repeat in full — at-least-once at batch granularity, where routing
-// tuple by tuple repeated one. The broker dead-letters a tuple that
-// exhausts the entry queue's redelivery bound.
+// layout is installed yet), done is the smallest first tuple of any
+// unpublished frame: every tuple before it had all its frames
+// published and is acknowledged; that tuple and every later one are
+// nack-requeued in arrival order and retried — by this router, a
+// sibling, or a restart. Their unpublished envelopes are dropped, never
+// sent later: the retry stamps them afresh, the burned stamps stay gaps
+// (the joiners' reorder buffers release by frontier, not by
+// contiguity), and copies of them that did land repeat under the new
+// stamp for joiner dedup to suppress. The coarsest case is a replicated
+// broker's commit gate failing: the whole batch was enqueued but none
+// of it is confirmed, PublishBatch reports zero, and up to
+// maxRouteBatch tuples repeat in full — at-least-once at batch
+// granularity. The broker dead-letters a tuple that exhausts the entry
+// queue's redelivery bound.
 func (s *Service) route(cons broker.Consumer, batch []broker.Delivery, rb *routeBatch) bool {
 	rb.tuples, rb.tags = rb.tuples[:0], rb.tags[:0]
 	for i := range batch {
@@ -310,32 +372,37 @@ func (s *Service) route(cons broker.Consumer, batch []broker.Delivery, rb *route
 		rb.tags = append(rb.tags, d.Tag)
 	}
 
-	rb.pubs, rb.ends = rb.pubs[:0], rb.ends[:0]
+	rb.frames, rb.pubs, rb.firsts = rb.frames[:0], rb.pubs[:0], rb.firsts[:0]
+	clear(rb.byDest)
 	s.coreMu.Lock()
 	now := s.clock.Now()
+	routed := 0
 	for _, t := range rb.tuples {
-		dests, err := s.core.Route(t, now)
+		dests, err := s.core.appendRoute(rb.dests[:0], t, now)
 		if err != nil {
 			break // no layout installed yet: this tuple and the rest wait
 		}
 		for i := range dests {
-			dst := &dests[i]
-			rb.pubs = append(rb.pubs, broker.Publication{
-				Exchange: dst.Exchange, RoutingKey: dst.Key, Body: dst.Env.Marshal()})
+			d := &dests[i]
+			f := rb.frameFor(d, i > 0, routed)
+			f.buf = protocol.AppendFrameEntry(f.buf, d.Env.Counter, d.Env.Stream, t)
 		}
-		rb.ends = append(rb.ends, len(rb.pubs))
+		rb.dests = dests
+		routed++
 	}
+	rb.seal()
 	published, err := broker.PublishBatch(context.Background(), s.client, rb.pubs)
 	s.coreMu.Unlock()
 	if err != nil {
 		s.publishErrors.Inc()
 	}
 	clear(rb.tuples)
+	clear(rb.dests[:cap(rb.dests)])
 	clear(rb.pubs)
 
-	done := 0 // tuples whose every copy was published
-	for done < len(rb.ends) && rb.ends[done] <= published {
-		done++
+	done := routed // tuples whose every copy was published
+	for _, first := range rb.firsts[published:] {
+		done = min(done, first)
 	}
 	if err := broker.AckBatch(cons, rb.tags[:done]); err != nil {
 		s.ackErrors.Inc()

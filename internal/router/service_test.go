@@ -35,11 +35,15 @@ func startService(t *testing.T, pred predicate.Predicate) (*broker.Broker, *Serv
 
 // declareJoinerQueues declares member 0's queues for both relations so
 // the service's publishes are observable.
-func declareJoinerQueues(t *testing.T, b *broker.Broker) {
+func declareJoinerQueues(t *testing.T, b *broker.Broker) { declareMemberQueues(t, b, 0) }
+
+// declareMemberQueues declares member m's store and join queues for
+// both relations, bound as a joiner binds them.
+func declareMemberQueues(t *testing.T, b *broker.Broker, m int32) {
 	t.Helper()
 	for _, rel := range []tuple.Relation{tuple.R, tuple.S} {
-		storeQ := topo.StoreQueue(rel, 0)
-		joinQ := topo.JoinQueue(rel, 0)
+		storeQ := topo.StoreQueue(rel, m)
+		joinQ := topo.JoinQueue(rel, m)
 		for _, q := range []struct{ queue, ex string }{
 			{storeQ, topo.StoreExchange(rel)},
 			{joinQ, topo.JoinExchange(rel.Opposite())},
@@ -47,7 +51,7 @@ func declareJoinerQueues(t *testing.T, b *broker.Broker) {
 			if err := b.DeclareQueue(q.queue, broker.QueueOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Bind(q.queue, q.ex, topo.MemberKey(0)); err != nil {
+			if err := b.Bind(q.queue, q.ex, topo.MemberKey(m)); err != nil {
 				t.Fatal(err)
 			}
 			if err := b.Bind(q.queue, q.ex, topo.PunctKey); err != nil {
@@ -72,23 +76,25 @@ func TestServiceRoutesEntryTuples(t *testing.T) {
 	for {
 		select {
 		case d := <-cons.Deliveries():
-			env, err := protocol.UnmarshalEnvelope(d.Body)
+			envs, err := protocol.AppendEnvelopes(nil, d.Body, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if env.Kind == protocol.KindPunctuation {
-				continue // punctuation ticker noise
+			for _, env := range envs {
+				if env.Kind == protocol.KindPunctuation {
+					continue // punctuation ticker noise
+				}
+				if env.Kind != protocol.KindTuple || env.Stream != protocol.StreamStore {
+					t.Fatalf("envelope = %+v", env)
+				}
+				if env.Tuple.Seq != 7 || !env.Tuple.Value(0).Equal(tuple.Int(42)) {
+					t.Fatalf("tuple = %v", env.Tuple)
+				}
+				if st := svc.Stats(); st.TuplesRouted != 1 {
+					t.Errorf("stats = %+v", st)
+				}
+				return
 			}
-			if env.Kind != protocol.KindTuple || env.Stream != protocol.StreamStore {
-				t.Fatalf("envelope = %+v", env)
-			}
-			if env.Tuple.Seq != 7 || !env.Tuple.Value(0).Equal(tuple.Int(42)) {
-				t.Fatalf("tuple = %v", env.Tuple)
-			}
-			if st := svc.Stats(); st.TuplesRouted != 1 {
-				t.Errorf("stats = %+v", st)
-			}
-			return
 		case <-deadline:
 			t.Fatal("store copy never arrived")
 		}

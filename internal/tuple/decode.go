@@ -49,6 +49,37 @@ func (d *Decoder) Unmarshal(data []byte) (*Tuple, error) {
 	return t, nil
 }
 
+// UnmarshalPrefix decodes one tuple from the front of data, allocating
+// from the decoder's slabs, and returns it with the bytes that follow
+// it: the tuple encoding is self-delimiting, so a caller can walk a run
+// of tuples (or of entries that end in one) without length prefixes. On
+// error the slot is handed back and the slabs are unchanged.
+func (d *Decoder) UnmarshalPrefix(data []byte) (*Tuple, []byte, error) {
+	t := d.slot()
+	rest, err := parseInto(t, data, d)
+	if err != nil {
+		d.tuples = d.tuples[:len(d.tuples)-1]
+		return nil, nil, err
+	}
+	return t, rest, nil
+}
+
+// DecoderMark is a decoder's slab position, taken by Mark.
+type DecoderMark struct {
+	tuples []Tuple
+	values []Value
+}
+
+// Mark returns the decoder's slab position, for a caller that decodes
+// a message of several tuples all or nothing: Rewind(mark) after a
+// failure hands back every slot the message used.
+func (d *Decoder) Mark() DecoderMark { return DecoderMark{d.tuples, d.values} }
+
+// Rewind returns the decoder to a position Mark took. The tuples
+// decoded since then must no longer be referenced: later decodes reuse
+// their slots.
+func (d *Decoder) Rewind(m DecoderMark) { d.tuples, d.values = m.tuples, m.values }
+
 // slot returns the next tuple slot of the current chunk, starting a new
 // chunk when it is full.
 func (d *Decoder) slot() *Tuple {

@@ -160,7 +160,7 @@ func (d *Decoder) AppendPairs(dst []*Tuple, frame []byte) ([]*Tuple, error) {
 	if len(frame) == 0 {
 		return dst, fmt.Errorf("%w: empty result frame", ErrCorrupt)
 	}
-	tuples, values, n := d.tuples, d.values, len(dst)
+	mark, n := d.Mark(), len(dst)
 	refs := d.refs[:0]
 	var err error
 	for len(frame) > 0 && err == nil {
@@ -177,8 +177,8 @@ func (d *Decoder) AppendPairs(dst []*Tuple, frame []byte) ([]*Tuple, error) {
 			}
 			continue
 		}
-		t := d.slot()
-		if frame, err = parseInto(t, frame, d); err == nil {
+		var t *Tuple
+		if t, frame, err = d.UnmarshalPrefix(frame); err == nil {
 			dst = append(dst, t)
 			refs = append(refs, t)
 		}
@@ -189,7 +189,7 @@ func (d *Decoder) AppendPairs(dst []*Tuple, frame []byte) ([]*Tuple, error) {
 		err = fmt.Errorf("%w: odd tuple count %d in result frame", ErrCorrupt, len(dst)-n)
 	}
 	if err != nil {
-		d.tuples, d.values = tuples, values
+		d.Rewind(mark)
 		clear(dst[n:])
 		return dst[:n], err
 	}
