@@ -40,7 +40,7 @@ func main() {
 		id          = flag.Int("id", 0, "member id within the relation's group")
 		predSpec    = flag.String("predicate", "equi(0,0)", "join predicate")
 		winSpan     = flag.Duration("window", 10*time.Minute, "sliding window span")
-		archive     = flag.Duration("archive", 0, "chained index archive period (0 = window/16)")
+		archive     = flag.Duration("archive", 0, "chained index archive period (0 = window/4 for a band predicate, window/16 for any other)")
 		shards      = flag.Int("shards", 0, "per-core store shards for the batched hot path (0 = GOMAXPROCS)")
 		routers     = flag.String("routers", "0", "comma-separated router ids to register")
 		statsEvery  = flag.Duration("stats", 10*time.Second, "stats logging period (0 = off)")

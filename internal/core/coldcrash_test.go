@@ -149,12 +149,33 @@ func TestEngineExactlyOnceUnderColdCrashesAndTornCheckpoints(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
 		t.Run(time.Duration(seed).String(), func(t *testing.T) {
-			runColdCrashChaos(t, seed)
+			runColdCrashChaos(t, seed, coldCrashCase{pred: predicate.NewEqui(0, 0)})
 		})
 	}
+	// The same schedule over ordered (Sorted) sub-indexes, so that a
+	// cold-killed member restores sealed ordered segments. The period is
+	// explicit: at the default W/4 of the one-minute window nothing
+	// would seal within the run, and a window short enough to seal
+	// would also expire under two routers' stamp-order disorder.
+	t.Run("band", func(t *testing.T) {
+		runColdCrashChaos(t, 1, coldCrashCase{
+			pred:      predicate.NewBand(0, 0, 1),
+			archive:   100 * time.Millisecond,
+			minSealed: 2,
+		})
+	})
 }
 
-func runColdCrashChaos(t *testing.T, seed int64) {
+// coldCrashCase is what a cold-crash chaos run varies: the predicate,
+// the archive period (0 = default), and the fewest sealed segments the
+// first cold-killed member must hold when it dies.
+type coldCrashCase struct {
+	pred      predicate.Predicate
+	archive   time.Duration
+	minSealed int
+}
+
+func runColdCrashChaos(t *testing.T, seed int64, cc coldCrashCase) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	reg := metrics.NewRegistry()
@@ -175,13 +196,15 @@ func runColdCrashChaos(t *testing.T, seed int64) {
 		Metrics: reg,
 	}
 
-	pred := predicate.NewEqui(0, 0)
+	pred := cc.pred
+	const shards = 3
 	col := newCollector()
 	e := startEngine(t, Config{
 		Predicate:          pred,
 		Window:             time.Minute,
+		ArchivePeriod:      cc.archive,
 		Routers:            2,
-		Shards:             3,
+		Shards:             shards,
 		RJoiners:           2,
 		SJoiners:           2,
 		Broker:             f,
@@ -215,7 +238,21 @@ func runColdCrashChaos(t *testing.T, seed int64) {
 		time.Sleep(60 * time.Millisecond)
 		switch round {
 		case 1:
-			if err := e.ColdCrashJoiner(tuple.R, rng.Intn(2), 20*time.Millisecond); err != nil {
+			id := rng.Intn(2)
+			if cc.minSealed > 0 {
+				sealed := -1 // each shard's live sub-index is not sealed
+				for _, m := range e.Snapshot().RJoiners {
+					if int(m.ID) == id {
+						sealed = m.SubIndexes - shards
+					}
+				}
+				if sealed < cc.minSealed {
+					t.Fatalf("R member %d holds %d sealed segments at its cold kill, want >= %d",
+						id, sealed, cc.minSealed)
+				}
+				t.Logf("R member %d holds %d sealed segments at its cold kill", id, sealed)
+			}
+			if err := e.ColdCrashJoiner(tuple.R, id, 20*time.Millisecond); err != nil {
 				t.Fatal(err)
 			}
 		case 2:

@@ -41,8 +41,9 @@ type Config struct {
 	// with the stream, and joiner groups can scale out but not in
 	// (scale-in without migration relies on window drain).
 	FullHistory bool
-	// ArchivePeriod is the chained index's sub-index span P; defaults
-	// to Window/16.
+	// ArchivePeriod is the chained index's sub-index span P. Zero
+	// defaults to Window/4 for a band predicate and Window/16 for any
+	// other (index.DefaultArchivePeriod).
 	ArchivePeriod time.Duration
 	// Shards is the number of per-core store shards each joiner
 	// partitions its window into; batches of deliveries fan out across

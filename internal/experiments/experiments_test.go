@@ -140,6 +140,11 @@ func TestRunOrderingProtocolExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestRunChainSweep asserts E5's count shapes, never its timings: per
+// series (equi over hash sub-indexes, band and theta over ordered
+// ones), a longer archive period means fewer sub-indexes visited per
+// probe and no smaller live size; the flat baseline ends with exactly
+// the window.
 func TestRunChainSweep(t *testing.T) {
 	cfg := DefaultChainConfig()
 	cfg.Tuples = 40_000
@@ -147,32 +152,49 @@ func TestRunChainSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(cfg.Periods)+1 {
-		t.Fatalf("rows = %d", len(rows))
+	n := len(cfg.Periods)
+	names := []string{"equi", "band", "theta<", "theta!="}
+	if len(rows) != len(names)*n+1 {
+		t.Fatalf("rows = %d, want %d", len(rows), len(names)*n+1)
 	}
 	flat := rows[len(rows)-1]
 	if flat.Label != "flat (tuple-level)" {
 		t.Fatalf("last row = %+v", flat)
 	}
-	// Every configuration must discard roughly the same tuples (same
-	// window) — chained at sub-index granularity, flat per tuple.
-	for _, r := range rows[:len(rows)-1] {
-		if r.Dropped == 0 {
-			t.Errorf("%s dropped nothing", r.Label)
-		}
-		if r.FinalLen <= 0 {
-			t.Errorf("%s has empty window", r.Label)
-		}
+	if flat.Stale != 0 || flat.VisitsPerProbe != 1 {
+		t.Errorf("flat baseline: stale %d, visits %.2f per probe; want 0 and 1", flat.Stale, flat.VisitsPerProbe)
 	}
-	// Larger archive periods keep more stale data live (fewer, coarser
-	// discards): live size must be non-decreasing in P.
-	for i := 1; i < len(rows)-1; i++ {
-		if rows[i].FinalLen < rows[i-1].FinalLen {
-			t.Errorf("live size decreased with larger P: %+v -> %+v", rows[i-1], rows[i])
+	for si, name := range names {
+		series := rows[si*n : (si+1)*n]
+		for _, r := range series {
+			if !strings.HasPrefix(r.Label, name+" ") {
+				t.Fatalf("row %q in the %s series", r.Label, name)
+			}
+			// Every configuration discards roughly the same tuples (same
+			// window) — chained at sub-index granularity, flat per tuple.
+			if r.Dropped == 0 {
+				t.Errorf("%s dropped nothing", r.Label)
+			}
+			if r.FinalLen <= 0 || r.Stale < 0 {
+				t.Errorf("%s: live %d, stale %d", r.Label, r.FinalLen, r.Stale)
+			}
+		}
+		for i := 1; i < len(series); i++ {
+			prev, cur := series[i-1], series[i]
+			// A probe visits every live sub-index, about W/P of them.
+			if cur.VisitsPerProbe >= prev.VisitsPerProbe {
+				t.Errorf("visits per probe did not fall with larger P: %s %.2f -> %s %.2f",
+					prev.Label, prev.VisitsPerProbe, cur.Label, cur.VisitsPerProbe)
+			}
+			// Larger periods keep more stale data live (fewer, coarser
+			// discards): live size must be non-decreasing in P.
+			if cur.FinalLen < prev.FinalLen {
+				t.Errorf("live size decreased with larger P: %+v -> %+v", prev, cur)
+			}
 		}
 	}
 	out := FormatChainRows(rows)
-	if !strings.Contains(out, "flat") {
+	if !strings.Contains(out, "flat") || !strings.Contains(out, "band P=W*0.25") {
 		t.Errorf("table: %s", out)
 	}
 }

@@ -270,6 +270,6 @@ func BenchmarkChainedPointProbe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Probe(plans[i%len(plans)], emit)
+		c.Probe(&plans[i%len(plans)], emit)
 	}
 }

@@ -9,6 +9,7 @@ package index
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"bistream/internal/predicate"
 	"bistream/internal/tuple"
@@ -52,6 +53,31 @@ func ForPredicate(pred predicate.Predicate, rel tuple.Relation) Factory {
 		return func() SubIndex { return NewHash(attr) }
 	}
 	return func() SubIndex { return NewSorted(attr) }
+}
+
+// DefaultArchivePeriod returns the archive period P, in milliseconds,
+// of a chain under pred when none is configured. A probe visits every
+// live sub-index, about W/P of them. A band probe descends into each of
+// its Sorted sub-indexes to find a few candidates, so a band chain
+// seals every W/4: a quarter of the descents, for up to W/4 of stale
+// tuples that expiry has not yet dropped. Every other chain seals every
+// W/16: a hash visit is one slot lookup, and a theta probe walks a
+// half-open range or the whole window, so it pays for its candidates,
+// stale ones included, more than for its visits (E5 measures both). A
+// full-history chain (unbounded window) seals every minute, and a
+// window too short to divide seals once per span.
+func DefaultArchivePeriod(pred predicate.Predicate, win window.Sliding) int64 {
+	if win.IsUnbounded() {
+		return time.Minute.Milliseconds()
+	}
+	parts := int64(16)
+	if _, band := pred.(predicate.Band); band {
+		parts = 4
+	}
+	if p := win.SpanMillis() / parts; p > 0 {
+		return p
+	}
+	return win.SpanMillis()
 }
 
 // IDAlloc hands out segment ids. One allocator can be shared by several
@@ -222,25 +248,38 @@ func (c *Chained) Expire(oppTS int64) int {
 // Probe runs the plan over the active sub-index and every surviving
 // archived sub-index (the Join Processing operation). emit receives
 // candidates; returning false stops the scan, and Probe returns false.
-func (c *Chained) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) bool {
+// The plan is read through the pointer, never copied. A chain of
+// Sorted sub-indexes converts the plan's bounds to compare-ready keys
+// once, here, and each sub-index scans the same range; probeSub checks
+// every sub-index's type, so a factory may change kinds over time.
+func (c *Chained) Probe(plan *predicate.Plan, emit func(*tuple.Tuple) bool) bool {
+	var r *keyRange
+	if _, ok := c.active.sub.(*Sorted); ok {
+		kr := rangeOf(plan)
+		r = &kr
+	}
 	for _, cs := range c.archived {
-		if !probeSub(cs.sub, &plan, emit) {
+		if !probeSub(cs.sub, plan, r, emit) {
 			return false
 		}
 	}
-	return probeSub(c.active.sub, &plan, emit)
+	return probeSub(c.active.sub, plan, r, emit)
 }
 
 // probeSub runs plan over one sub-index. The package's own sub-index
-// types are called directly, so a probe through a chain copies its plan
-// once, not once per sub-index, and the plan does not escape through
-// the SubIndex interface.
-func probeSub(sub SubIndex, plan *predicate.Plan, emit func(*tuple.Tuple) bool) bool {
+// types are called directly, so the plan does not escape through the
+// SubIndex interface; a Sorted one scans r, the plan's bounds already
+// converted, when the caller has them.
+func probeSub(sub SubIndex, plan *predicate.Plan, r *keyRange, emit func(*tuple.Tuple) bool) bool {
 	switch s := sub.(type) {
 	case *Hash:
 		return s.probe(plan, emit)
 	case *Sorted:
-		return s.probe(plan, emit)
+		if r == nil {
+			kr := rangeOf(plan)
+			r = &kr
+		}
+		return s.scan(r, emit)
 	}
 	return sub.Probe(*plan, emit)
 }

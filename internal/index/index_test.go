@@ -235,7 +235,7 @@ func TestChainedExpireDropsWholeSubIndexes(t *testing.T) {
 	}
 	// All remaining tuples must still be within the window per Theorem 1
 	// (no live tuple may be expired).
-	c.Probe(predicate.Plan{Kind: predicate.ProbeAll}, func(tp *tuple.Tuple) bool {
+	c.Probe(&predicate.Plan{Kind: predicate.ProbeAll}, func(tp *tuple.Tuple) bool {
 		if testWindow().Expired(tp.TS, 49000) && tp.TS < 38000 {
 			// Sub-index granularity may retain a few stale tuples whose
 			// sub-index still holds fresh ones — but only within one
@@ -264,7 +264,7 @@ func TestChainedNeverDropsLiveTuples(t *testing.T) {
 		c.Expire(opp)
 		// Every tuple still in-window must be probeable.
 		found := map[uint64]bool{}
-		c.Probe(predicate.Plan{Kind: predicate.ProbeAll}, func(tp *tuple.Tuple) bool {
+		c.Probe(&predicate.Plan{Kind: predicate.ProbeAll}, func(tp *tuple.Tuple) bool {
 			found[tp.Seq] = true
 			return true
 		})
@@ -311,7 +311,7 @@ func TestChainedProbeSpansAllSubIndexes(t *testing.T) {
 		c.Insert(tuple.New(tuple.R, uint64(i), int64(i*50), tuple.Int(7)))
 	}
 	var got []*tuple.Tuple
-	c.Probe(predicate.Plan{Kind: predicate.ProbePoint, Key: tuple.Int(7)}, func(t *tuple.Tuple) bool {
+	c.Probe(&predicate.Plan{Kind: predicate.ProbePoint, Key: tuple.Int(7)}, func(t *tuple.Tuple) bool {
 		got = append(got, t)
 		return true
 	})
@@ -332,12 +332,45 @@ func TestChainedProbeEarlyStop(t *testing.T) {
 		c.Insert(tuple.New(tuple.R, uint64(i), int64(i*50), tuple.Int(7)))
 	}
 	n := 0
-	c.Probe(predicate.Plan{Kind: predicate.ProbePoint, Key: tuple.Int(7)}, func(*tuple.Tuple) bool {
+	c.Probe(&predicate.Plan{Kind: predicate.ProbePoint, Key: tuple.Int(7)}, func(*tuple.Tuple) bool {
 		n++
 		return n < 3
 	})
 	if n != 3 {
 		t.Errorf("early stop visited %d", n)
+	}
+}
+
+// TestChainedProbeMixedSubIndexKinds: a factory whose sub-index kind
+// alternates between seals still has every sub-index probed, whether
+// the active one is Sorted (the chain converts the bounds once) or not.
+func TestChainedProbeMixedSubIndexKinds(t *testing.T) {
+	for _, sortedFirst := range []bool{true, false} {
+		made := 0
+		c, err := NewChained(func() SubIndex {
+			made++
+			if (made%2 == 1) == sortedFirst {
+				return NewSorted(0)
+			}
+			return NewHash(0)
+		}, 100, testWindow())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			c.Insert(tuple.New(tuple.R, uint64(i+1), int64(i*50), tuple.Int(int64(i))))
+		}
+		plan := predicate.Plan{Kind: predicate.ProbeRange, Lo: tuple.Int(2), Hi: tuple.Int(7), LoInc: true, HiInc: true}
+		found := map[uint64]bool{}
+		c.Probe(&plan, func(tp *tuple.Tuple) bool {
+			if v := tp.Value(0).AsFloat(); v >= 2 && v <= 7 { // a hash sub-index scans all
+				found[tp.Seq] = true
+			}
+			return true
+		})
+		if made < 4 || len(found) != 6 {
+			t.Errorf("sorted first %v: %d sub-indexes made, %d of 6 tuples in range found", sortedFirst, made, len(found))
+		}
 	}
 }
 
@@ -360,6 +393,34 @@ func TestForPredicate(t *testing.T) {
 	fn := predicate.NewFunc("x", func(r, s *tuple.Tuple) bool { return true })
 	if _, ok := ForPredicate(fn, tuple.R)().(*Hash); !ok {
 		t.Error("func should get a scan-only hash store")
+	}
+}
+
+// TestDefaultArchivePeriod pins the default geometry: a band chain
+// seals every W/4; a hash chain (point probes, or a scan-only store)
+// and a theta chain, Sorted though it is, every W/16; a full-history
+// chain every minute; and a window too short to divide once per span.
+func TestDefaultArchivePeriod(t *testing.T) {
+	fn := predicate.NewFunc("x", func(r, s *tuple.Tuple) bool { return true })
+	win := window.Sliding{Span: 16 * time.Second}
+	cases := []struct {
+		name string
+		pred predicate.Predicate
+		win  window.Sliding
+		want int64
+	}{
+		{"equi", predicate.NewEqui(0, 0), win, 1000},
+		{"band", predicate.NewBand(0, 0, 1), win, 4000},
+		{"theta", predicate.NewTheta(0, 0, predicate.LT), win, 1000},
+		{"func", fn, win, 1000},
+		{"band-unbounded", predicate.NewBand(0, 0, 1), window.Unbounded(), 60_000},
+		{"equi-short", predicate.NewEqui(0, 0), window.Sliding{Span: 10 * time.Millisecond}, 10},
+		{"band-short", predicate.NewBand(0, 0, 1), window.Sliding{Span: 3 * time.Millisecond}, 3},
+	}
+	for _, tc := range cases {
+		if got := DefaultArchivePeriod(tc.pred, tc.win); got != tc.want {
+			t.Errorf("%s: period %d ms, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 

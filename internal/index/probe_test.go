@@ -10,24 +10,27 @@ import (
 	"bistream/internal/window"
 )
 
-// bandChain builds the chain of band_inproc's shape: a 200 ms window at
-// the default W/16 archive period (about 16 ordered sub-indexes) holding
-// 5 000 tuples whose Int keys are uniform over [0, 100 000), their
-// timestamps spread evenly across the window.
-func bandChain(tb testing.TB) *Chained {
+// bandWindow is band_inproc's window.
+var bandWindow = window.Sliding{Span: 200 * time.Millisecond}
+
+// bandChain builds a chain of band_inproc's shape, sealing every
+// period ms: a 200 ms window holding 5 000 tuples whose Int keys are
+// uniform over [0, 100 000), their timestamps spread evenly across the
+// window. At W/16 that is about 16 ordered sub-indexes; at the band
+// default, W/4, about 4.
+func bandChain(tb testing.TB, period int64) *Chained {
 	tb.Helper()
-	win := window.Sliding{Span: 200 * time.Millisecond}
-	c, err := NewChained(func() SubIndex { return NewSorted(0) }, win.SpanMillis()/16, win)
+	c, err := NewChained(func() SubIndex { return NewSorted(0) }, period, bandWindow)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	const n = 5000
 	for i := 0; i < n; i++ {
-		c.Insert(tuple.New(tuple.R, uint64(i+1), int64(i)*win.SpanMillis()/n, tuple.Int(rng.Int63n(100_000))))
+		c.Insert(tuple.New(tuple.R, uint64(i+1), int64(i)*bandWindow.SpanMillis()/n, tuple.Int(rng.Int63n(100_000))))
 	}
-	if c.NumSubIndexes() < 12 {
-		tb.Fatalf("chain has %d sub-indexes, want about 16", c.NumSubIndexes())
+	if want := int(bandWindow.SpanMillis() / period); c.NumSubIndexes() < want*3/4 {
+		tb.Fatalf("chain has %d sub-indexes, want about %d", c.NumSubIndexes(), want)
 	}
 	return c
 }
@@ -86,8 +89,8 @@ func TestProbeStopsWhenEmitDeclines(t *testing.T) {
 		{"btree/range", NewSorted(0), band},
 		{"hash/point", NewHash(0), point},
 		{"hash/all", NewHash(0), predicate.Plan{Kind: predicate.ProbeAll}},
-		{"chained-btree/range", chain(sorted), band},
-		{"chained-hash/point", chain(hash), point},
+		{"chained-btree/range", byValue{chain(sorted)}, band},
+		{"chained-hash/point", byValue{chain(hash)}, point},
 		{"sharded-btree/range", sharded(sorted), band},
 		{"sharded-btree/all", sharded(sorted), predicate.Plan{Kind: predicate.ProbeAll}},
 		{"sharded-hash/point", sharded(hash), point},
@@ -125,12 +128,12 @@ func TestChainedProbeAllocations(t *testing.T) {
 	emit := func(*tuple.Tuple) bool { hits++; return true }
 
 	// Plans are built per probe into a local, as the joiner builds them.
-	band := bandChain(t)
+	band := bandChain(t, bandWindow.SpanMillis()/16)
 	probes := bandProbes(64)
 	i := 0
 	if a := testing.AllocsPerRun(200, func() {
 		plan := bandPred.Plan(probes[i%len(probes)])
-		band.Probe(plan, emit)
+		band.Probe(&plan, emit)
 		i++
 	}); a != 0 {
 		t.Errorf("band probe over %d ordered sub-indexes: %.2f allocs, want 0", band.NumSubIndexes(), a)
@@ -144,7 +147,7 @@ func TestChainedProbeAllocations(t *testing.T) {
 	probe := tuple.New(tuple.S, 1, 0, tuple.Int(7))
 	if a := testing.AllocsPerRun(200, func() {
 		plan := equiPred.Plan(probe)
-		equi.Probe(plan, emit)
+		equi.Probe(&plan, emit)
 	}); a != 0 {
 		t.Errorf("point probe over %d hash sub-indexes: %.2f allocs, want 0", equi.NumSubIndexes(), a)
 	}
@@ -154,19 +157,32 @@ func TestChainedProbeAllocations(t *testing.T) {
 }
 
 // BenchmarkChainedBandProbe is one band probe (width 2) through a chain
-// of band_inproc's shape, candidates counted and discarded.
+// of band_inproc's shape, candidates counted and discarded, at the old
+// W/16 period and at the band default (DefaultArchivePeriod, W/4):
+// the cost per probe follows the number of sub-indexes it descends.
 func BenchmarkChainedBandProbe(b *testing.B) {
-	c := bandChain(b)
 	probes := bandProbes(1024)
 	plans := make([]predicate.Plan, len(probes))
 	for i, p := range probes {
 		plans[i] = bandPred.Plan(p)
 	}
-	hits := 0
-	emit := func(*tuple.Tuple) bool { hits++; return true }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Probe(plans[i%len(plans)], emit)
+	for _, geo := range []struct {
+		name   string
+		period int64
+	}{
+		{"W-over-16", bandWindow.SpanMillis() / 16},
+		{"default", DefaultArchivePeriod(bandPred, bandWindow)},
+	} {
+		b.Run(geo.name, func(b *testing.B) {
+			c := bandChain(b, geo.period)
+			hits := 0
+			emit := func(*tuple.Tuple) bool { hits++; return true }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Probe(&plans[i%len(plans)], emit)
+			}
+			b.ReportMetric(float64(c.NumSubIndexes()), "subindexes")
+		})
 	}
 }

@@ -104,10 +104,10 @@ func (x *Sharded) Insert(t *tuple.Tuple) {
 // emit returns false, and Probe then returns false.
 func (x *Sharded) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) bool {
 	if s := x.ProbeShard(&plan); s >= 0 {
-		return x.shards[s].Probe(plan, emit)
+		return x.shards[s].Probe(&plan, emit)
 	}
 	for _, c := range x.shards {
-		if !c.Probe(plan, emit) {
+		if !c.Probe(&plan, emit) {
 			return false
 		}
 	}

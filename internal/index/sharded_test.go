@@ -43,7 +43,7 @@ func TestShardedEveryKeyOnExactlyOneShard(t *testing.T) {
 		// The key's tuples are all in the owner shard and nowhere else.
 		for i := 0; i < x.NumShards(); i++ {
 			found := 0
-			x.Shard(i).Probe(predicate.Plan{Kind: predicate.ProbeAll}, func(tp *tuple.Tuple) bool {
+			x.Shard(i).Probe(&predicate.Plan{Kind: predicate.ProbeAll}, func(tp *tuple.Tuple) bool {
 				if tp.Value(0).AsInt() == int64(k) {
 					found++
 				}
@@ -102,7 +102,7 @@ func TestShardedRestoreAcrossShardCountChange(t *testing.T) {
 					if i == owner {
 						continue
 					}
-					restored.Shard(i).Probe(predicate.Plan{Kind: predicate.ProbeAll}, func(tp *tuple.Tuple) bool {
+					restored.Shard(i).Probe(&predicate.Plan{Kind: predicate.ProbeAll}, func(tp *tuple.Tuple) bool {
 						if tp.Value(0).Equal(tuple.Int(k)) {
 							t.Fatalf("key %d leaked into shard %d (owner %d)", k, i, owner)
 						}

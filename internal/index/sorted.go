@@ -20,8 +20,9 @@ import (
 // A new entry goes after every equal key, so Probe and Export emit in
 // key order with equal keys in insertion order. Keys are held in
 // compare-ready form (bKey), converted once per insert and once per
-// probe bound, so a search compares native floats or strings rather
-// than calling Value.Compare.
+// probe bound (once per chain probe, not per sub-index, when a Chained
+// index drives the scan), so a search compares native floats or
+// strings rather than calling Value.Compare.
 type Sorted struct {
 	attr     int
 	blocks   []block
@@ -169,33 +170,53 @@ func (s *Sorted) split(bi int) {
 // in key order up to the high bound. A point probe is the range
 // [Key, Key]; an invalid bound is unbounded.
 func (s *Sorted) Probe(plan predicate.Plan, emit func(*tuple.Tuple) bool) bool {
-	return s.probe(&plan, emit)
+	r := rangeOf(&plan)
+	return s.scan(&r, emit)
 }
 
-// probe is Probe without copying the plan.
-func (s *Sorted) probe(plan *predicate.Plan, emit func(*tuple.Tuple) bool) bool {
+// keyRange is a plan's bounds in compare-ready form. A chain converts
+// them once per probe and hands the same range to each of its ordered
+// sub-indexes.
+type keyRange struct {
+	lo, hi       bKey
+	hasLo, hasHi bool
+	loInc, hiInc bool
+}
+
+// rangeOf converts a plan to the key range an ordered sub-index scans.
+func rangeOf(plan *predicate.Plan) keyRange {
 	lo, hi, loInc, hiInc := plan.Lo, plan.Hi, plan.LoInc, plan.HiInc
 	switch plan.Kind {
 	case predicate.ProbePoint:
 		lo, hi, loInc, hiInc = plan.Key, plan.Key, true, true
 	case predicate.ProbeRange: // bounds as given
 	default: // a full scan
-		lo, hi = tuple.Value{}, tuple.Value{}
+		return keyRange{}
 	}
+	r := keyRange{hasLo: lo.IsValid(), hasHi: hi.IsValid(), loInc: loInc, hiInc: hiInc}
+	if r.hasLo {
+		r.lo = keyOf(lo)
+	}
+	if r.hasHi {
+		r.hi = keyOf(hi)
+	}
+	return r
+}
+
+// scan emits the entries inside r in key order.
+func (s *Sorted) scan(r *keyRange, emit func(*tuple.Tuple) bool) bool {
 	bi, i := 0, 0
-	if lo.IsValid() {
-		k := keyOf(lo)
-		if bi = lowerBound(s.lasts, k, loInc); bi == len(s.blocks) {
+	if r.hasLo {
+		if bi = lowerBound(s.lasts, r.lo, r.loInc); bi == len(s.blocks) {
 			return true
 		}
-		i = lowerBound(s.blocks[bi].keys, k, loInc)
+		i = lowerBound(s.blocks[bi].keys, r.lo, r.loInc)
 	}
-	bounded, hk := hi.IsValid(), keyOf(hi)
 	for ; bi < len(s.blocks); bi, i = bi+1, 0 {
 		b := &s.blocks[bi]
 		for ; i < len(b.keys); i++ {
-			if bounded {
-				if c := b.keys[i].cmp(hk); c > 0 || (c == 0 && !hiInc) {
+			if r.hasHi {
+				if c := b.keys[i].cmp(r.hi); c > 0 || (c == 0 && !r.hiInc) {
 					return true
 				}
 			}

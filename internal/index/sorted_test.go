@@ -13,13 +13,9 @@ import (
 	"bistream/internal/tuple"
 )
 
-// The TestBTree* tests predate Sorted, which replaced the B+-tree as
-// the ordered sub-index; they keep their names so the suite's test ids
-// stay stable, and test Sorted.
-
-// TestBTreeOrderedRange: a range probe over a shuffled key set returns
+// TestSortedShuffledRange: a range probe over a shuffled key set returns
 // exactly the keys in range, in key order.
-func TestBTreeOrderedRange(t *testing.T) {
+func TestSortedShuffledRange(t *testing.T) {
 	b := NewSorted(0)
 	perm := rand.New(rand.NewSource(1)).Perm(500)
 	for i, v := range perm {
@@ -42,7 +38,7 @@ func TestBTreeOrderedRange(t *testing.T) {
 	}
 }
 
-func TestBTreeBoundsAndScans(t *testing.T) {
+func TestSortedBoundsAndScans(t *testing.T) {
 	b := NewSorted(0)
 	for v := 0; v < 10; v++ {
 		b.Insert(tuple.New(tuple.R, uint64(v), 0, tuple.Int(int64(v))))
@@ -80,7 +76,7 @@ func TestBTreeBoundsAndScans(t *testing.T) {
 	}
 }
 
-func TestBTreeDuplicateKeysAndEarlyStop(t *testing.T) {
+func TestSortedDuplicateKeysAndEarlyStop(t *testing.T) {
 	b := NewSorted(0)
 	for i := 0; i < 300; i++ {
 		b.Insert(tuple.New(tuple.R, uint64(i), 0, tuple.Int(int64(i%3))))
@@ -170,7 +166,7 @@ func crossingKeys(s *Sorted) []bKey {
 	return out
 }
 
-// TestBTreeMatchesLinearScan is the ordered sub-index's reference-model
+// TestSortedMatchesLinearScan is the ordered sub-index's reference-model
 // property test: over random insert orders with heavy duplicates, Int,
 // Float and mixed Int/Float/String keys, spanning at least three blocks
 // with a hot key's run of equal keys crossing a block boundary, every
@@ -179,7 +175,7 @@ func crossingKeys(s *Sorted) []bKey {
 // scan admits, in key order with equal keys in insertion order, and an
 // early stop visits exactly as many candidates as it asked for and
 // reports that it stopped.
-func TestBTreeMatchesLinearScan(t *testing.T) {
+func TestSortedMatchesLinearScan(t *testing.T) {
 	kinds := []struct {
 		name string
 		key  func(k int64) tuple.Value
@@ -293,12 +289,11 @@ func TestBTreeMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestBTreeMatchesSkipList (named for the skip list that was the
-// ordered sub-index before the B+-tree, and Sorted after it) runs the
-// linear-scan check on quick-generated inputs, empty and tiny ones
+// TestSortedMatchesLinearScanQuick runs the linear-scan check on
+// quick-generated inputs, empty and tiny ones
 // included, under every bound inclusivity, in key order with equal keys
 // in insertion order.
-func TestBTreeMatchesSkipList(t *testing.T) {
+func TestSortedMatchesLinearScanQuick(t *testing.T) {
 	f := func(vals []int16, lo, hi int8) bool {
 		b := NewSorted(0)
 		var stored []*tuple.Tuple
@@ -382,10 +377,10 @@ func TestSortedEqualKeysKeepInsertionOrder(t *testing.T) {
 	}
 }
 
-// TestBTreeDeepSplits: ascending inserts take the append fast path
+// TestSortedAscendingFillsBlocks: ascending inserts take the append fast path
 // across many blocks, leaving every block but the last full, and every
 // key stays reachable.
-func TestBTreeDeepSplits(t *testing.T) {
+func TestSortedAscendingFillsBlocks(t *testing.T) {
 	b := NewSorted(0)
 	const n = 50_000
 	for i := 0; i < n; i++ {

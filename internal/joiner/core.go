@@ -36,8 +36,9 @@ type Config struct {
 	Window window.Sliding
 	// FullHistory acknowledges an unbounded window.
 	FullHistory bool
-	// ArchivePeriod is the chained index's sub-index span P; it
-	// defaults to Window/16 when zero.
+	// ArchivePeriod is the chained index's sub-index span P. Zero
+	// means index.DefaultArchivePeriod: Window/4 for a band join,
+	// Window/16 for any other, a minute under FullHistory.
 	ArchivePeriod time.Duration
 	// Shards is the number of per-core store shards the window is
 	// partitioned into; batches fan store and probe work out across
@@ -139,14 +140,7 @@ func NewCore(cfg Config) (*Core, error) {
 		return nil, fmt.Errorf("joiner: window span must be positive (or set FullHistory)")
 	}
 	if cfg.ArchivePeriod <= 0 {
-		if cfg.FullHistory {
-			cfg.ArchivePeriod = time.Minute
-		} else {
-			cfg.ArchivePeriod = cfg.Window.Span / 16
-			if cfg.ArchivePeriod <= 0 {
-				cfg.ArchivePeriod = cfg.Window.Span
-			}
-		}
+		cfg.ArchivePeriod = time.Duration(index.DefaultArchivePeriod(cfg.Pred, cfg.Window)) * time.Millisecond
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
@@ -344,7 +338,7 @@ func (r *shardRun) run(maxProbeTS int64, hasProbe bool) {
 		}
 		r.expired += int64(r.shard.Expire(op.t.TS))
 		r.cur = op.t
-		r.shard.Probe(plans[op.plan], r.visit)
+		r.shard.Probe(&plans[op.plan], r.visit)
 	}
 	if hasProbe {
 		r.expired += int64(r.shard.Expire(maxProbeTS))

@@ -389,20 +389,40 @@ func TestRemoveRouterUnblocks(t *testing.T) {
 	}
 }
 
+// TestArchivePeriodDefault pins the default chain geometry of one
+// shard fed one store every 500 ms over a 16 s window: an equi core
+// (hash sub-indexes) and a theta core (ordered ones) seal every
+// W/16 = 1 s, a band core every W/4 = 4 s, and an explicit
+// ArchivePeriod wins for both.
 func TestArchivePeriodDefault(t *testing.T) {
-	c, err := NewCore(Config{Rel: tuple.R, Pred: predicate.NewEqui(0, 0), Window: window.Sliding{Span: 16 * time.Second}})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		pred     predicate.Predicate
+		period   time.Duration
+		min, max int // live sub-indexes
+	}{
+		{"equi/default", predicate.NewEqui(0, 0), 0, 8, 16},
+		{"band/default", predicate.NewBand(0, 0, 1), 0, 3, 6},
+		{"theta/default", predicate.NewTheta(0, 0, predicate.LT), 0, 8, 16},
+		{"equi/explicit", predicate.NewEqui(0, 0), 4 * time.Second, 3, 6},
+		{"band/explicit", predicate.NewBand(0, 0, 1), time.Second, 8, 16},
 	}
-	collect := func(tuple.JoinResult) {}
-	// One insert per 500ms over 16s: with P = W/16 = 1s we expect many
-	// sub-indexes.
-	for i := 0; i < 32; i++ {
-		feed(c, storeEnv(uint64(i+1), tuple.New(tuple.R, uint64(i), int64(i*500), tuple.Int(1))), protocol.SourceStore, collect)
-	}
-	punctAll(c, 32, collect)
-	if st := c.Stats(); st.SubIndexes < 8 {
-		t.Errorf("SubIndexes = %d, default archive period not applied", st.SubIndexes)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCore(Config{Rel: tuple.R, Pred: tc.pred, Window: window.Sliding{Span: 16 * time.Second},
+				ArchivePeriod: tc.period, Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			collect := func(tuple.JoinResult) {}
+			for i := 0; i < 32; i++ {
+				feed(c, storeEnv(uint64(i+1), tuple.New(tuple.R, uint64(i), int64(i*500), tuple.Int(1))), protocol.SourceStore, collect)
+			}
+			punctAll(c, 32, collect)
+			if st := c.Stats(); st.WindowLen != 32 || st.SubIndexes < tc.min || st.SubIndexes > tc.max {
+				t.Errorf("%d tuples in %d sub-indexes, want 32 in %d-%d", st.WindowLen, st.SubIndexes, tc.min, tc.max)
+			}
+		})
 	}
 }
 

@@ -29,8 +29,8 @@ type Config struct {
 	// Rows and Cols shape the grid: R tuples replicate across a row
 	// (Cols copies), S tuples down a column (Rows copies).
 	Rows, Cols int
-	// ArchivePeriodMS is the chained index archive period per cell;
-	// defaults to Window/16.
+	// ArchivePeriodMS is the chained index archive period per cell.
+	// Zero means the joiners' default, index.DefaultArchivePeriod.
 	ArchivePeriodMS int64
 }
 
@@ -81,10 +81,7 @@ func New(cfg Config) (*Matrix, error) {
 		return nil, fmt.Errorf("matrix: grid %dx%d invalid", cfg.Rows, cfg.Cols)
 	}
 	if cfg.ArchivePeriodMS <= 0 {
-		cfg.ArchivePeriodMS = cfg.Window.SpanMillis() / 16
-		if cfg.ArchivePeriodMS <= 0 {
-			cfg.ArchivePeriodMS = cfg.Window.SpanMillis()
-		}
+		cfg.ArchivePeriodMS = index.DefaultArchivePeriod(cfg.Pred, cfg.Window)
 	}
 	m := &Matrix{cfg: cfg}
 	m.cells = make([][]*cell, cfg.Rows)
@@ -136,7 +133,7 @@ func (m *Matrix) processAtCell(c *cell, t *tuple.Tuple, emit func(tuple.JoinResu
 	// opposite fragment's stale sub-indexes.
 	m.expired.Add(int64(opp.Expire(t.TS)))
 	plan := m.cfg.Pred.Plan(t)
-	opp.Probe(plan, func(stored *tuple.Tuple) bool {
+	opp.Probe(&plan, func(stored *tuple.Tuple) bool {
 		m.comparisons.Inc()
 		var r, s *tuple.Tuple
 		if t.Rel == tuple.R {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"bistream/internal/index"
 	"bistream/internal/predicate"
 	"bistream/internal/tuple"
 	"bistream/internal/window"
@@ -164,6 +165,52 @@ func TestWindowExpiryBoundsMemory(t *testing.T) {
 	// archive-period slack; must be nowhere near 10000×2.
 	if st.StoredTuples > 1500 {
 		t.Errorf("StoredTuples = %d, window not bounding memory", st.StoredTuples)
+	}
+}
+
+// TestDefaultArchivePeriodMatchesJoiners: a cell's chains seal at the
+// joiners' default period, index.DefaultArchivePeriod — every W/4 for
+// a band chain and W/16 for any other (equi, theta) — unless
+// ArchivePeriodMS is set. Each case stores one R tuple every 500 ms
+// over a 16 s window into a 1×1 grid and compares the cell's R chain
+// with a chain built at the expected period from the same tuples.
+func TestDefaultArchivePeriodMatchesJoiners(t *testing.T) {
+	win := window.Sliding{Span: 16 * time.Second}
+	cases := []struct {
+		name     string
+		pred     predicate.Predicate
+		periodMS int64 // configured; 0 is the default
+		want     int64 // period the cell's chain must seal at
+	}{
+		{"equi/default", predicate.NewEqui(0, 0), 0, 1000},
+		{"band/default", predicate.NewBand(0, 0, 1), 0, 4000},
+		{"theta/default", predicate.NewTheta(0, 0, predicate.LT), 0, 1000},
+		{"band/explicit", predicate.NewBand(0, 0, 1), 1000, 1000},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.periodMS == 0 {
+				if got := index.DefaultArchivePeriod(tc.pred, win); got != tc.want {
+					t.Fatalf("index.DefaultArchivePeriod = %d ms, want %d", got, tc.want)
+				}
+			}
+			m, err := New(Config{Pred: tc.pred, Window: win, Rows: 1, Cols: 1, ArchivePeriodMS: tc.periodMS})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := index.NewChained(index.ForPredicate(tc.pred, tuple.R), tc.want, win)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 32; i++ {
+				tp := tuple.New(tuple.R, uint64(i+1), int64(i*500), tuple.Int(1))
+				m.Process(tp, func(tuple.JoinResult) {})
+				ref.Insert(tp)
+			}
+			if got, want := m.cells[0][0].rIdx.NumSubIndexes(), ref.NumSubIndexes(); got != want || want < 4 {
+				t.Errorf("cell chain has %d sub-indexes, a chain at P = %d ms has %d", got, tc.want, want)
+			}
+		})
 	}
 }
 

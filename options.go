@@ -40,7 +40,9 @@ func WithSubgroups(r, s int) Option {
 	return func(c *Config) { c.RSubgroups, c.SSubgroups = r, s }
 }
 
-// WithArchivePeriod sets the chained index's sub-index span P.
+// WithArchivePeriod sets the chained index's sub-index span P. Without
+// it, a joiner seals every window/4 under a band predicate, every
+// window/16 under any other, and every minute under WithFullHistory.
 func WithArchivePeriod(p time.Duration) Option {
 	return func(c *Config) { c.ArchivePeriod = p }
 }
